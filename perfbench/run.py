@@ -1,7 +1,7 @@
 """Benchmark of the coupled small-mass sweep.
 
-    python3 perfbench/run.py --workload ou-replicas --seed 1 --seconds 22 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 22
+    python3 perfbench/run.py --workload ou-replicas --seed 1 --seconds 28 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 28
 
 Run from the root of a source checkout: the package is imported from
 ``src/``.  One workload per process.  With ``--trace 0`` the run reports the
@@ -9,9 +9,9 @@ end-to-end metrics (setup_s, sweep_s, steps_per_s, peak_rss_mb); with
 ``--trace 1`` it reports the per-layer metrics of a traced round and the
 tracing overhead.  The last line of standard output is one JSON object with
 the keys correct, attempted, failed and metrics; the line before it records
-the environment.  Set-up and round times are those of the fastest repeat in
-the run, because interference from other work on the host only ever slows a
-repeat.
+the environment.  Set-up and round times are medians over the run's repeats,
+each repeat scaled by the host-speed calibration timed next to it (see
+``hostspeed``).
 ``--workload all`` runs every workload in its own process and prints a table.
 """
 
@@ -30,6 +30,7 @@ import sys
 import tempfile
 import time
 
+import hostspeed
 import tracing
 import workloads
 
@@ -42,6 +43,7 @@ SETUP_PROBES_FIRST = 3
 MIN_ROUNDS = 3
 MIN_TRACE_ROUNDS = 2
 TRACED_SETUPS = 3
+CAL_PASSES = 4
 
 END_TO_END_UNITS = {"setup_s": "s", "sweep_s": "s", "steps_per_s": "1/s", "peak_rss_mb": "MB"}
 
@@ -88,27 +90,48 @@ def _workspace():
             os.rmdir(SCRATCH)
 
 
-def _setup_time(workload: str, seed: int, outdir: str) -> float:
-    """Set-up time of a fresh process: import, parse, model build, assumption probe."""
+def _setup_time(workload: str, seed: int, outdir: str) -> tuple:
+    """Set-up time of a fresh process (import, parse, model build, assumption
+    probe), and the time of the numpy import within it."""
     done = subprocess.run(
         [sys.executable, os.path.join(HERE, "setup_probe.py"), workload,
          str(seed), outdir],
         capture_output=True, text=True, timeout=120, check=True,
     )
-    return float(done.stdout.split()[-1])
+    return tuple(float(v) for v in done.stdout.split()[-2:])
+
+
+def _scaled_median(times, calibrations, reference_s) -> float:
+    """Median over repeats of time / calibration, in reference-host seconds."""
+    return statistics.median(t / c * reference_s for t, c in zip(times, calibrations))
+
+
+def _log(label: str, values) -> None:
+    sys.stderr.write(f"{label} (s): {' '.join(f'{v:.4f}' for v in values)}\n")
+
+
+def _calibrate() -> list:
+    return [hostspeed.calibration_s() for _ in range(CAL_PASSES)]
 
 
 def _rounds(w, cfg, outdir, budget_s, min_rounds, traced=False, after_round=None):
-    """Whole rounds until the next one would overrun ``budget_s``; ``after_round``
-    runs outside the timing after each round.  With ``traced`` every second
-    round is traced, so traced and untraced rounds share the host's state.
+    """An untimed round, then whole rounds until the next one would overrun
+    ``budget_s``; ``after_round`` runs outside the timing after each round.
+    With ``traced`` every second round is traced, so traced and untraced
+    rounds share the host's state.  ``CAL_PASSES`` calibration passes run
+    before the first timed round and after each one.
 
-    Returns (wall times, fingerprints, first outputs, tracers), with a tracer
-    or None for each round."""
-    times, prints, tracers, first = [], [], [], None
+    Returns (wall times, calibration times, fingerprints, first outputs,
+    tracers), with a tracer or None for each timed round; a round's
+    calibration time is the mean of the passes just before and just after it.
+    The fingerprints and first outputs include the untimed round."""
     start = time.perf_counter()
+    # an untimed first round loads what the package imports or builds lazily
+    first = workloads.run_round(w, cfg, outdir)
+    times, prints, tracers = [], [workloads.fingerprint(first, outdir)], []
+    passes = [_calibrate()]
     while len(times) < min_rounds or (
-        time.perf_counter() - start + statistics.median(times) <= budget_s
+        (time.perf_counter() - start) * (len(times) + 1) / len(times) <= budget_s
     ):
         if traced and len(times) % 2:
             tracer = tracing.Tracer()
@@ -122,14 +145,16 @@ def _rounds(w, cfg, outdir, budget_s, min_rounds, traced=False, after_round=None
             times.append(time.perf_counter() - t0)
         tracers.append(tracer)
         prints.append(workloads.fingerprint(out, outdir))
-        first = first or out
+        passes.append(_calibrate())
         if after_round is not None:
             after_round()
-    sys.stderr.write(f"round times (s): {' '.join(f'{t:.4f}' for t in times)}\n")
-    return times, prints, first, tracers
+    calibrations = [statistics.mean(a + b) for a, b in zip(passes, passes[1:])]
+    _log("round times", times)
+    _log("round calibrations", calibrations)
+    return times, calibrations, prints, first, tracers
 
 
-def _layer_metrics(round_tr, setup_tr, traced_s, untraced_s, path_bytes) -> dict:
+def _layer_metrics(round_tr, setup_tr, traced_s, overhead_s, path_bytes) -> dict:
     """Per-layer metrics of one traced round and one traced set-up."""
     S, T, C, K = round_tr.self_s, round_tr.total_s, round_tr.calls, round_tr.counts
     dynamics_spans = ("run_convergence", "simulate_coupled", "diagnostics_velocity",
@@ -171,14 +196,19 @@ def _layer_metrics(round_tr, setup_tr, traced_s, untraced_s, path_bytes) -> dict
         "cli.path_csv_bytes": (path_bytes, "bytes"),
         "bench.self_s": (S[tracing.ROOT], "s"),
         "trace.sweep_s": (traced_s, "s"),
-        "trace.overhead_s": (traced_s - untraced_s, "s"),
+        "trace.overhead_s": (overhead_s, "s"),
     }
     return {k: {"value": float(v), "unit": u} for k, (v, u) in m.items()}
 
 
 def measure(name: str, seed: int, seconds: float, trace: bool) -> dict:
     w = workloads.WORKLOADS[name]
+    cpus = os.sched_getaffinity(0)
     with _workspace() as outdir:
+        # The timed part runs on one CPU, set-up probes included, so that each
+        # calibration pass sees the same CPU, and the same share of the host,
+        # as the samples it scales.
+        os.sched_setaffinity(0, {max(cpus)})
         if trace:
             setup_tracers = []
             for _ in range(TRACED_SETUPS):
@@ -187,10 +217,14 @@ def measure(name: str, seed: int, seconds: float, trace: bool) -> dict:
                     cfg, text = workloads.setup(w, seed, outdir)
                 setup_tracers.append(tr)
             setup_tr = min(setup_tracers, key=lambda tr: tr.total_s[tracing.ROOT])
-            times, prints, first, tracers = _rounds(
+            times, calibrations, prints, first, tracers = _rounds(
                 w, cfg, outdir, seconds, 2 * MIN_TRACE_ROUNDS, traced=True
             )
-            plain = [t for t, tr in zip(times, tracers) if tr is None]
+            rounds = list(zip(times, calibrations, tracers))
+            traced = [(t, c) for t, c, tr in rounds if tr is not None]
+            plain = [(t, c) for t, c, tr in rounds if tr is None]
+            overhead_s = (_scaled_median(*zip(*traced), hostspeed.REFERENCE_S)
+                          - _scaled_median(*zip(*plain), hostspeed.REFERENCE_S))
             best, tr = min(
                 ((t, tr) for t, tr in zip(times, tracers) if tr is not None),
                 key=lambda pair: pair[0],
@@ -200,21 +234,29 @@ def measure(name: str, seed: int, seconds: float, trace: bool) -> dict:
                 raise RuntimeError(f"layer self times miss the traced round by {gap:.3e} s")
             path_file = os.path.join(outdir, "paths.csv")
             path_bytes = os.path.getsize(path_file) if os.path.exists(path_file) else 0
-            metrics = _layer_metrics(tr, setup_tr, best, min(plain), path_bytes)
+            metrics = _layer_metrics(tr, setup_tr, best, overhead_s, path_bytes)
         else:
             # set-up is sampled before the rounds and after each one, so that
             # its samples span the run as the rounds do
             setups = [_setup_time(name, seed, outdir) for _ in range(SETUP_PROBES_FIRST)]
             cfg, text = workloads.setup(w, seed, outdir)
             steps = workloads.particle_steps(w, cfg)
-            times, prints, first, _ = _rounds(
+            times, calibrations, prints, first, _ = _rounds(
                 w, cfg, outdir, seconds, MIN_ROUNDS,
                 after_round=lambda: setups.append(_setup_time(name, seed, outdir)),
             )
             peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-            sys.stderr.write(f"set-up times (s): {' '.join(f'{t:.4f}' for t in setups)}\n")
-            setup_s = min(setups)
-            sweep_s = min(times)
+            setup_times, numpy_imports = zip(*setups)
+            _log("set-up times", setup_times)
+            _log("set-up numpy imports", numpy_imports)
+            sys.stderr.write(
+                f"unscaled medians (s): set-up {statistics.median(setup_times):.4f}, "
+                f"round {statistics.median(times):.4f}; fastest round {min(times):.4f}\n"
+            )
+            setup_s = _scaled_median(
+                setup_times, numpy_imports, hostspeed.REFERENCE_NUMPY_IMPORT_S,
+            )
+            sweep_s = _scaled_median(times, calibrations, hostspeed.REFERENCE_S)
             values = {
                 "setup_s": setup_s,
                 "sweep_s": sweep_s,
@@ -222,6 +264,7 @@ def measure(name: str, seed: int, seconds: float, trace: bool) -> dict:
                 "peak_rss_mb": peak_mb,
             }
             metrics = {k: {"value": v, "unit": END_TO_END_UNITS[k]} for k, v in values.items()}
+        os.sched_setaffinity(0, cpus)
         ops = workloads.check(w, cfg, text, first, prints, outdir, SRC)
 
     for op in ops:
@@ -266,7 +309,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=22.0)
+    parser.add_argument("--seconds", type=float, default=28.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
