@@ -3,10 +3,15 @@
 The second-order (mass ``eps``) system is advanced on a fast grid, either by
 explicit Euler-Maruyama (stable for ``delta <= eps / kappa``) or by an
 exponential stepper that freezes the coefficients over the step and applies
-the exact damping semigroup (no stiffness constraint).  The limit system is
-advanced on a coarse grid whose Brownian increments are the window sums of
-the fast ones, so both systems ride the same noise path and their difference
-estimates the strong error directly.
+the exact damping semigroup.  The exponential stepper stays stable for any
+``delta``, but its midpoint-kernel noise term loses velocity variance once
+``delta`` reaches ``eps``: on the constant OU family (gamma = 2, sigma = 1)
+``eps E|v|^2`` reads 0.147 +- 0.010 at ``delta/eps = 1`` and 0.0015 at
+``delta/eps = 4``, against 0.25, so keep ``delta`` well below ``eps``.
+
+The limit system is advanced on a coarse grid whose Brownian increments are
+the window sums of the fast ones, so both systems ride the same noise path
+and their difference estimates the strong error directly.
 
 Batched kernels carry state as (R, N, d) arrays: replica, particle,
 component.  The empirical measure entering the friction is the ensemble of
@@ -34,6 +39,9 @@ from .models import SystemModel, limit_drift_fields
 
 DEFAULT_KAPPA = 20.0
 BLOWUP_CAP = 1e8
+# Replicas per batch in diagnostics_velocity; the value fixes the order in
+# which the per-time sums are accumulated, so it is part of the output bytes.
+DIAGNOSTICS_CHUNK = 128
 
 SCHEME_EXPLICIT = "explicit"
 SCHEME_EXPONENTIAL = "exponential"
@@ -195,7 +203,9 @@ def step_full_exponential(
 ) -> ParticleEnsembleFull:
     """One exponential-integrator step: coefficients frozen over the step,
     exact damping semigroup, midpoint-kernel stochastic convolution, and a
-    trapezoid position update.  No stiffness restriction on delta."""
+    trapezoid position update.  Stable for any delta, but the velocity
+    variance is too small once delta reaches eps (see the module
+    docstring)."""
     if delta < 0.0:
         raise ValidationError("delta must be nonnegative")
     dw = _check_increment(dw, ens.x.shape[0], model.noise_dim)
@@ -402,8 +412,12 @@ class VelocityDiagnostics:
 
     ``sup_ev2`` is the sup over the diagnostic grid of eps * E|v_t|^2 (the
     expectation over replicas), with the pointwise standard error at the
-    maximizing time.  ``mean_sup_ev4`` is E[(sup_t |eps v_t|)^4] with the sup
-    tracked at every fast step.
+    maximizing time.  The maximum of noisy means is biased upward and that
+    standard error ignores the choice of time: on a flat plateau the z-score
+    against the true value averaged 1.4 +- 0.45 over 40 seeds (explicit rule,
+    delta = eps/100, 200 replicas), so a 3 SE check on it fails on some
+    seeds.  ``mean_sup_ev4`` is E[(sup_t |eps v_t|)^4] with the sup tracked
+    at every fast step.
     """
 
     sup_ev2: float
@@ -428,7 +442,6 @@ def diagnostics_velocity(
     x0=0.0,
     v0=0.0,
     cap: float = BLOWUP_CAP,
-    chunk_size: int = 128,
 ) -> VelocityDiagnostics:
     """Estimate the two velocity moment functionals of the mass-eps system."""
     if replicas < 2:
@@ -452,8 +465,8 @@ def diagnostics_velocity(
     sup4 = np.empty(replicas)
 
     driver = NoiseDriver(seed, delta, 1)
-    for start in range(0, replicas, chunk_size):
-        ids = list(range(start, min(start + chunk_size, replicas)))
+    for start in range(0, replicas, DIAGNOSTICS_CHUNK):
+        ids = list(range(start, min(start + DIAGNOSTICS_CHUNK, replicas)))
         R = len(ids)
         fast = driver.fast_increments_batch(ids, n_particles, k, n_steps)
         X = np.broadcast_to(x_init, (R, n_particles, d)).copy()

@@ -109,4 +109,5 @@ class AssumptionViolated(NumericalFailure):
 
 
 class IllConditionedWarning(UserWarning):
-    """Pivot-ratio heuristic suggests the linear system is ill conditioned."""
+    """The Kronecker operator of a point Lyapunov/Sylvester solve has a
+    condition number (largest over smallest singular value) above 1e12."""

@@ -1,10 +1,16 @@
 """Dense matrix kernels for small systems.
 
 Matrix exponential, smallest eigenvalue of the symmetric part, Lyapunov and
-Sylvester solvers through the vectorized d^2 x d^2 linear system, and
-quadrature evaluations of the corresponding semigroup integral
-representations.  Everything here is written for the d <= 64 regime; the
-solvers are O(d^6) and deliberately simple.
+Sylvester solvers, and quadrature evaluations of the corresponding semigroup
+integral representations.  Everything here is written for the d <= 64
+regime.
+
+Lyapunov and Sylvester equations have one kernel: the vectorized d^2 x d^2
+Kronecker system, assembled for a stack of matrices and solved by LAPACK
+(``lyapunov_batch``/``sylvester_batch``, O(d^6) per matrix).  The point
+solvers ``solve_lyapunov``/``solve_sylvester`` check their operands, reject a
+numerically singular operator by its singular values, and solve a stack of
+one through that kernel.
 
 All functions are pure; none keeps state.
 """
@@ -31,6 +37,9 @@ STABILITY_EPS = 1e-12
 
 _TAYLOR_TERMS = 16
 _TAYLOR_RADIUS = 0.25
+# Point solvers: SingularSystem below this smallest/largest singular-value
+# ratio of the Kronecker operator, IllConditionedWarning above this condition
+# number.
 _PIVOT_RTOL = 1e-14
 _PIVOT_RATIO_WARN = 1e12
 
@@ -42,15 +51,6 @@ def _as_square(M, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise NonFinite(f"{name} contains NaN or Inf")
     return A
-
-
-def _as_vector(b, n: int, name: str = "b") -> np.ndarray:
-    v = np.asarray(b, dtype=float)
-    if v.shape != (n,):
-        raise ValidationError(f"{name} must have shape ({n},), got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise NonFinite(f"{name} contains NaN or Inf")
-    return v
 
 
 def expm(M) -> np.ndarray:
@@ -84,50 +84,6 @@ def min_sym_eig(M) -> float:
     return float(np.linalg.eigvalsh(sym)[0])
 
 
-def dense_solve(A, b) -> np.ndarray:
-    """Solve A x = b by Gaussian elimination with partial pivoting.
-
-    Raises SingularSystem when a pivot falls below 1e-14 * max|A|, and warns
-    with IllConditionedWarning when the pivot-magnitude ratio exceeds 1e12.
-    """
-    U = _as_square(A, "A").copy()
-    n = U.shape[0]
-    y = _as_vector(b, n).copy()
-    scale = float(np.abs(U).max())
-    if scale == 0.0:
-        raise SingularSystem("coefficient matrix is zero")
-    threshold = _PIVOT_RTOL * scale
-    piv_hi = 0.0
-    piv_lo = np.inf
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(U[k:, k])))
-        piv = U[p, k]
-        apiv = abs(piv)
-        if apiv < threshold:
-            raise SingularSystem(
-                f"pivot {apiv:.3e} below threshold {threshold:.3e} in column {k}"
-            )
-        if p != k:
-            U[[k, p]] = U[[p, k]]
-            y[[k, p]] = y[[p, k]]
-        piv_hi = max(piv_hi, apiv)
-        piv_lo = min(piv_lo, apiv)
-        if k + 1 < n:
-            mult = U[k + 1:, k] / piv
-            U[k + 1:, k + 1:] -= mult[:, None] * U[k, k + 1:]
-            y[k + 1:] -= mult * y[k]
-    if piv_hi / piv_lo > _PIVOT_RATIO_WARN:
-        warnings.warn(
-            f"pivot ratio {piv_hi / piv_lo:.3e} exceeds {_PIVOT_RATIO_WARN:.0e}",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (y[k] - U[k, k + 1:] @ x[k + 1:]) / U[k, k]
-    return x
-
-
 def _check_same_dim(*mats: np.ndarray) -> int:
     d = mats[0].shape[0]
     for m in mats[1:]:
@@ -141,27 +97,42 @@ def _is_symmetric(Q: np.ndarray) -> bool:
     return float(np.abs(Q - Q.T).max()) <= 1e-12 * scale
 
 
+def _check_conditioning(M: np.ndarray):
+    """Reject or flag a Kronecker operator by the spread of its singular values."""
+    sv = np.linalg.svd(M, compute_uv=False)
+    if sv[-1] < _PIVOT_RTOL * sv[0]:
+        raise SingularSystem(
+            f"smallest singular value {sv[-1]:.3e} below {_PIVOT_RTOL:.0e} "
+            f"times the largest {sv[0]:.3e}"
+        )
+    if sv[0] > _PIVOT_RATIO_WARN * sv[-1]:
+        warnings.warn(
+            f"condition number {sv[0] / sv[-1]:.3e} exceeds {_PIVOT_RATIO_WARN:.0e}",
+            IllConditionedWarning,
+            stacklevel=3,
+        )
+
+
 def solve_lyapunov(gamma, Q) -> np.ndarray:
-    """Solve gamma J + J gamma^T = Q through the vectorized system.
+    """Solve gamma J + J gamma^T = Q as ``lyapunov_batch`` on a stack of one.
 
     Requires the symmetric part of gamma to be positive definite; the result
     is symmetrized when Q is symmetric.
     """
     g = _as_square(gamma, "gamma")
     Qm = _as_square(Q, "Q")
-    d = _check_same_dim(g, Qm)
+    _check_same_dim(g, Qm)
     if min_sym_eig(g) <= STABILITY_EPS:
         raise UnstableFriction("symmetric part of gamma is not positive definite")
-    ident = np.eye(d)
-    M = np.kron(g, ident) + np.kron(ident, g)
-    J = dense_solve(M, Qm.reshape(-1)).reshape(d, d)
+    _check_conditioning(_lyapunov_operator(g))
+    J = lyapunov_batch(g[None], Qm[None])[0]
     if _is_symmetric(Qm):
         J = 0.5 * (J + J.T)
     return J
 
 
 def solve_sylvester(A, B, C) -> np.ndarray:
-    """Solve A Y - Y B = C through the vectorized system.
+    """Solve A Y - Y B = C as ``sylvester_batch`` on a stack of one.
 
     The spectra of A and B must be separated by the imaginary axis: the
     symmetric parts of -A and B must both be positive definite.
@@ -169,14 +140,13 @@ def solve_sylvester(A, B, C) -> np.ndarray:
     Am = _as_square(A, "A")
     Bm = _as_square(B, "B")
     Cm = _as_square(C, "C")
-    d = _check_same_dim(Am, Bm, Cm)
+    _check_same_dim(Am, Bm, Cm)
     if min_sym_eig(-Am) <= STABILITY_EPS or min_sym_eig(Bm) <= STABILITY_EPS:
         raise SpectrumOverlap(
             "require sym(-A) and sym(B) positive definite for a unique solution"
         )
-    ident = np.eye(d)
-    M = np.kron(Am, ident) - np.kron(ident, Bm.T)
-    return dense_solve(M, Cm.reshape(-1)).reshape(d, d)
+    _check_conditioning(_sylvester_operator(Am, Bm))
+    return sylvester_batch(Am[None], Bm[None], Cm[None])[0]
 
 
 @lru_cache(maxsize=8)
@@ -266,12 +236,12 @@ def sylvester_by_quadrature(A, B, C, tol: float, max_panels: int = 1024) -> np.n
     return -_refine_quadrature(integrand, upper, tol, (d, d), max_panels)
 
 
-# --- stacked variants used by the ensemble drift evaluation ------------------
+# --- the Kronecker kernel -----------------------------------------------------
 #
-# These solve many small Lyapunov/Sylvester instances at once through the same
-# vectorized formulation, but with LAPACK's batched solver (plain division for
-# d = 1).  Callers are expected to have checked stability already; agreement
-# with the point solvers above is pinned by tests.
+# Every Lyapunov and Sylvester solve in the package goes through here: the
+# d^2 x d^2 operator is assembled for a whole stack of matrices and handed to
+# LAPACK's batched solver (plain division for d = 1).  The stacked solvers do
+# no checks; callers have checked stability already.
 
 def _kron_last(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     p, q = A.shape[-2:]
@@ -280,25 +250,31 @@ def _kron_last(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out.reshape(*A.shape[:-2], p * r, q * s)
 
 
+def _lyapunov_operator(gammas: np.ndarray) -> np.ndarray:
+    ident = np.broadcast_to(np.eye(gammas.shape[-1]), gammas.shape)
+    return _kron_last(gammas, ident) + _kron_last(ident, gammas)
+
+
+def _sylvester_operator(As: np.ndarray, Bs: np.ndarray) -> np.ndarray:
+    ident = np.broadcast_to(np.eye(As.shape[-1]), As.shape)
+    return _kron_last(As, ident) - _kron_last(ident, np.swapaxes(Bs, -1, -2))
+
+
+def _kron_solve(M: np.ndarray, Cs: np.ndarray) -> np.ndarray:
+    d = Cs.shape[-1]
+    rhs = Cs.reshape(*Cs.shape[:-2], d * d, 1)
+    return np.linalg.solve(M, rhs).reshape(Cs.shape)
+
+
 def lyapunov_batch(gammas: np.ndarray, Qs: np.ndarray) -> np.ndarray:
     """Solve gamma J + J gamma^T = Q for stacks of matrices (..., d, d)."""
-    d = gammas.shape[-1]
-    if d == 1:
+    if gammas.shape[-1] == 1:
         return Qs / (2.0 * gammas)
-    ident = np.broadcast_to(np.eye(d), gammas.shape)
-    M = _kron_last(gammas, ident) + _kron_last(ident, gammas)
-    rhs = Qs.reshape(*Qs.shape[:-2], d * d, 1)
-    sol = np.linalg.solve(M, rhs)
-    return sol.reshape(Qs.shape)
+    return _kron_solve(_lyapunov_operator(gammas), Qs)
 
 
 def sylvester_batch(As: np.ndarray, Bs: np.ndarray, Cs: np.ndarray) -> np.ndarray:
     """Solve A Y - Y B = C for stacks of matrices (..., d, d)."""
-    d = As.shape[-1]
-    if d == 1:
+    if As.shape[-1] == 1:
         return Cs / (As - Bs)
-    ident = np.broadcast_to(np.eye(d), As.shape)
-    M = _kron_last(As, ident) - _kron_last(ident, np.swapaxes(Bs, -1, -2))
-    rhs = Cs.reshape(*Cs.shape[:-2], d * d, 1)
-    sol = np.linalg.solve(M, rhs)
-    return sol.reshape(Cs.shape)
+    return _kron_solve(_sylvester_operator(As, Bs), Cs)

@@ -405,83 +405,60 @@ def _require_stable(gammas: np.ndarray, what: str = "friction"):
         )
 
 
+def _sandwich(ginv: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """-gamma^{-1} (dgamma) gamma^{-1} contracted over the matrix indices of
+    every derivative direction l: entry [..., i, j, l]."""
+    return -np.einsum("...ip,...pql,...qj->...ijl", ginv, D, ginv)
+
+
+def _point_inverse_derivative(model: SystemModel, x, mu, D) -> np.ndarray:
+    g = model.friction(x, mu)
+    _require_stable(g)
+    return _sandwich(np.linalg.inv(g), D)
+
+
 def gamma_inv_dx(model: SystemModel, x, mu: EmpiricalMeasure) -> np.ndarray:
     """(d/dx_l gamma^{-1})_{ij} via the sandwich identity, shape (d, d, d)."""
-    g = model.friction(x, mu)
-    _require_stable(g[None, None])
-    ginv = np.linalg.inv(g)
-    D = model.friction_dx(x, mu)
-    return -np.einsum("ia,abl,bj->ijl", ginv, D, ginv)
+    return _point_inverse_derivative(model, x, mu, model.friction_dx(x, mu))
 
 
 def gamma_inv_dmu(model: SystemModel, x, mu: EmpiricalMeasure, y) -> np.ndarray:
     """(d_mu gamma^{-1}_ij(x, mu)(y))_l via the sandwich identity."""
-    g = model.friction(x, mu)
-    _require_stable(g[None, None])
-    ginv = np.linalg.inv(g)
-    D = model.friction_dmu(x, mu, y)
-    return -np.einsum("ia,abl,bj->ijl", ginv, D, ginv)
+    return _point_inverse_derivative(model, x, mu, model.friction_dmu(x, mu, y))
+
+
+def _point_drifts(model: SystemModel, x, mu: EmpiricalMeasure):
+    _, S, S_t, _ = limit_drift_fields(model, model._point(x), model._samples(mu))
+    return S[0, 0], S_t[0, 0]
 
 
 def drift_S(model: SystemModel, x, mu: EmpiricalMeasure) -> np.ndarray:
-    """State-derivative correction S_i = (d/dx_l gamma^{-1}_ij) J_jl."""
-    if model.dx_is_zero:
-        return np.zeros(model.dim)
-    g = model.friction(x, mu)
-    sig = model.noise(x, mu)
-    J = linalg.solve_lyapunov(g, sig @ sig.T)
-    G = gamma_inv_dx(model, x, mu)
-    return np.einsum("ijl,jl->i", G, J)
+    """State-derivative correction S_i = (d/dx_l gamma^{-1}_ij) J_jl at one
+    point, as one row of ``limit_drift_fields``."""
+    return _point_drifts(model, x, mu)[0]
 
 
-def drift_S_tilde(
-    model: SystemModel, x, mu: EmpiricalMeasure, include_self: bool = True
-) -> np.ndarray:
-    """Measure-derivative correction, averaged over the samples of ``mu``.
-
-    Each sample y contributes (d_mu gamma^{-1}(x)(y))_l J~_jl with J~ the
-    Sylvester solution of gamma(x) J~ + J~ gamma^T(y) = sigma(x) sigma^T(y).
-    The self sample (y equal to x) is kept by default; ``include_self=False``
-    drops it for sensitivity studies.
-    """
-    if model.dmu_is_zero:
-        return np.zeros(model.dim)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    Y = mu.samples
-    if not include_self:
-        keep = ~np.all(Y == x[None, :], axis=1)
-        if not np.any(keep):
-            return np.zeros(model.dim)
-        Y = Y[keep]
-    g_x = model.friction(x, mu)
-    _require_stable(g_x[None, None])
-    sig_x = model.noise(x, mu)
-    samples = mu.samples[None, :, :]
-    g_y = model.friction_field(Y[None, :, :], samples)[0]      # (n, d, d)
-    _require_stable(g_y, "friction at measure samples")
-    sig_y = model.noise_field(Y[None, :, :], samples)[0]
-    n = Y.shape[0]
-    A = np.broadcast_to(-g_x, (n,) + g_x.shape)
-    B = np.swapaxes(g_y, -1, -2)
-    C = -np.einsum("ik,njk->nij", sig_x, sig_y)
-    J_t = linalg.sylvester_batch(A, B, C)                      # (n, d, d)
-    D = model.friction_dmu_field(x[None, None, :], samples, Y[None, :, :])[0, 0]
-    ginv = np.linalg.inv(g_x)
-    G = -np.einsum("ia,nabl,bj->nijl", ginv, D, ginv)
-    contributions = np.einsum("nijl,njl->ni", G, J_t)
-    return contributions.mean(axis=0)
+def drift_S_tilde(model: SystemModel, x, mu: EmpiricalMeasure) -> np.ndarray:
+    """Measure-derivative correction at one point, averaged over every sample
+    of ``mu`` (a sample equal to x included), as one row of
+    ``limit_drift_fields``."""
+    return _point_drifts(model, x, mu)[1]
 
 
-def limit_drift_fields(model: SystemModel, X: np.ndarray):
-    """All limit-equation fields for ensembles ``X`` of shape (B, N, d).
+def limit_drift_fields(model: SystemModel, X: np.ndarray, samples=None):
+    """All limit-equation fields at the points ``X`` of shape (B, m, d).
 
-    The empirical measure of each ensemble slice is the ensemble itself.
+    ``samples`` (B, n, d) holds the empirical measure of each slice; by
+    default each ensemble is its own measure (``samples = X``), and then
+    friction and noise are evaluated once and shared between x and y.
     Returns ``(ginv_f, S, S_tilde, ginv_sigma)`` with shapes
-    (B, N, d), (B, N, d), (B, N, d), (B, N, d, k).  Identical formulas to the
-    point operations, evaluated through stacked solves.
+    (B, m, d), (B, m, d), (B, m, d), (B, m, d, k), through stacked solves.
+    Raises UnstableFriction when the friction at X, or at the samples where
+    S~ needs it, is not positive definite.
     """
+    if samples is None:
+        samples = X
     B, N, d = X.shape
-    samples = X
     g = model.friction_field(X, samples)                       # (B, N, d, d)
     _require_stable(g)
     ginv = np.linalg.inv(g)
@@ -495,21 +472,27 @@ def limit_drift_fields(model: SystemModel, X: np.ndarray):
     else:
         Q = np.einsum("bnik,bnjk->bnij", sig, sig)
         J = linalg.lyapunov_batch(g, Q)
-        D = model.friction_dx_field(X, samples)
-        G = -np.einsum("bnip,bnpql,bnqj->bnijl", ginv, D, ginv)
+        G = _sandwich(ginv, model.friction_dx_field(X, samples))
         S = np.einsum("bnijl,bnjl->bni", G, J)
 
     if model.dmu_is_zero:
         S_t = np.zeros((B, N, d))
     else:
-        A = np.broadcast_to(-g[:, :, None], (B, N, N, d, d))
+        if samples is X:
+            g_y, sig_y = g, sig
+        else:
+            g_y = model.friction_field(samples, samples)
+            _require_stable(g_y, "friction at measure samples")
+            sig_y = model.noise_field(samples, samples)
+        n = samples.shape[1]
+        A = np.broadcast_to(-g[:, :, None], (B, N, n, d, d))
         Bm = np.broadcast_to(
-            np.swapaxes(g, -1, -2)[:, None, :], (B, N, N, d, d)
+            np.swapaxes(g_y, -1, -2)[:, None, :], (B, N, n, d, d)
         )
-        C = -np.einsum("bnik,bmjk->bnmij", sig, sig)
-        J_t = linalg.sylvester_batch(A, Bm, C)                 # (B, N, N, d, d)
-        D = model.friction_dmu_field(X, samples, samples)      # (B, N, N, d, d, d)
-        G = -np.einsum("bnip,bnmpql,bnqj->bnmijl", ginv, D, ginv)
+        C = -np.einsum("bnik,bmjk->bnmij", sig, sig_y)
+        J_t = linalg.sylvester_batch(A, Bm, C)                 # (B, N, n, d, d)
+        D = model.friction_dmu_field(X, samples, samples)      # (B, N, n, d, d, d)
+        G = _sandwich(ginv[:, :, None], D)
         S_t = np.einsum("bnmijl,bnmjl->bnmi", G, J_t).mean(axis=2)
 
     return ginv_f, S, S_t, ginv_sigma

@@ -2,8 +2,15 @@ import json
 
 import pytest
 
+from smallmass import convergence
 from smallmass.cli import dispatch, main, parse_config
 from smallmass.errors import ParseError, ValidationError
+
+
+INTERACTION_D2 = {
+    "family": "interaction",
+    "params": {"a": 2.0, "b": 0.5, "c": 1.0, "d": 2, "sigma": [[1.0, 0.3], [0.0, 0.8]]},
+}
 
 
 def write(path, obj):
@@ -182,6 +189,38 @@ class TestConvergeCommand:
 
         out = capsys.readouterr().out
         assert "slope=" in out
+
+    @pytest.mark.parametrize(
+        "model, rule",
+        [
+            ({"family": "constant", "params": {"gamma0": 2.0, "K": 1.0, "sigma": 1.0}},
+             {"type": "explicit", "kappa": 20}),
+            (INTERACTION_D2, {"type": "explicit", "kappa": 20}),
+            (INTERACTION_D2, {"type": "exponential", "delta": 0.0025}),
+        ],
+        ids=["constant", "interaction-d2-explicit", "interaction-d2-exponential"],
+    )
+    def test_reports_are_byte_identical_across_replica_chunks(
+        self, tmp_path, capsys, monkeypatch, model, rule
+    ):
+        replicas = 20
+        doc = base_config(
+            N=3, T=0.05, Delta=0.01, replicas=replicas, delta_rule=rule
+        )
+        del doc["simulation"]["epsilon"]
+        doc["simulation"]["epsilon_list"] = [0.1, 0.05, 0.025]
+        doc["model"] = model
+        blobs = set()
+        for chunk in (1, 16, replicas):
+            monkeypatch.setattr(convergence, "REPLICA_CHUNK", chunk)
+            doc["output_dir"] = str(tmp_path / f"chunk{chunk}")
+            assert dispatch(["converge", write(tmp_path / "c.json", doc)]) == 0
+            blobs.add(tuple(
+                (tmp_path / f"chunk{chunk}" / name).read_bytes()
+                for name in ("report.json", "report.csv")
+            ))
+        capsys.readouterr()
+        assert len(blobs) == 1
 
     def test_report_schema(self, tmp_path, capsys):
         cfg = self.converge_config(tmp_path, "c.json", tmp_path / "o")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -90,32 +92,34 @@ class TestMinSymEig:
             assert linalg.min_sym_eig(M) == linalg.min_sym_eig(sym)
 
 
-class TestDenseSolve:
-    def test_identity(self):
-        b = np.array([3.0, -1.0, 2.0])
-        assert np.array_equal(linalg.dense_solve(np.eye(3), b), b)
-
-    def test_diagonal(self):
-        x = linalg.dense_solve(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
-        assert np.allclose(x, [1.0, 2.0], atol=1e-15)
-
-    def test_singular_raises(self):
+class TestPointSolverConditioning:
+    # gamma = diag(1e-11, s) passes the stability floor, but its Kronecker
+    # operator has singular values 2e-11, s + 1e-11 (twice) and 2 s
+    def test_lyapunov_singular_raises(self):
         with pytest.raises(SingularSystem):
-            linalg.dense_solve(np.ones((2, 2)), np.array([1.0, 1.0]))
+            linalg.solve_lyapunov(np.diag([1e-11, 1e4]), np.eye(2))
 
-    def test_residual_on_random_systems(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            n = rng.integers(1, 30)
-            A = rng.normal(size=(n, n)) + n * np.eye(n)
-            b = rng.normal(size=n)
-            x = linalg.dense_solve(A, b)
-            assert np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1.0) <= 1e-12
+    def test_sylvester_singular_raises(self):
+        g = np.diag([1e-11, 1e4])
+        with pytest.raises(SingularSystem):
+            linalg.solve_sylvester(-g, g, np.eye(2))
 
-    def test_condition_warning(self):
-        A = np.diag([1.0, 1e-13])
+    def test_lyapunov_ill_conditioned_warns(self):
         with pytest.warns(IllConditionedWarning):
-            linalg.dense_solve(A, np.array([1.0, 1.0]))
+            J = linalg.solve_lyapunov(np.diag([1e-11, 100.0]), np.eye(2))
+        assert np.allclose(J, np.diag([0.5e11, 0.005]), rtol=1e-12)
+
+    def test_sylvester_ill_conditioned_warns(self):
+        g = np.diag([1e-11, 100.0])
+        with pytest.warns(IllConditionedWarning):
+            Y = linalg.solve_sylvester(-g, g, -np.eye(2))
+        assert np.allclose(Y, np.diag([0.5e11, 0.005]), rtol=1e-12)
+
+    def test_well_conditioned_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            linalg.solve_lyapunov(np.diag([1e-3, 100.0]), np.eye(2))
+            linalg.solve_sylvester(-np.eye(3), np.eye(3), np.ones((3, 3)))
 
 
 class TestLyapunov:
@@ -247,6 +251,8 @@ class TestQuadrature:
 
 
 class TestBatchedSolvers:
+    # the point references are the semigroup integrals, evaluated by
+    # quadrature, so they share no code with the Kronecker kernel
     def test_lyapunov_batch_matches_point_solver(self):
         rng = np.random.default_rng(37)
         for d in (1, 2, 3):
@@ -254,8 +260,8 @@ class TestBatchedSolvers:
             Qs = np.stack([random_psd(rng, d) for _ in range(8)])
             Js = linalg.lyapunov_batch(gs, Qs)
             for g, Q, J in zip(gs, Qs, Js):
-                ref = linalg.solve_lyapunov(g, Q)
-                assert np.abs(J - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
+                ref = linalg.lyapunov_by_quadrature(g, Q, 1e-10)
+                assert np.abs(J - ref).max() <= 1e-8 * max(np.abs(ref).max(), 1.0)
 
     def test_sylvester_batch_matches_point_solver(self):
         rng = np.random.default_rng(41)
@@ -265,5 +271,5 @@ class TestBatchedSolvers:
             Cs = rng.normal(size=(6, d, d))
             Ys = linalg.sylvester_batch(As, Bs, Cs)
             for A, B, C, Y in zip(As, Bs, Cs, Ys):
-                ref = linalg.solve_sylvester(A, B, C)
-                assert np.abs(Y - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
+                ref = linalg.sylvester_by_quadrature(A, B, C, 1e-10)
+                assert np.abs(Y - ref).max() <= 1e-8 * max(np.abs(ref).max(), 1.0)

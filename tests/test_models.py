@@ -262,16 +262,6 @@ class TestDriftSTilde:
         S = drift_S_tilde(model, 0.0, mu)
         assert abs(S[0]) <= 1e-12
 
-    def test_exclude_self_flag(self):
-        model = interaction(a=2.0, b=0.5, c=1.0, d=1)
-        x = 0.5
-        mu = EmpiricalMeasure(np.array([x, -0.3]))
-        with_self = drift_S_tilde(model, x, mu, include_self=True)
-        without = drift_S_tilde(model, x, mu, include_self=False)
-        # self term contributes zero gradient here, but the averaging weight
-        # changes from 1/2 to 1/1
-        assert without[0] == pytest.approx(2.0 * with_self[0], abs=1e-12)
-
     def test_single_sample_degenerate_measure(self):
         model = interaction(a=2.0, b=0.5, c=1.0, d=1)
         mu = EmpiricalMeasure(np.array([0.4]))
@@ -361,23 +351,45 @@ class TestDriftMagnitudes:
 
 class TestEnsembleFields:
     def test_matches_point_operations(self):
+        # point references that do not go through limit_drift_fields.
+        # S: finite-difference sandwich composed with a Lyapunov solve.
+        # S~: the interaction friction is diagonal, so the Sylvester solution
+        # is J~_jl = (sigma sigma^T)_jl / (gamma_jj(x) + gamma_ll(y)), and
+        # d_mu gamma^{-1}_ij = -(d_mu gamma)_ij / (gamma_ii gamma_jj); the
+        # average over the ensemble is summed by hand.
         rng = np.random.default_rng(231)
-        for d in (1, 2):
-            model = interaction(a=2.0, b=0.5, c=1.0, d=d)
+        for d, sigma in ((1, 0.9), (2, [[1.0, 0.3], [0.0, 0.8]])):
+            model = interaction(a=2.0, b=0.5, c=1.0, d=d, sigma=sigma)
             X = rng.normal(size=(2, 5, d))
             ginv_f, S, S_t, ginv_sigma = limit_drift_fields(model, X)
+            assert np.abs(S).max() > 1e-3 and np.abs(S_t).max() > 1e-3
             for bi in range(2):
                 mu = EmpiricalMeasure(X[bi])
                 for ni in range(5):
                     x = X[bi, ni]
                     g = model.friction(x, mu)
+                    sig = model.noise(x, mu)
                     f_ref = np.linalg.solve(g, model.force(x, mu))
                     assert np.abs(ginv_f[bi, ni] - f_ref).max() <= 1e-12
-                    assert np.abs(S[bi, ni] - drift_S(model, x, mu)).max() <= 1e-12
-                    assert (
-                        np.abs(S_t[bi, ni] - drift_S_tilde(model, x, mu)).max() <= 1e-12
-                    )
-                    sig_ref = np.linalg.inv(g) @ model.noise(x, mu)
+
+                    J = linalg.solve_lyapunov(g, sig @ sig.T)
+                    S_ref = np.einsum("ijl,jl->i", fd_gamma_inv_dx(model, x, mu), J)
+                    assert np.abs(S[bi, ni] - S_ref).max() <= 1e-8
+
+                    S_t_ref = np.zeros(d)
+                    for y in X[bi]:
+                        g_y = model.friction(y, mu)
+                        sig_y = model.noise(y, mu)
+                        D = model.friction_dmu(x, mu, y)
+                        for i in range(d):
+                            for j in range(d):
+                                for l in range(d):
+                                    j_t = (sig @ sig_y.T)[j, l] / (g[j, j] + g_y[l, l])
+                                    S_t_ref[i] -= D[i, j, l] / (g[i, i] * g[j, j]) * j_t
+                    S_t_ref /= len(X[bi])
+                    assert np.abs(S_t[bi, ni] - S_t_ref).max() <= 1e-12
+
+                    sig_ref = np.linalg.inv(g) @ sig
                     assert np.abs(ginv_sigma[bi, ni] - sig_ref).max() <= 1e-12
 
     def test_constant_family_gives_exact_zero_corrections(self):
