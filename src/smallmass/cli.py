@@ -173,11 +173,7 @@ def parse_config(text: str) -> RunConfig:
         raw = sim["epsilon_list"]
         if not isinstance(raw, list) or not raw:
             raise ValidationError("simulation.epsilon_list must be a nonempty array")
-        epsilon_list = [float(e) for e in raw]
-        if any(e <= 0.0 for e in epsilon_list):
-            raise ValidationError("epsilon_list entries must be positive")
-        if any(b >= a for a, b in zip(epsilon_list, epsilon_list[1:])):
-            raise ValidationError("epsilon_list must be strictly decreasing")
+        epsilon_list = convergence._check_epsilons(raw)
     else:
         raise ValidationError("simulation needs 'epsilon' or 'epsilon_list'")
 
@@ -359,9 +355,8 @@ def _cmd_converge(args) -> int:
 
 def _cmd_reduce_check(args) -> int:
     cfg = _load_config(args.config, args.seed, None)
-    eps = cfg.epsilon if cfg.epsilon is not None else min(cfg.epsilon_list)
     gap = constant_reduction_check(
-        cfg.model, eps, cfg.T, cfg.seed, Delta=cfg.Delta,
+        cfg.model, cfg.T, cfg.seed, Delta=cfg.Delta,
         n_particles=cfg.n_particles, x0=cfg.x0,
     )
     sys.stdout.write(f"max_path_gap={_fmt(gap)}\n")

@@ -22,9 +22,7 @@ import numpy as np
 
 from .driver import NoiseDriver
 from .dynamics import (
-    BLOWUP_CAP,
     DEFAULT_KAPPA,
-    ProbeConfig,
     SCHEME_EXPLICIT,
     SCHEME_EXPONENTIAL,
     _ratio_int,
@@ -112,10 +110,7 @@ def run_convergence(
     x0=0.0,
     v0=0.0,
     threads: int = 1,
-    kappa: Optional[float] = None,
-    cap: float = BLOWUP_CAP,
     validate: bool = True,
-    probe: Optional[ProbeConfig] = None,
 ) -> ConvergenceReport:
     """Estimate the coupled strong error over a descending eps grid.
 
@@ -127,8 +122,7 @@ def run_convergence(
     if replicas < 2:
         raise InsufficientReplicas("need at least 2 replicas")
     if validate:
-        validate_assumptions(model, probe if probe is not None else ProbeConfig())
-    kappa_eff = delta_rule.kappa if kappa is None else kappa
+        validate_assumptions(model)
 
     chunks = [
         list(range(s, min(s + REPLICA_CHUNK, replicas)))
@@ -143,7 +137,7 @@ def run_convergence(
         def one_chunk(ids, _eps=eps, _delta=delta):
             vals, _ = _run_coupled_batch(
                 model, _eps, T, _delta, Delta, n_particles, ids, seed,
-                x0, v0, delta_rule.scheme, kappa_eff, cap,
+                x0, v0, delta_rule.scheme, delta_rule.kappa,
             )
             return ids, vals
 
@@ -236,7 +230,6 @@ def _naive_overdamped_path(
 
 def constant_reduction_check(
     model: SystemModel,
-    eps_smallest: float,
     T: float,
     seed: int,
     Delta: float = 0.01,
@@ -247,8 +240,7 @@ def constant_reduction_check(
 
     Only meaningful for constant-friction models, where both correction
     drifts are exactly zero and the two integrations must coincide exactly
-    on the same driver.  ``eps_smallest`` is carried along for reporting
-    symmetry with the coupled experiments; the comparison itself is eps-free.
+    on the same driver; no eps enters the comparison.
     """
     d = model.dim
     states = np.array([[0.0], [1.3], [-0.7], [0.0]]) * np.ones((1, d))
@@ -261,8 +253,6 @@ def constant_reduction_check(
     fr = model.friction_field(states[:, None, :], clouds)
     if not all(np.array_equal(fr[0], fr[i]) for i in (1, 2, 3)):
         raise ValidationError("reduction check requires a constant-friction model")
-    if eps_smallest <= 0.0:
-        raise ValidationError("eps_smallest must be positive")
     limit = run_limit_path(model, T, Delta, n_particles, 0, seed, x0)
     naive = _naive_overdamped_path(model, T, Delta, n_particles, 0, seed, x0)
     return float(np.max(np.abs(limit - naive)))

@@ -27,10 +27,6 @@ class NoiseDriver:
         self.delta = float(delta)
         self.m_substeps = int(m_substeps)
 
-    @property
-    def coarse_delta(self) -> float:
-        return self.m_substeps * self.delta
-
     def fast_increments(
         self, replica: int, n_particles: int, n_components: int, n_steps: int
     ) -> np.ndarray:

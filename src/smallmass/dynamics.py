@@ -13,6 +13,10 @@ The limit system is advanced on a coarse grid whose Brownian increments are
 the window sums of the fast ones, so both systems ride the same noise path
 and their difference estimates the strong error directly.
 
+Every entry point (the one-step functions, coupled runs, limit paths and
+velocity diagnostics) steps through one loop, ``_march``, which also owns
+the blow-up guards; each caller's bookkeeping rides along as a callback.
+
 Batched kernels carry state as (R, N, d) arrays: replica, particle,
 component.  The empirical measure entering the friction is the ensemble of
 the replica itself, frozen at the step start.
@@ -98,10 +102,10 @@ class ParticleEnsembleLimit:
             raise ValidationError("ensemble state must be finite")
 
 
-def _guard(arr: np.ndarray, cap: float, what: str):
+def _guard(arr: np.ndarray, what: str):
     peak = float(np.max(np.abs(arr))) if arr.size else 0.0
-    if not np.isfinite(peak) or peak > cap:
-        raise NumericalBlowup(f"{what} reached magnitude {peak:.3e} (cap {cap:.0e})")
+    if not np.isfinite(peak) or peak > BLOWUP_CAP:
+        raise NumericalBlowup(f"{what} reached magnitude {peak:.3e} (cap {BLOWUP_CAP:.0e})")
 
 
 # --- batched one-step kernels ------------------------------------------------
@@ -158,6 +162,46 @@ _FULL_SCHEMES = {
 }
 
 
+def _full_kernel(scheme: str, eps: float, delta: float, kappa: float = DEFAULT_KAPPA):
+    """One-step kernel of ``scheme``; the explicit rule needs delta <= eps/kappa."""
+    if scheme not in _FULL_SCHEMES:
+        raise ValidationError(f"unknown scheme {scheme!r}")
+    if scheme == SCHEME_EXPLICIT and delta > eps / kappa * (1.0 + 1e-12):
+        raise StepTooLarge(f"delta = {delta} exceeds eps/kappa = {eps / kappa:.3e}")
+    return _FULL_SCHEMES[scheme]
+
+
+# --- the stepping loop -------------------------------------------------------
+
+
+def _march(
+    model, n_windows, X, V, XL, fast, coarse, *,
+    advance=None, eps=None, delta=None, Delta=None, on_step=None, on_window=None,
+):
+    """Advance (X, V) over each window's fast increments (R, n_steps, N, k)
+    with ``advance``, then XL over its coarse increment (R, n_windows, N, k);
+    ``fast=None`` or ``coarse=None`` leaves that system out.  Guards V after
+    every fast step and X, XL after every window; calls ``on_step(s, V)``
+    after fast step s (from 1) and ``on_window(j, X, V, XL)`` after window j.
+    """
+    m = fast.shape[1] // n_windows if fast is not None else 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n_windows):
+            if fast is not None:
+                for s in range(j * m, (j + 1) * m):
+                    X, V = advance(model, X, V, delta, eps, fast[:, s])
+                    _guard(V, "velocity")
+                    if on_step is not None:
+                        on_step(s + 1, V)
+                _guard(X, "position")
+            if coarse is not None:
+                XL = _advance_limit_em(model, XL, Delta, coarse[:, j])
+                _guard(XL, "limit position")
+            if on_window is not None:
+                on_window(j, X, V, XL)
+    return X, V, XL
+
+
 # --- public one-step operations ----------------------------------------------
 
 
@@ -170,28 +214,29 @@ def _check_increment(dw, n_particles, noise_dim) -> np.ndarray:
     return dw
 
 
+def _step_full(ens, model, delta, dw, scheme, kappa=DEFAULT_KAPPA):
+    advance = _full_kernel(scheme, ens.eps, delta, kappa)
+    dw = _check_increment(dw, ens.x.shape[0], model.noise_dim)
+    X, V, _ = _march(
+        model, 1, ens.x[None], ens.v[None], None, dw[None, None], None,
+        advance=advance, eps=ens.eps, delta=delta,
+    )
+    return ParticleEnsembleFull(ens.t + delta, ens.eps, X[0], V[0])
+
+
 def step_full_em(
     ens: ParticleEnsembleFull,
     model: SystemModel,
     delta: float,
     dw,
     kappa: float = DEFAULT_KAPPA,
-    cap: float = BLOWUP_CAP,
 ) -> ParticleEnsembleFull:
     """One explicit Euler-Maruyama step of the second-order system.
 
     Coefficients and the empirical measure are read from the step-start
     state.  Requires delta <= eps / kappa.
     """
-    if delta > ens.eps / kappa * (1.0 + 1e-12):
-        raise StepTooLarge(
-            f"delta = {delta} exceeds eps/kappa = {ens.eps / kappa:.3e}"
-        )
-    dw = _check_increment(dw, ens.x.shape[0], model.noise_dim)
-    X, V = _advance_full_em(model, ens.x[None], ens.v[None], delta, ens.eps, dw[None])
-    _guard(V, cap, "velocity")
-    _guard(X, cap, "position")
-    return ParticleEnsembleFull(ens.t + delta, ens.eps, X[0], V[0])
+    return _step_full(ens, model, delta, dw, SCHEME_EXPLICIT, kappa)
 
 
 def step_full_exponential(
@@ -199,7 +244,6 @@ def step_full_exponential(
     model: SystemModel,
     delta: float,
     dw,
-    cap: float = BLOWUP_CAP,
 ) -> ParticleEnsembleFull:
     """One exponential-integrator step: coefficients frozen over the step,
     exact damping semigroup, midpoint-kernel stochastic convolution, and a
@@ -208,15 +252,10 @@ def step_full_exponential(
     docstring)."""
     if delta < 0.0:
         raise ValidationError("delta must be nonnegative")
-    dw = _check_increment(dw, ens.x.shape[0], model.noise_dim)
     if delta == 0.0:
+        _check_increment(dw, ens.x.shape[0], model.noise_dim)
         return ParticleEnsembleFull(ens.t, ens.eps, ens.x.copy(), ens.v.copy())
-    X, V = _advance_full_exponential(
-        model, ens.x[None], ens.v[None], delta, ens.eps, dw[None]
-    )
-    _guard(V, cap, "velocity")
-    _guard(X, cap, "position")
-    return ParticleEnsembleFull(ens.t + delta, ens.eps, X[0], V[0])
+    return _step_full(ens, model, delta, dw, SCHEME_EXPONENTIAL)
 
 
 def step_limit_em(
@@ -224,15 +263,13 @@ def step_limit_em(
     model: SystemModel,
     Delta: float,
     dw,
-    cap: float = BLOWUP_CAP,
 ) -> ParticleEnsembleLimit:
     """One Euler-Maruyama step of the limit equation, with both correction
     drifts evaluated against the step-start ensemble."""
     if Delta <= 0.0:
         raise ValidationError("Delta must be positive")
     dw = _check_increment(dw, ens.x.shape[0], model.noise_dim)
-    X = _advance_limit_em(model, ens.x[None], Delta, dw[None])
-    _guard(X, cap, "position")
+    _, _, X = _march(model, 1, None, None, ens.x[None], None, dw[None, None], Delta=Delta)
     return ParticleEnsembleLimit(ens.t + Delta, X[0])
 
 
@@ -276,7 +313,6 @@ def _run_coupled_batch(
     v0,
     scheme: str = SCHEME_EXPLICIT,
     kappa: float = DEFAULT_KAPPA,
-    cap: float = BLOWUP_CAP,
     record_paths: bool = False,
 ):
     """Synchronously coupled fast/coarse run over a batch of replicas.
@@ -284,15 +320,9 @@ def _run_coupled_batch(
     Returns (sup_diffs, paths) with sup_diffs of shape (len(replica_ids),);
     paths (first replica only) when requested.
     """
-    if scheme not in _FULL_SCHEMES:
-        raise ValidationError(f"unknown scheme {scheme!r}")
-    if scheme == SCHEME_EXPLICIT and delta > eps / kappa * (1.0 + 1e-12):
-        raise StepTooLarge(
-            f"delta = {delta} exceeds eps/kappa = {eps / kappa:.3e}"
-        )
+    advance = _full_kernel(scheme, eps, delta, kappa)
     m = _ratio_int(Delta, delta, "Delta/delta")
     n_coarse = _ratio_int(T, Delta, "T/Delta")
-    advance = _FULL_SCHEMES[scheme]
     R = len(replica_ids)
     d, k = model.dim, model.noise_dim
 
@@ -306,30 +336,23 @@ def _run_coupled_batch(
     V = np.broadcast_to(v_init, (R, n_particles, d)).copy()
     XL = X.copy()
 
-    paths = None
+    paths = rec = None
     if record_paths:
-        times = np.arange(n_coarse + 1) * Delta
-        rec_xf = np.empty((n_coarse + 1, n_particles, d))
-        rec_vf = np.empty_like(rec_xf)
-        rec_xl = np.empty_like(rec_xf)
-        rec_xf[0], rec_vf[0], rec_xl[0] = X[0], V[0], XL[0]
+        rec = np.empty((3, n_coarse + 1, n_particles, d))  # x_full, v_full, x_limit
+        rec[:, 0] = X[0], V[0], XL[0]
+        paths = PathRecord(np.arange(n_coarse + 1) * Delta, *rec)
 
     sup = np.zeros(R)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_coarse):
-            for s in range(m):
-                X, V = advance(model, X, V, delta, eps, fast[:, j * m + s])
-                _guard(V, cap, "velocity")
-            _guard(X, cap, "position")
-            XL = _advance_limit_em(model, XL, Delta, coarse[:, j])
-            _guard(XL, cap, "limit position")
-            diff = np.max(np.sum((X - XL) ** 2, axis=-1), axis=-1)
-            np.maximum(sup, diff, out=sup)
-            if record_paths:
-                rec_xf[j + 1], rec_vf[j + 1], rec_xl[j + 1] = X[0], V[0], XL[0]
 
-    if record_paths:
-        paths = PathRecord(times, rec_xf, rec_vf, rec_xl)
+    def on_window(j, X, V, XL):
+        np.maximum(sup, np.max(np.sum((X - XL) ** 2, axis=-1), axis=-1), out=sup)
+        if rec is not None:
+            rec[:, j + 1] = X[0], V[0], XL[0]
+
+    _march(
+        model, n_coarse, X, V, XL, fast, coarse, advance=advance, eps=eps,
+        delta=delta, Delta=Delta, on_window=on_window,
+    )
     return sup, paths
 
 
@@ -346,7 +369,6 @@ def simulate_coupled(
     v0=0.0,
     scheme: str = SCHEME_EXPLICIT,
     kappa: float = DEFAULT_KAPPA,
-    cap: float = BLOWUP_CAP,
     record_paths: bool = False,
 ) -> CoupledResult:
     """Run one synchronously coupled replica of the two systems.
@@ -357,7 +379,7 @@ def simulate_coupled(
     """
     sup, paths = _run_coupled_batch(
         model, eps, T, delta, Delta, n_particles, [replica_id], seed,
-        x0, v0, scheme, kappa, cap, record_paths,
+        x0, v0, scheme, kappa, record_paths,
     )
     return CoupledResult(float(sup[0]), paths)
 
@@ -370,20 +392,22 @@ def run_limit_path(
     replica_id: int,
     seed: int,
     x0=0.0,
-    cap: float = BLOWUP_CAP,
 ) -> np.ndarray:
     """Limit-system trajectory on its own grid: (n_coarse + 1, N, d)."""
     n_coarse = _ratio_int(T, Delta, "T/Delta")
     d, k = model.dim, model.noise_dim
     driver = NoiseDriver(seed, Delta, 1)
     dws = driver.fast_increments(replica_id, n_particles, k, n_coarse)
-    X = _state_array(x0, n_particles, d, "x0")[None]
     out = np.empty((n_coarse + 1, n_particles, d))
-    out[0] = X[0]
-    for j in range(n_coarse):
-        X = _advance_limit_em(model, X, Delta, dws[j][None])
-        _guard(X, cap, "position")
-        out[j + 1] = X[0]
+    out[0] = _state_array(x0, n_particles, d, "x0")
+
+    def on_window(j, X, V, XL):
+        out[j + 1] = XL[0]
+
+    _march(
+        model, n_coarse, None, None, out[:1].copy(), None, dws[None],
+        Delta=Delta, on_window=on_window,
+    )
     return out
 
 
@@ -441,28 +465,30 @@ def diagnostics_velocity(
     kappa: float = DEFAULT_KAPPA,
     x0=0.0,
     v0=0.0,
-    cap: float = BLOWUP_CAP,
 ) -> VelocityDiagnostics:
     """Estimate the two velocity moment functionals of the mass-eps system."""
     if replicas < 2:
         raise ValidationError("diagnostics need at least two replicas")
-    if scheme not in _FULL_SCHEMES:
-        raise ValidationError(f"unknown scheme {scheme!r}")
-    if scheme == SCHEME_EXPLICIT and delta > eps / kappa * (1.0 + 1e-12):
-        raise StepTooLarge(f"delta = {delta} exceeds eps/kappa = {eps / kappa:.3e}")
+    advance = _full_kernel(scheme, eps, delta, kappa)
     n_steps = _ratio_int(T, delta, "T/delta")
     rec_every = max(1, n_steps // n_record)
-    rec_steps = [0] + [j for j in range(1, n_steps + 1) if j % rec_every == 0]
-    advance = _FULL_SCHEMES[scheme]
+    rec_steps = range(0, n_steps + 1, rec_every)
     d, k = model.dim, model.noise_dim
-
     x_init = _state_array(x0, n_particles, d, "x0")
     v_init = _state_array(v0, n_particles, d, "v0")
 
-    n_rec = len(rec_steps)
-    z_sum = np.zeros(n_rec)
-    z_sq_sum = np.zeros(n_rec)
+    z_sum = np.zeros(len(rec_steps))
+    z_sq_sum = np.zeros(len(rec_steps))
     sup4 = np.empty(replicas)
+
+    def on_step(s, V):
+        np.maximum(
+            sup_ev, np.max(np.linalg.norm(eps * V, axis=-1), axis=-1), out=sup_ev
+        )
+        if s % rec_every == 0:
+            z = eps * np.mean(np.sum(V * V, axis=-1), axis=-1)  # (R,)
+            z_sum[s // rec_every] += z.sum()
+            z_sq_sum[s // rec_every] += (z * z).sum()
 
     driver = NoiseDriver(seed, delta, 1)
     for start in range(0, replicas, DIAGNOSTICS_CHUNK):
@@ -471,25 +497,13 @@ def diagnostics_velocity(
         fast = driver.fast_increments_batch(ids, n_particles, k, n_steps)
         X = np.broadcast_to(x_init, (R, n_particles, d)).copy()
         V = np.broadcast_to(v_init, (R, n_particles, d)).copy()
-        sup_ev = np.max(np.linalg.norm(eps * V, axis=-1), axis=-1)
-        rec_i = 0
-        if rec_steps[0] == 0:
-            z = eps * np.mean(np.sum(V * V, axis=-1), axis=-1)
-            z_sum[0] += z.sum()
-            z_sq_sum[0] += (z * z).sum()
-            rec_i = 1
-        for j in range(1, n_steps + 1):
-            X, V = advance(model, X, V, delta, eps, fast[:, j - 1])
-            _guard(V, cap, "velocity")
-            np.maximum(
-                sup_ev, np.max(np.linalg.norm(eps * V, axis=-1), axis=-1), out=sup_ev
-            )
-            if rec_i < n_rec and j == rec_steps[rec_i]:
-                z = eps * np.mean(np.sum(V * V, axis=-1), axis=-1)  # (R,)
-                z_sum[rec_i] += z.sum()
-                z_sq_sum[rec_i] += (z * z).sum()
-                rec_i += 1
-        sup4[ids[0]:ids[-1] + 1] = sup_ev ** 4
+        sup_ev = np.zeros(R)
+        on_step(0, V)
+        _march(
+            model, 1, X, V, None, fast, None, advance=advance, eps=eps,
+            delta=delta, on_step=on_step,
+        )
+        sup4[start:start + R] = sup_ev ** 4
 
     mean_curve = z_sum / replicas
     j_star = int(np.argmax(mean_curve))

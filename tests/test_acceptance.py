@@ -117,8 +117,8 @@ def test_criterion_2_degenerate_exactness():
         S = drift_S(model, x, mu)
         St = drift_S_tilde(model, x, mu)
         all_zero &= bool(np.all(S == 0.0) and np.all(St == 0.0))
-    gap1 = constant_reduction_check(constant_ou(), 1e-3, T=1.0, seed=42)
-    gap2 = constant_reduction_check(model, 1e-3, T=0.5, seed=43, n_particles=3)
+    gap1 = constant_reduction_check(constant_ou(), T=1.0, seed=42)
+    gap2 = constant_reduction_check(model, T=0.5, seed=43, n_particles=3)
     check(
         "criterion 2 (degenerate exactness)",
         all_zero and gap1 == 0.0 and gap2 == 0.0,

@@ -132,7 +132,7 @@ class TestRunConvergence:
 
 class TestConstantReductionCheck:
     def test_exact_zero_d1(self):
-        gap = constant_reduction_check(constant_model(), 1e-3, T=0.5, seed=21)
+        gap = constant_reduction_check(constant_model(), T=0.5, seed=21)
         assert gap == 0.0
 
     def test_exact_zero_d2_multiparticle(self):
@@ -143,7 +143,7 @@ class TestConstantReductionCheck:
             d=2,
         )
         gap = constant_reduction_check(
-            model, 1e-3, T=0.4, seed=22, Delta=0.02, n_particles=3
+            model, T=0.4, seed=22, Delta=0.02, n_particles=3
         )
         assert gap == 0.0
 
@@ -166,13 +166,13 @@ class TestConstantReductionCheck:
             ),
         )
         assert not (model.dx_is_zero or model.dmu_is_zero)
-        gap = constant_reduction_check(model, 1e-3, T=0.3, seed=23, n_particles=2)
+        gap = constant_reduction_check(model, T=0.3, seed=23, n_particles=2)
         assert gap == 0.0
 
     def test_rejects_state_dependent_friction(self):
         model = model_library(ModelSpec("scalar-state", {"a": 2.0, "b": 1.0}))
         with pytest.raises(ValidationError):
-            constant_reduction_check(model, 1e-3, T=0.1, seed=0)
+            constant_reduction_check(model, T=0.1, seed=0)
 
     def test_interaction_family_ratios_bounded(self):
         # operational form of the sqrt-eps envelope for the mean-field family:

@@ -44,6 +44,17 @@ def free_model(gamma=2.0, d=1):
     )
 
 
+def cubic_model():
+    """F = x^3 with unit friction and no noise: explodes from x = 5."""
+    return SystemModel(
+        dim=1,
+        noise_dim=1,
+        force=lambda X, S: X ** 3,
+        noise=lambda X, S: np.zeros(X.shape + (1,)),
+        friction=lambda X, S: np.broadcast_to(np.eye(1), X.shape + (1,)),
+    )
+
+
 class TestFullSteppers:
     def test_rest_state_unchanged(self):
         model = free_model()
@@ -95,17 +106,10 @@ class TestFullSteppers:
                 assert abs(ens.v[0, 0] - exact) <= 1e-12 * max(abs(exact), 1.0)
 
     def test_blowup_guard(self):
-        cubic = SystemModel(
-            dim=1,
-            noise_dim=1,
-            force=lambda X, S: X ** 3,
-            noise=lambda X, S: np.zeros(X.shape + (1,)),
-            friction=lambda X, S: np.broadcast_to(np.eye(1), X.shape + (1,)),
-        )
         ens = ParticleEnsembleFull(0.0, 1.0, np.array([[5.0]]), np.array([[0.0]]))
         with pytest.raises(NumericalBlowup):
             for _ in range(10000):
-                ens = step_full_em(ens, cubic, 0.05, np.zeros((1, 1)))
+                ens = step_full_em(ens, cubic_model(), 0.05, np.zeros((1, 1)))
 
 
 class TestLimitStepper:
@@ -142,6 +146,34 @@ class TestLimitStepper:
         with pytest.raises(NumericalBlowup):
             for _ in range(100):
                 ens = step_limit_em(ens, model, 1.0, np.zeros((1, 1)))
+
+
+class TestWholeRunBlowup:
+    # the run-level entry points stop with NumericalBlowup, not with inf/nan
+    # results or an overflow warning, whichever system explodes first
+
+    @pytest.mark.parametrize("scheme", ["explicit", "exponential"])
+    def test_simulate_coupled(self, scheme):
+        with pytest.raises(NumericalBlowup):
+            simulate_coupled(
+                cubic_model(), eps=1.0, T=20.0, delta=0.05, Delta=0.1,
+                n_particles=1, replica_id=0, seed=0, x0=5.0, scheme=scheme,
+            )
+
+    @pytest.mark.parametrize("scheme", ["explicit", "exponential"])
+    def test_diagnostics_velocity(self, scheme):
+        with pytest.raises(NumericalBlowup):
+            diagnostics_velocity(
+                cubic_model(), eps=1.0, T=20.0, delta=0.05, replicas=2, seed=0,
+                x0=5.0, scheme=scheme,
+            )
+
+    def test_run_limit_path(self):
+        with pytest.raises(NumericalBlowup):
+            run_limit_path(
+                cubic_model(), T=20.0, Delta=0.1, n_particles=1, replica_id=0,
+                seed=0, x0=5.0,
+            )
 
 
 class TestSimulateCoupled:
