@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import convergence, dynamics, linalg
-from .convergence import DeltaRule, constant_reduction_check, fit_rate, run_convergence
+from .convergence import DeltaRule, _fmt, constant_reduction_check, fit_rate, run_convergence
 from .dynamics import ProbeConfig, simulate_coupled, validate_assumptions, write_path_csv
 from .errors import (
     NumericalFailure,
@@ -38,10 +38,6 @@ from .errors import (
 from .models import MODE_EXTENSION, MODE_STATE_ONLY, ModelSpec, SystemModel, model_library
 
 DEFAULT_REPLICAS = 100
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 # --- configuration ------------------------------------------------------------

@@ -7,9 +7,9 @@ against an independently coded overdamped Euler scheme in the constant
 friction case (where both corrections vanish identically and the two must
 agree to the last bit).
 
-Replica fan-out is chunked with a fixed chunk size; chunks may run on a
-thread pool, and results are assembled in replica order, so reports are
-byte-reproducible for a given seed at any thread count.
+Replica fan-out is chunked with a fixed chunk size; chunks run on a thread
+pool of the requested size, and results are assembled in replica order, so
+reports are byte-reproducible for a given seed at any thread count.
 """
 
 from __future__ import annotations
@@ -121,6 +121,8 @@ def run_convergence(
     eps_values = _check_epsilons(eps_list)
     if replicas < 2:
         raise InsufficientReplicas("need at least 2 replicas")
+    if threads < 1:
+        raise ValidationError("threads must be >= 1")
     if validate:
         validate_assumptions(model)
 
@@ -130,31 +132,22 @@ def run_convergence(
     ]
 
     errors, stderrs, ratios = [], [], []
-    for eps in eps_values:
-        delta = delta_rule.resolve(eps, Delta)
-        sup = np.empty(replicas)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for eps in eps_values:
+            delta = delta_rule.resolve(eps, Delta)
 
-        def one_chunk(ids, _eps=eps, _delta=delta):
-            vals, _ = _run_coupled_batch(
-                model, _eps, T, _delta, Delta, n_particles, ids, seed,
-                x0, v0, delta_rule.scheme, delta_rule.kappa,
-            )
-            return ids, vals
+            def one_chunk(ids):
+                return _run_coupled_batch(
+                    model, eps, T, delta, Delta, n_particles, ids, seed,
+                    x0, v0, delta_rule.scheme, delta_rule.kappa,
+                )[0]
 
-        if threads > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for ids, vals in pool.map(one_chunk, chunks):
-                    sup[ids[0]:ids[-1] + 1] = vals
-        else:
-            for ids in chunks:
-                got_ids, vals = one_chunk(ids)
-                sup[got_ids[0]:got_ids[-1] + 1] = vals
-
-        err = float(np.mean(sup))
-        se = float(np.std(sup, ddof=1) / np.sqrt(replicas))
-        errors.append(err)
-        stderrs.append(se)
-        ratios.append(err / np.sqrt(eps))
+            sup = np.concatenate(list(pool.map(one_chunk, chunks)))
+            err = float(np.mean(sup))
+            se = float(np.std(sup, ddof=1) / np.sqrt(replicas))
+            errors.append(err)
+            stderrs.append(se)
+            ratios.append(err / np.sqrt(eps))
 
     return ConvergenceReport(
         model_spec=model.spec,

@@ -37,7 +37,7 @@ from .errors import (
     StepTooLarge,
     ValidationError,
 )
-from .linalg import expm
+from .linalg import expm, min_sym_eig_batch
 from .measures import EmpiricalMeasure, wasserstein2_assignment
 from .models import SystemModel, limit_drift_fields
 
@@ -55,6 +55,8 @@ SCHEME_EXPONENTIAL = "exponential"
 
 
 def _state_array(value, n_particles: int, dim: int, name: str) -> np.ndarray:
+    if n_particles < 1:
+        raise ValidationError(f"n_particles must be >= 1, got {n_particles}")
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
         arr = np.full((n_particles, dim), float(arr))
@@ -124,20 +126,12 @@ def _advance_full_em(model, X, V, delta, eps, dw):
     return X_new, V_new
 
 
-def _batch_expm(mats: np.ndarray) -> np.ndarray:
-    d = mats.shape[-1]
-    if d == 1:
-        return np.exp(mats)
-    flat = mats.reshape(-1, d, d)
-    return np.stack([expm(m) for m in flat]).reshape(mats.shape)
-
-
 def _advance_full_exponential(model, X, V, delta, eps, dw):
     F = model.force_field(X, X)
     g = model.friction_field(X, X)
     sig = model.noise_field(X, X)
-    E = _batch_expm(-g * (delta / eps))
-    E_half = _batch_expm(-g * (delta / (2.0 * eps)))
+    scales = np.array([delta / eps, delta / (2.0 * eps)]).reshape(2, 1, 1, 1, 1)
+    E, E_half = expm(-g * scales)
     ginv = np.linalg.inv(g)
     ident = np.broadcast_to(np.eye(g.shape[-1]), g.shape)
     drift_gain = np.einsum("bnij,bnjk->bnik", ginv, ident - E)
@@ -326,12 +320,12 @@ def _run_coupled_batch(
     R = len(replica_ids)
     d, k = model.dim, model.noise_dim
 
+    x_init = _state_array(x0, n_particles, d, "x0")
+    v_init = _state_array(v0, n_particles, d, "v0")
     driver = NoiseDriver(seed, delta, m)
     fast = driver.fast_increments_batch(replica_ids, n_particles, k, n_coarse * m)
     coarse = driver.coarse_from_fast(fast)
 
-    x_init = _state_array(x0, n_particles, d, "x0")
-    v_init = _state_array(v0, n_particles, d, "v0")
     X = np.broadcast_to(x_init, (R, n_particles, d)).copy()
     V = np.broadcast_to(v_init, (R, n_particles, d)).copy()
     XL = X.copy()
@@ -396,10 +390,11 @@ def run_limit_path(
     """Limit-system trajectory on its own grid: (n_coarse + 1, N, d)."""
     n_coarse = _ratio_int(T, Delta, "T/Delta")
     d, k = model.dim, model.noise_dim
+    x_init = _state_array(x0, n_particles, d, "x0")
+    out = np.empty((n_coarse + 1, n_particles, d))
+    out[0] = x_init
     driver = NoiseDriver(seed, Delta, 1)
     dws = driver.fast_increments(replica_id, n_particles, k, n_coarse)
-    out = np.empty((n_coarse + 1, n_particles, d))
-    out[0] = _state_array(x0, n_particles, d, "x0")
 
     def on_window(j, X, V, XL):
         out[j + 1] = XL[0]
@@ -469,6 +464,8 @@ def diagnostics_velocity(
     """Estimate the two velocity moment functionals of the mass-eps system."""
     if replicas < 2:
         raise ValidationError("diagnostics need at least two replicas")
+    if n_record < 1:
+        raise ValidationError("n_record must be >= 1")
     advance = _full_kernel(scheme, eps, delta, kappa)
     n_steps = _ratio_int(T, delta, "T/delta")
     rec_every = max(1, n_steps // n_record)
@@ -575,25 +572,15 @@ def validate_assumptions(
         for _ in range(probe.n_measures)
     ]
 
-    min_eig = np.inf
-    argmin = states[0]
+    # every probe state against every measure, as one (measure, state) stack
+    X = np.repeat(states[None], len(measures), axis=0)
+    samples = np.stack([mu.samples for mu in measures])
+    lam = min_sym_eig_batch(model.friction_field(X, samples))
+    m, j = np.unravel_index(np.argmin(lam), lam.shape)
+    min_eig, argmin = float(lam[m, j]), states[j].copy()
     report = AssumptionReport(
-        min_sym_eig=np.inf, argmin_state=argmin, eig_floor=probe.eig_floor
+        min_sym_eig=min_eig, argmin_state=argmin, n_probes=lam.size, eig_floor=probe.eig_floor
     )
-    n_probes = 0
-    for mu in measures:
-        g = model.friction_field(states[None], mu.samples[None])[0]
-        sym = 0.5 * (g + np.swapaxes(g, -1, -2))
-        lam = np.linalg.eigvalsh(sym)[..., 0]
-        n_probes += lam.shape[0]
-        j = int(np.argmin(lam))
-        if lam[j] < min_eig:
-            min_eig = float(lam[j])
-            argmin = states[j].copy()
-
-    report.min_sym_eig = min_eig
-    report.argmin_state = argmin
-    report.n_probes = n_probes
 
     # difference-quotient Lipschitz ratios over random probe pairs; half the
     # pairs are local perturbations of size fd_step

@@ -5,12 +5,16 @@ Sylvester solvers, and quadrature evaluations of the corresponding semigroup
 integral representations.  Everything here is written for the d <= 64
 regime.
 
-Lyapunov and Sylvester equations have one kernel: the vectorized d^2 x d^2
-Kronecker system, assembled for a stack of matrices and solved by LAPACK
-(``lyapunov_batch``/``sylvester_batch``, O(d^6) per matrix).  The point
-solvers ``solve_lyapunov``/``solve_sylvester`` check their operands, reject a
-numerically singular operator by its singular values, and solve a stack of
-one through that kernel.
+The kernels take a stack of matrices (..., d, d) and give the same bits as
+its matrices one at a time: ``expm``, ``min_sym_eig_batch`` and the one
+Lyapunov/Sylvester kernel, the vectorized d^2 x d^2 Kronecker system solved
+by LAPACK (``lyapunov_batch``/``sylvester_batch``, O(d^6) per matrix).  Stack
+kernels do no checks; ``expm`` alone checks the shape and finiteness of every
+matrix.  The point functions accept one square matrix and check it:
+``min_sym_eig`` and the point solvers ``solve_lyapunov``/``solve_sylvester``
+run a kernel on a stack of one (the solvers also reject a numerically
+singular operator by its singular values), and the quadrature oracles
+evaluate each panel's Gauss nodes as one stack of exponentials.
 
 All functions are pure; none keeps state.
 """
@@ -44,44 +48,58 @@ _PIVOT_RTOL = 1e-14
 _PIVOT_RATIO_WARN = 1e12
 
 
-def _as_square(M, name: str = "matrix") -> np.ndarray:
+def _as_stack(M, name: str) -> np.ndarray:
     A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValidationError(f"{name} must be a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
+        raise ValidationError(f"{name} must be a stack of square matrices, got shape {A.shape}")
+    if not np.isfinite(A).all():
         raise NonFinite(f"{name} contains NaN or Inf")
     return A
 
 
-def expm(M) -> np.ndarray:
-    """Matrix exponential by scaling and squaring around a truncated series.
+def _as_square(M, name: str = "matrix") -> np.ndarray:
+    A = np.asarray(M, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValidationError(f"{name} must be a square matrix, got shape {A.shape}")
+    return _as_stack(A, name)
 
-    The argument is scaled below norm 1/4, a 16-term Taylor polynomial is
-    evaluated in Horner form, and the result is squared back up.
+
+def expm(M) -> np.ndarray:
+    """Matrix exponential of one matrix or of a stack (..., d, d), by scaling
+    and squaring around a truncated series.
+
+    Each matrix is scaled below norm 1/4 by its own power of two, a 16-term
+    Taylor polynomial is evaluated in Horner form on the whole stack, and each
+    matrix is squared back up its own number of times, so a stack gives the
+    same bits as its matrices one at a time.
     """
-    A = _as_square(M, "M")
-    d = A.shape[0]
+    A = _as_stack(M, "M")
+    d = A.shape[-1]
     if d == 1:
         return np.exp(A)
-    norm = float(np.abs(A).sum(axis=1).max())
-    squarings = 0
-    if norm > _TAYLOR_RADIUS:
-        squarings = int(np.ceil(np.log2(norm / _TAYLOR_RADIUS)))
-        A = A / (2.0 ** squarings)
+    flat = A.reshape(-1, d, d)
+    norm = np.abs(flat).sum(axis=-1).max(axis=-1)
+    squarings = np.ceil(np.log2(np.maximum(norm, _TAYLOR_RADIUS) / _TAYLOR_RADIUS)).astype(int)
+    flat = flat / (2.0 ** squarings)[:, None, None]
     ident = np.eye(d)
-    E = ident.copy()
+    E = np.broadcast_to(ident, flat.shape).copy()
     for j in range(_TAYLOR_TERMS, 0, -1):
-        E = ident + (A @ E) / j
-    for _ in range(squarings):
-        E = E @ E
-    return E
+        E = ident + (flat @ E) / j
+    for k in range(squarings.max(initial=0)):
+        more = squarings > k
+        E[more] = E[more] @ E[more]
+    return E.reshape(A.shape)
+
+
+def min_sym_eig_batch(Ms: np.ndarray) -> np.ndarray:
+    """Smallest symmetric-part eigenvalue of each matrix of a stack (..., d, d); no checks."""
+    sym = 0.5 * (Ms + np.swapaxes(Ms, -1, -2))
+    return np.linalg.eigvalsh(sym)[..., 0]
 
 
 def min_sym_eig(M) -> float:
     """Smallest eigenvalue of the symmetric part (M + M^T)/2."""
-    A = _as_square(M, "M")
-    sym = 0.5 * (A + A.T)
-    return float(np.linalg.eigvalsh(sym)[0])
+    return float(min_sym_eig_batch(_as_square(M, "M")[None])[0])
 
 
 def _check_same_dim(*mats: np.ndarray) -> int:
@@ -162,8 +180,8 @@ def _panel_quadrature(integrand, upper: float, panels: int, order: int, shape) -
     for a, b in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        for t, w in zip(nodes, weights):
-            total += (half * w) * integrand(mid + half * t)
+        for w, value in zip(weights, integrand(mid + half * nodes)):
+            total += (half * w) * value
     return total
 
 
@@ -200,9 +218,9 @@ def lyapunov_by_quadrature(gamma, Q, tol: float, max_panels: int = 1024) -> np.n
         return np.zeros((d, d))
     upper = max(np.log(qnorm / (tol * c)) / (2.0 * c), 1e-2 / c)
 
-    def integrand(y: float) -> np.ndarray:
-        E = expm(-g * y)
-        return E @ Qm @ E.T
+    def integrand(ys: np.ndarray) -> np.ndarray:
+        E = expm(-g * ys[:, None, None])
+        return E @ Qm @ np.swapaxes(E, -1, -2)
 
     J = _refine_quadrature(integrand, upper, tol, (d, d), max_panels)
     if _is_symmetric(Qm):
@@ -230,8 +248,9 @@ def sylvester_by_quadrature(A, B, C, tol: float, max_panels: int = 1024) -> np.n
         return np.zeros((d, d))
     upper = max(np.log(cnorm / (tol * c)) / (2.0 * c), 1e-2 / c)
 
-    def integrand(y: float) -> np.ndarray:
-        return expm(Am * y) @ Cm @ expm(-Bm * y)
+    def integrand(ys: np.ndarray) -> np.ndarray:
+        ys = ys[:, None, None]
+        return expm(Am * ys) @ Cm @ expm(-Bm * ys)
 
     return -_refine_quadrature(integrand, upper, tol, (d, d), max_panels)
 

@@ -396,9 +396,7 @@ def model_library(spec: ModelSpec) -> SystemModel:
 
 
 def _require_stable(gammas: np.ndarray, what: str = "friction"):
-    sym = 0.5 * (gammas + np.swapaxes(gammas, -1, -2))
-    lam = np.linalg.eigvalsh(sym)[..., 0]
-    worst = float(lam.min())
+    worst = float(linalg.min_sym_eig_batch(gammas).min())
     if worst <= linalg.STABILITY_EPS:
         raise UnstableFriction(
             f"symmetric part of {what} has eigenvalue {worst:.3e} <= {linalg.STABILITY_EPS:.0e}"

@@ -120,6 +120,14 @@ class TestRunConvergence:
         assert a.errors == b.errors == c.errors
         assert a.stderrs == b.stderrs == c.stderrs
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_rejects_threads_below_one(self, threads):
+        with pytest.raises(ValidationError, match="threads"):
+            run_convergence(
+                constant_model(), [0.1, 0.05], T=0.1, n_particles=1, replicas=2,
+                seed=0, delta_rule=DeltaRule(), Delta=0.01, threads=threads,
+            )
+
     def test_constant_family_errors_decay(self):
         model = constant_model()
         rep = run_convergence(

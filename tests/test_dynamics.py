@@ -20,6 +20,7 @@ from smallmass.dynamics import (
 from smallmass.errors import (
     AssumptionViolated,
     GridMismatch,
+    NonFinite,
     NumericalBlowup,
     StepTooLarge,
     ValidationError,
@@ -105,6 +106,12 @@ class TestFullSteppers:
                 exact = np.exp(-g * n * delta / eps) * v0
                 assert abs(ens.v[0, 0] - exact) <= 1e-12 * max(abs(exact), 1.0)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_exponential_rejects_nonfinite_friction(self, d):
+        ens = ParticleEnsembleFull(0.0, 0.1, np.zeros((1, d)), np.zeros((1, d)))
+        with pytest.raises(NonFinite):
+            step_full_exponential(ens, free_model(gamma=np.nan, d=d), 0.01, np.zeros((1, 1)))
+
     def test_blowup_guard(self):
         ens = ParticleEnsembleFull(0.0, 1.0, np.array([[5.0]]), np.array([[0.0]]))
         with pytest.raises(NumericalBlowup):
@@ -173,6 +180,43 @@ class TestWholeRunBlowup:
             run_limit_path(
                 cubic_model(), T=20.0, Delta=0.1, n_particles=1, replica_id=0,
                 seed=0, x0=5.0,
+            )
+
+
+class TestRunInputValidation:
+    # a typed ValidationError before any step, not a ZeroDivisionError or
+    # numpy's "zero-size array" ValueError, and no silent acceptance
+
+    @pytest.mark.parametrize("n_record", [0, -1])
+    def test_diagnostics_rejects_n_record_below_one(self, n_record):
+        with pytest.raises(ValidationError, match="n_record"):
+            diagnostics_velocity(
+                constant_model(), 0.05, T=0.1, delta=0.0025, replicas=2, seed=0,
+                n_record=n_record,
+            )
+
+    @pytest.mark.parametrize("n_particles", [0, -1])
+    def test_diagnostics_rejects_empty_ensemble(self, n_particles):
+        with pytest.raises(ValidationError, match="n_particles"):
+            diagnostics_velocity(
+                constant_model(), 0.05, T=0.1, delta=0.0025, replicas=2, seed=0,
+                n_particles=n_particles,
+            )
+
+    @pytest.mark.parametrize("n_particles", [0, -1])
+    def test_simulate_coupled_rejects_empty_ensemble(self, n_particles):
+        with pytest.raises(ValidationError, match="n_particles"):
+            simulate_coupled(
+                constant_model(), eps=0.1, T=0.05, delta=0.005, Delta=0.01,
+                n_particles=n_particles, replica_id=0, seed=0,
+            )
+
+    @pytest.mark.parametrize("n_particles", [0, -1])
+    def test_run_limit_path_rejects_empty_ensemble(self, n_particles):
+        with pytest.raises(ValidationError, match="n_particles"):
+            run_limit_path(
+                constant_model(), T=0.05, Delta=0.01, n_particles=n_particles,
+                replica_id=0, seed=0,
             )
 
 

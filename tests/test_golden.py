@@ -1,13 +1,17 @@
 """Golden bytes: outputs that a refactor must leave exactly as they are.
 
 The digests and reprs were recorded with numpy 2.4.6 (OpenBLAS 0.3.31,
-Python 3.11).  They pin the sample-config reports and path dump, and the
-velocity diagnostics, which no byte-determinism test covers otherwise.  A
+Python 3.11).  They pin the sample-config reports and path dump, the
+reports of a d = 2 interaction run under the exponential rule (a stack of
+d > 1 matrix exponentials at every fast step), the ``validate`` and
+``solve --oracle`` output, and the velocity diagnostics, which no
+byte-determinism test covers otherwise.  A
 change of numpy or BLAS may move the last digits without any change in the
 package; re-record them then from a commit whose behaviour is unchanged.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -37,6 +41,90 @@ def test_sample_config_outputs(tmp_path, capsys, command, config):
         for name in GOLDEN_FILES[command, config]
     }
     assert got == GOLDEN_FILES[command, config]
+
+
+INTERACTION_D2_EXPONENTIAL = {
+    "seed": 5,
+    "model": {
+        "family": "interaction",
+        "params": {"a": 2.0, "b": 0.5, "c": 1.0, "d": 2, "sigma": [[1.0, 0.3], [0.0, 0.8]]},
+    },
+    "simulation": {
+        "N": 3, "T": 0.05, "epsilon_list": [0.1, 0.05, 0.025],
+        "delta_rule": {"type": "exponential", "delta": 0.0025},
+        "Delta": 0.01, "replicas": 8,
+    },
+}
+
+
+def test_interaction_d2_exponential_reports(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(INTERACTION_D2_EXPONENTIAL))
+    assert dispatch(["converge", str(config), "--out", str(tmp_path)]) == 0
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("report.json", "report.csv")
+    }
+    assert got == {
+        "report.json": "093288758fa056e7c20ffd00cd18a52def3662c5c9e189b2019439cd8a1beb18",
+        "report.csv": "246f5894c1823735d02f5e7d604757af5d6a3c7c495fb14de5679138c07dac0c",
+    }
+
+
+GOLDEN_VALIDATE = {
+    "convergence_constant.json": (
+        "min_sym_eig=2\nargmin_state=[-2]\nmax_dmu_norm=0\nn_probes=256\n"
+        "lipschitz_force=1\nlipschitz_friction=0\nlipschitz_friction_dx=0\n"
+        "lipschitz_noise=0\nviolated=false\n"
+    ),
+    "simulate_interaction.json": (
+        "min_sym_eig=1.8004503797113163\nargmin_state=[-2]\n"
+        "max_dmu_norm=0.64911270643593033\nn_probes=256\nlipschitz_force=1\n"
+        "lipschitz_friction=0.61212452577822507\n"
+        "lipschitz_friction_dx=0.94163710404085865\nlipschitz_noise=0\n"
+        "violated=false\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN_VALIDATE))
+def test_validate_output(capsys, config):
+    assert dispatch(["validate", str(CONFIGS / config)]) == 0
+    assert capsys.readouterr().out == GOLDEN_VALIDATE[config]
+
+
+GOLDEN_SOLVE = {
+    "lyapunov-d3": (
+        {
+            "gamma": [[2.0, 0.5, -0.3], [0.1, 1.5, 0.4], [-0.2, 0.3, 1.8]],
+            "Q": [[1.0, 0.2, 0.1], [0.2, 0.8, -0.1], [0.1, -0.1, 0.6]],
+        },
+        '{"J": [[0.26145614298835296, -0.0061510269630027491, 0.066122574984014457], '
+        "[-0.0061510269630027491, 0.2888586320617193, -0.081682113490696429], "
+        "[0.066122574984014457, -0.081682113490696429, 0.18762730502445102]], "
+        '"oracle_gap": 7.5435546698088274e-10}\n',
+    ),
+    "sylvester-d3": (
+        {
+            "A": [[-2.0, 0.4, 0.0], [-0.3, -1.5, 0.2], [0.1, 0.0, -1.2]],
+            "B": [[1.0, 0.3, -0.2], [0.0, 2.5, 0.1], [0.4, -0.1, 1.7]],
+            "C": [[0.5, -1.0, 0.2], [0.3, 0.0, 0.7], [-0.6, 0.1, 1.1]],
+        },
+        '{"Y": [[-0.15905748779906773, 0.22868252258125021, -0.094116910557465752], '
+        "[-0.037048069050473816, -0.023085509170869219, -0.23388204811171195], "
+        "[0.33054880894705174, -0.057317479065363691, -0.3577828211585517]], "
+        '"oracle_gap": 8.3330120581592837e-11}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SOLVE))
+def test_solve_with_oracle_output(tmp_path, capsys, name):
+    problem, expected = GOLDEN_SOLVE[name]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert dispatch(["solve", str(path), "--oracle"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def constant_ou():

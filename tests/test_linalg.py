@@ -11,6 +11,7 @@ from smallmass.errors import (
     SpectrumOverlap,
     ToleranceNotMet,
     UnstableFriction,
+    ValidationError,
 )
 
 
@@ -90,6 +91,44 @@ class TestMinSymEig:
             M = rng.normal(size=(4, 4))
             sym = 0.5 * (M + M.T)
             assert linalg.min_sym_eig(M) == linalg.min_sym_eig(sym)
+
+
+class TestStacks:
+    def test_stack_matches_one_matrix_at_a_time(self):
+        # row-sum norms from 0.01 to 40 straddle the 1/4 scaling radius, so
+        # the matrices of one stack need between 0 and 8 squarings
+        rng = np.random.default_rng(11)
+        for d in (1, 2, 3, 5):
+            M = rng.normal(size=(12, d, d))
+            norms = np.abs(M).sum(axis=-1).max(axis=-1)
+            M = (M * (np.geomspace(0.01, 40.0, 12) / norms)[:, None, None]).reshape(3, 4, d, d)
+            E = linalg.expm(M)
+            lam = linalg.min_sym_eig_batch(M)
+            assert E.shape == M.shape and lam.shape == M.shape[:2]
+            for idx in np.ndindex(*M.shape[:2]):
+                assert np.array_equal(E[idx], linalg.expm(M[idx]))
+                assert lam[idx] == linalg.min_sym_eig(M[idx])
+
+    def test_expm_checks_every_matrix_of_a_stack(self):
+        M = np.zeros((3, 2, 2))
+        M[2, 1, 0] = np.inf
+        with pytest.raises(NonFinite):
+            linalg.expm(M)
+        with pytest.raises(NonFinite):
+            linalg.expm(np.full((4, 1, 1), np.nan))
+        with pytest.raises(ValidationError):
+            linalg.expm(np.zeros((3, 2, 3)))
+        with pytest.raises(ValidationError):
+            linalg.expm(np.zeros(3))
+
+    def test_point_solvers_reject_stacks(self):
+        g = np.broadcast_to(np.eye(2), (3, 2, 2))
+        with pytest.raises(ValidationError):
+            linalg.solve_lyapunov(g, g)
+        with pytest.raises(ValidationError):
+            linalg.min_sym_eig(g)
+        with pytest.raises(ValidationError):
+            linalg.lyapunov_by_quadrature(g, g, 1e-8)
 
 
 class TestPointSolverConditioning:
