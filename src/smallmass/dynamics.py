@@ -169,31 +169,43 @@ def _full_kernel(scheme: str, eps: float, delta: float, kappa: float = DEFAULT_K
 
 
 def _march(
-    model, n_windows, X, V, XL, fast, coarse, *,
-    advance=None, eps=None, delta=None, Delta=None, on_step=None, on_window=None,
+    model, blocks, systems, XL, *,
+    advance=None, delta=None, Delta=None, on_step=None, on_window=None,
 ):
-    """Advance (X, V) over each window's fast increments (R, n_steps, N, k)
-    with ``advance``, then XL over its coarse increment (R, n_windows, N, k);
-    ``fast=None`` or ``coarse=None`` leaves that system out.  Guards V after
-    every fast step and X, XL after every window; calls ``on_step(s, V)``
-    after fast step s (from 1) and ``on_window(j, X, V, XL)`` after window j.
+    """Step through ``blocks``, pairs (fast, coarse) of increments for
+    consecutive runs of whole windows, fast (R, w * m, N, k) and coarse
+    (R, w, N, k) with m fast steps per window; either may be None, leaving
+    that system out, and a block without coarse increments is one window.
+    Per window, each mass-eps system of ``systems`` (a list of [eps, X, V],
+    updated in place) is advanced over the window's fast increments with
+    ``advance``, then the limit XL once over its coarse increment.  Guards V
+    after every fast step and X, XL after every window; calls
+    ``on_step(s, V)`` after fast step s (from 1) of each system and
+    ``on_window(j, systems, XL)`` after window j.  Returns XL.
     """
-    m = fast.shape[1] // n_windows if fast is not None else 0
+    j = steps_done = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_windows):
-            if fast is not None:
-                for s in range(j * m, (j + 1) * m):
-                    X, V = advance(model, X, V, delta, eps, fast[:, s])
-                    _guard(V, "velocity")
-                    if on_step is not None:
-                        on_step(s + 1, V)
-                _guard(X, "position")
-            if coarse is not None:
-                XL = _advance_limit_em(model, XL, Delta, coarse[:, j])
-                _guard(XL, "limit position")
-            if on_window is not None:
-                on_window(j, X, V, XL)
-    return X, V, XL
+        for fast, coarse in blocks:
+            n_windows = coarse.shape[1] if coarse is not None else 1
+            m = fast.shape[1] // n_windows if fast is not None else 0
+            for w in range(n_windows):
+                for system in systems:
+                    eps, X, V = system
+                    for s in range(w * m, (w + 1) * m):
+                        X, V = advance(model, X, V, delta, eps, fast[:, s])
+                        _guard(V, "velocity")
+                        if on_step is not None:
+                            on_step(steps_done + s + 1, V)
+                    _guard(X, "position")
+                    system[1:] = X, V
+                if coarse is not None:
+                    XL = _advance_limit_em(model, XL, Delta, coarse[:, w])
+                    _guard(XL, "limit position")
+                if on_window is not None:
+                    on_window(j, systems, XL)
+                j += 1
+            steps_done += n_windows * m
+    return XL
 
 
 # --- public one-step operations ----------------------------------------------
@@ -211,11 +223,9 @@ def _check_increment(dw, n_particles, noise_dim) -> np.ndarray:
 def _step_full(ens, model, delta, dw, scheme, kappa=DEFAULT_KAPPA):
     advance = _full_kernel(scheme, ens.eps, delta, kappa)
     dw = _check_increment(dw, ens.x.shape[0], model.noise_dim)
-    X, V, _ = _march(
-        model, 1, ens.x[None], ens.v[None], None, dw[None, None], None,
-        advance=advance, eps=ens.eps, delta=delta,
-    )
-    return ParticleEnsembleFull(ens.t + delta, ens.eps, X[0], V[0])
+    system = [ens.eps, ens.x[None], ens.v[None]]
+    _march(model, [(dw[None, None], None)], [system], None, advance=advance, delta=delta)
+    return ParticleEnsembleFull(ens.t + delta, ens.eps, system[1][0], system[2][0])
 
 
 def step_full_em(
@@ -263,7 +273,7 @@ def step_limit_em(
     if Delta <= 0.0:
         raise ValidationError("Delta must be positive")
     dw = _check_increment(dw, ens.x.shape[0], model.noise_dim)
-    _, _, X = _march(model, 1, None, None, ens.x[None], None, dw[None, None], Delta=Delta)
+    X = _march(model, [(None, dw[None, None])], [], ens.x[None], Delta=Delta)
     return ParticleEnsembleLimit(ens.t + Delta, X[0])
 
 
@@ -294,11 +304,11 @@ def _ratio_int(big: float, small: float, what: str) -> int:
     return m
 
 
-def _run_coupled_batch(
+def _coupled_sweep(
     model: SystemModel,
-    eps: float,
+    eps_values,
+    deltas,
     T: float,
-    delta: float,
     Delta: float,
     n_particles: int,
     replica_ids,
@@ -309,44 +319,55 @@ def _run_coupled_batch(
     kappa: float = DEFAULT_KAPPA,
     record_paths: bool = False,
 ):
-    """Synchronously coupled fast/coarse run over a batch of replicas.
+    """Synchronously coupled fast/coarse runs of one replica batch at every
+    eps of ``eps_values``, eps_values[i] on the fast step deltas[i].
 
-    Returns (sup_diffs, paths) with sup_diffs of shape (len(replica_ids),);
-    paths (first replica only) when requested.
+    The eps values with the same fast step share one draw of the increments
+    and one limit path: they march in lockstep, each mass-eps system over the
+    same fast increments and the limit once per window.  The limit equation
+    has no eps in it, so its path is the one every eps would compute alone.
+    Returns (sup_diffs, paths) with sup_diffs of shape (len(eps_values),
+    len(replica_ids)); paths (first eps, first replica) when requested.
     """
-    advance = _full_kernel(scheme, eps, delta, kappa)
-    m = _ratio_int(Delta, delta, "Delta/delta")
     n_coarse = _ratio_int(T, Delta, "T/Delta")
+    groups = {}   # fast step -> (fast steps per window, indices of its eps values)
+    for i, (eps, delta) in enumerate(zip(eps_values, deltas)):
+        advance = _full_kernel(scheme, eps, delta, kappa)
+        groups.setdefault(delta, (_ratio_int(Delta, delta, "Delta/delta"), []))[1].append(i)
     R = len(replica_ids)
     d, k = model.dim, model.noise_dim
 
     x_init = _state_array(x0, n_particles, d, "x0")
     v_init = _state_array(v0, n_particles, d, "v0")
-    driver = NoiseDriver(seed, delta, m)
-    fast = driver.fast_increments_batch(replica_ids, n_particles, k, n_coarse * m)
-    coarse = driver.coarse_from_fast(fast)
-
-    X = np.broadcast_to(x_init, (R, n_particles, d)).copy()
-    V = np.broadcast_to(v_init, (R, n_particles, d)).copy()
-    XL = X.copy()
+    X0 = np.broadcast_to(x_init, (R, n_particles, d))
+    V0 = np.broadcast_to(v_init, (R, n_particles, d))
 
     paths = rec = None
     if record_paths:
         rec = np.empty((3, n_coarse + 1, n_particles, d))  # x_full, v_full, x_limit
-        rec[:, 0] = X[0], V[0], XL[0]
+        rec[:, 0] = X0[0], V0[0], X0[0]
         paths = PathRecord(np.arange(n_coarse + 1) * Delta, *rec)
 
-    sup = np.zeros(R)
+    sup = np.zeros((len(eps_values), R))
+    for delta, (m, members) in groups.items():
+        driver = NoiseDriver(seed, delta, m)
+        blocks = (
+            (fast, driver.coarse_from_fast(fast))
+            for fast in driver.blocks(replica_ids, n_particles, k, n_coarse)
+        )
 
-    def on_window(j, X, V, XL):
-        np.maximum(sup, np.max(np.sum((X - XL) ** 2, axis=-1), axis=-1), out=sup)
-        if rec is not None:
-            rec[:, j + 1] = X[0], V[0], XL[0]
+        def on_window(j, systems, XL):
+            for i, (_, X, V) in zip(members, systems):
+                gap = np.max(np.sum((X - XL) ** 2, axis=-1), axis=-1)
+                np.maximum(sup[i], gap, out=sup[i])
+                if rec is not None and i == 0:
+                    rec[:, j + 1] = X[0], V[0], XL[0]
 
-    _march(
-        model, n_coarse, X, V, XL, fast, coarse, advance=advance, eps=eps,
-        delta=delta, Delta=Delta, on_window=on_window,
-    )
+        systems = [[eps_values[i], X0.copy(), V0.copy()] for i in members]
+        _march(
+            model, blocks, systems, X0.copy(), advance=advance,
+            delta=delta, Delta=Delta, on_window=on_window,
+        )
     return sup, paths
 
 
@@ -371,11 +392,11 @@ def simulate_coupled(
     the coarse grid driven by the window sums of the same increments; returns
     the sup over coarse grid points of the worst-particle squared distance.
     """
-    sup, paths = _run_coupled_batch(
-        model, eps, T, delta, Delta, n_particles, [replica_id], seed,
+    sup, paths = _coupled_sweep(
+        model, [eps], [delta], T, Delta, n_particles, [replica_id], seed,
         x0, v0, scheme, kappa, record_paths,
     )
-    return CoupledResult(float(sup[0]), paths)
+    return CoupledResult(float(sup[0, 0]), paths)
 
 
 def run_limit_path(
@@ -394,15 +415,12 @@ def run_limit_path(
     out = np.empty((n_coarse + 1, n_particles, d))
     out[0] = x_init
     driver = NoiseDriver(seed, Delta, 1)
-    dws = driver.fast_increments(replica_id, n_particles, k, n_coarse)
+    blocks = ((None, dws) for dws in driver.blocks([replica_id], n_particles, k, n_coarse))
 
-    def on_window(j, X, V, XL):
+    def on_window(j, systems, XL):
         out[j + 1] = XL[0]
 
-    _march(
-        model, n_coarse, None, None, out[:1].copy(), None, dws[None],
-        Delta=Delta, on_window=on_window,
-    )
+    _march(model, blocks, [], out[:1].copy(), Delta=Delta, on_window=on_window)
     return out
 
 
@@ -491,13 +509,13 @@ def diagnostics_velocity(
     for start in range(0, replicas, DIAGNOSTICS_CHUNK):
         ids = list(range(start, min(start + DIAGNOSTICS_CHUNK, replicas)))
         R = len(ids)
-        fast = driver.fast_increments_batch(ids, n_particles, k, n_steps)
         X = np.broadcast_to(x_init, (R, n_particles, d)).copy()
         V = np.broadcast_to(v_init, (R, n_particles, d)).copy()
         sup_ev = np.zeros(R)
         on_step(0, V)
+        blocks = ((fast, None) for fast in driver.blocks(ids, n_particles, k, n_steps))
         _march(
-            model, 1, X, V, None, fast, None, advance=advance, eps=eps,
+            model, blocks, [[eps, X, V]], None, advance=advance,
             delta=delta, on_step=on_step,
         )
         sup4[start:start + R] = sup_ev ** 4
@@ -547,7 +565,7 @@ class AssumptionReport:
 
     @property
     def violated(self) -> bool:
-        return self.min_sym_eig <= self.eig_floor
+        return not self.min_sym_eig > self.eig_floor   # NaN counts as violated
 
 
 def validate_assumptions(

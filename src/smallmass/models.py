@@ -397,7 +397,7 @@ def model_library(spec: ModelSpec) -> SystemModel:
 
 def _require_stable(gammas: np.ndarray, what: str = "friction"):
     worst = float(linalg.min_sym_eig_batch(gammas).min())
-    if worst <= linalg.STABILITY_EPS:
+    if not worst > linalg.STABILITY_EPS:   # NaN friction fails here too
         raise UnstableFriction(
             f"symmetric part of {what} has eigenvalue {worst:.3e} <= {linalg.STABILITY_EPS:.0e}"
         )

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from smallmass import convergence
+from smallmass import convergence, driver
 from smallmass.cli import dispatch, main, parse_config
 from smallmass.errors import ParseError, ValidationError
 
@@ -210,13 +210,24 @@ class TestConvergeCommand:
         del doc["simulation"]["epsilon"]
         doc["simulation"]["epsilon_list"] = [0.1, 0.05, 0.025]
         doc["model"] = model
+        # (minimum replicas per batch, states per batch, noise block bytes):
+        # batches of 1, the default and R; blocks of one window, the default
+        # and the whole run
+        settings = [
+            (1, 1, 1),
+            (convergence.BATCH_MIN_REPLICAS, convergence.BATCH_STATES, driver.BLOCK_BYTES),
+            (replicas, 1, 2**40),
+            (replicas, 1, 1),
+        ]
         blobs = set()
-        for chunk in (1, 16, replicas):
-            monkeypatch.setattr(convergence, "REPLICA_CHUNK", chunk)
-            doc["output_dir"] = str(tmp_path / f"chunk{chunk}")
+        for n, (min_replicas, states, block_bytes) in enumerate(settings):
+            monkeypatch.setattr(convergence, "BATCH_MIN_REPLICAS", min_replicas)
+            monkeypatch.setattr(convergence, "BATCH_STATES", states)
+            monkeypatch.setattr(driver, "BLOCK_BYTES", block_bytes)
+            doc["output_dir"] = str(tmp_path / f"run{n}")
             assert dispatch(["converge", write(tmp_path / "c.json", doc)]) == 0
             blobs.add(tuple(
-                (tmp_path / f"chunk{chunk}" / name).read_bytes()
+                (tmp_path / f"run{n}" / name).read_bytes()
                 for name in ("report.json", "report.csv")
             ))
         capsys.readouterr()

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from smallmass import driver, dynamics
 from smallmass.convergence import (
     ConvergenceReport,
     DeltaRule,
@@ -15,7 +18,7 @@ from smallmass.errors import (
     InsufficientReplicas,
     ValidationError,
 )
-from smallmass.models import ModelSpec, SystemModel, model_library
+from smallmass.models import ModelSpec, SystemModel, limit_drift_fields, model_library
 
 
 def constant_model(gamma=2.0, K=1.0, sigma=1.0, d=1):
@@ -127,6 +130,47 @@ class TestRunConvergence:
                 constant_model(), [0.1, 0.05], T=0.1, n_particles=1, replicas=2,
                 seed=0, delta_rule=DeltaRule(), Delta=0.01, threads=threads,
             )
+
+    @pytest.mark.parametrize("scheme, calls_per_window", [("exponential", 1), ("explicit", 3)])
+    def test_limit_runs_once_per_window_per_batch(self, monkeypatch, scheme, calls_per_window):
+        # the limit path has no eps in it: under the exponential rule every
+        # eps shares one fast step, so one limit path serves all three; the
+        # explicit rule gives each eps its own fast grid and its own path
+        calls = []
+
+        def counted(model, X, *args):
+            calls.append(X.shape[0])
+            return limit_drift_fields(model, X, *args)
+
+        monkeypatch.setattr(dynamics, "limit_drift_fields", counted)
+        rule = DeltaRule(scheme=scheme, delta=0.0025 if scheme == "exponential" else None)
+        model = model_library(ModelSpec("interaction", {"a": 2.0, "b": 0.5, "c": 1.0, "d": 1}))
+        run_convergence(
+            model, [0.1, 0.05, 0.025], T=0.05, n_particles=3, replicas=4, seed=1,
+            delta_rule=rule, Delta=0.01, validate=False,
+        )
+        assert calls == [4] * (5 * calls_per_window)
+
+    def test_sweep_memory_does_not_grow_with_T(self, monkeypatch):
+        # increments stream in blocks of whole windows, so doubling T leaves
+        # the peak where it was; drawn at once, the fast increments of the
+        # longer run alone would add 2 * 256 * 200 * 8 bytes
+        monkeypatch.setattr(driver, "BLOCK_BYTES", 2**16)
+        kwargs = dict(
+            n_particles=256, replicas=2, seed=3, delta_rule=DeltaRule(),
+            Delta=0.01, validate=False,
+        )
+        model = constant_model()
+        run_convergence(model, [0.1, 0.05], T=0.02, **kwargs)   # lazy set-up
+        peaks = []
+        for T in (0.5, 1.0):
+            tracemalloc.start()
+            try:
+                run_convergence(model, [0.1, 0.05], T=T, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.1 * (2 * 256 * 200 * 8)
 
     def test_constant_family_errors_decay(self):
         model = constant_model()

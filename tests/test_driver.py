@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from smallmass import driver
 from smallmass.driver import NoiseDriver
 from smallmass.errors import GridMismatch, ValidationError
 
@@ -29,6 +30,26 @@ class TestDeterminism:
         batch = drv.fast_increments_batch([4, 9], 3, 1, 20)
         assert np.array_equal(batch[0], drv.fast_increments(4, 3, 1, 20))
         assert np.array_equal(batch[1], drv.fast_increments(9, 3, 1, 20))
+
+
+class TestStreaming:
+    def test_pieces_match_one_draw(self):
+        drv = NoiseDriver(31, 0.01)
+        whole = drv.fast_increments_batch([2, 5], 3, 2, 2000)
+        live = []
+        pieces = [drv.fast_increments_batch([2, 5], 3, 2, n, live) for n in (7, 250, 743, 1000)]
+        assert np.array_equal(np.concatenate(pieces, axis=1), whole)
+
+    # a window of 3 replicas x 4 steps x 2 particles x 2 components is 384
+    # bytes: blocks of one window, of three (the last one short), of the run
+    @pytest.mark.parametrize("block_bytes, n_blocks", [(1, 10), (3 * 384, 4), (2**40, 1)])
+    def test_blocks_are_whole_windows_of_one_draw(self, monkeypatch, block_bytes, n_blocks):
+        monkeypatch.setattr(driver, "BLOCK_BYTES", block_bytes)
+        drv = NoiseDriver(8, 0.005, 4)
+        blocks = list(drv.blocks([0, 3, 4], 2, 2, 10))
+        assert [b.shape[1] % 4 for b in blocks] == [0] * n_blocks
+        whole = drv.fast_increments_batch([0, 3, 4], 2, 2, 40)
+        assert np.array_equal(np.concatenate(blocks, axis=1), whole)
 
 
 class TestCoupling:

@@ -8,7 +8,7 @@ from smallmass.dynamics import (
     ProbeConfig,
     _advance_full_em,
     _advance_full_exponential,
-    _run_coupled_batch,
+    _coupled_sweep,
     diagnostics_velocity,
     run_limit_path,
     simulate_coupled,
@@ -263,11 +263,8 @@ class TestSimulateCoupled:
         model = constant_model()
         delta = 0.01 / 20.0
         replicas = list(range(100))
-        sup_big, _ = _run_coupled_batch(
-            model, 0.1, 1.0, delta, 0.01, 1, replicas, 2024, 0.0, 0.0,
-        )
-        sup_small, _ = _run_coupled_batch(
-            model, 0.01, 1.0, delta, 0.01, 1, replicas, 2024, 0.0, 0.0,
+        (sup_big, sup_small), _ = _coupled_sweep(
+            model, [0.1, 0.01], [delta, delta], 1.0, 0.01, 1, replicas, 2024, 0.0, 0.0,
         )
         frac = np.mean(sup_small <= sup_big)
         assert frac >= 0.90
@@ -288,11 +285,11 @@ class TestSimulateCoupled:
         )
         eps, delta = 0.002, 0.002 / 20.0
         ids = list(range(60))
-        with_s, _ = _run_coupled_batch(
-            corrected, eps, 1.0, delta, 0.01, 1, ids, 777, 0.5, 0.0,
+        (with_s,), _ = _coupled_sweep(
+            corrected, [eps], [delta], 1.0, 0.01, 1, ids, 777, 0.5, 0.0,
         )
-        without_s, _ = _run_coupled_batch(
-            dropped, eps, 1.0, delta, 0.01, 1, ids, 777, 0.5, 0.0,
+        (without_s,), _ = _coupled_sweep(
+            dropped, [eps], [delta], 1.0, 0.01, 1, ids, 777, 0.5, 0.0,
         )
         assert np.mean(without_s) >= 1.5 * np.mean(with_s)
 
@@ -312,8 +309,8 @@ class TestSimulateCoupled:
 
     def test_batch_matches_single_replica(self):
         model = constant_model()
-        sup, _ = _run_coupled_batch(
-            model, 0.1, 0.25, 0.005, 0.025, 2, [0, 1, 2], 11, 0.0, 0.0,
+        (sup,), _ = _coupled_sweep(
+            model, [0.1], [0.005], 0.25, 0.025, 2, [0, 1, 2], 11, 0.0, 0.0,
         )
         for rid in range(3):
             res = simulate_coupled(
@@ -435,6 +432,18 @@ class TestValidateAssumptions:
         assert err.value.probe_point is not None
         assert err.value.probe_point[0] <= 0.0
         assert err.value.report.min_sym_eig <= 0.0
+
+    def test_nan_friction_violates(self):
+        broken = SystemModel(
+            dim=1,
+            noise_dim=1,
+            force=lambda X, S: -X,
+            noise=lambda X, S: np.ones(X.shape + (1,)),
+            friction=lambda X, S: np.full(X.shape + (1,), np.nan),
+        )
+        with pytest.raises(AssumptionViolated) as err:
+            validate_assumptions(broken, ProbeConfig(n_states=8, n_pairs=4))
+        assert np.isnan(err.value.report.min_sym_eig)
 
     def test_interaction_lower_bound(self):
         model = model_library(

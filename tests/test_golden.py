@@ -2,8 +2,8 @@
 
 The digests and reprs were recorded with numpy 2.4.6 (OpenBLAS 0.3.31,
 Python 3.11).  They pin the sample-config reports and path dump, the
-reports of a d = 2 interaction run under the exponential rule (a stack of
-d > 1 matrix exponentials at every fast step), the ``validate`` and
+reports of d = 2 and d = 4 interaction runs under the exponential rule (a
+stack of d > 1 matrix exponentials at every fast step), the ``validate`` and
 ``solve --oracle`` output, and the velocity diagnostics, which no
 byte-determinism test covers otherwise.  A
 change of numpy or BLAS may move the last digits without any change in the
@@ -57,17 +57,56 @@ INTERACTION_D2_EXPONENTIAL = {
 }
 
 
-def test_interaction_d2_exponential_reports(tmp_path, capsys):
+def converge_digests(tmp_path, doc) -> dict:
     config = tmp_path / "c.json"
-    config.write_text(json.dumps(INTERACTION_D2_EXPONENTIAL))
+    config.write_text(json.dumps(doc))
     assert dispatch(["converge", str(config), "--out", str(tmp_path)]) == 0
-    got = {
+    return {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in ("report.json", "report.csv")
     }
-    assert got == {
+
+
+def test_interaction_d2_exponential_reports(tmp_path, capsys):
+    assert converge_digests(tmp_path, INTERACTION_D2_EXPONENTIAL) == {
         "report.json": "093288758fa056e7c20ffd00cd18a52def3662c5c9e189b2019439cd8a1beb18",
         "report.csv": "246f5894c1823735d02f5e7d604757af5d6a3c7c495fb14de5679138c07dac0c",
+    }
+
+
+INTERACTION_D4_EXPONENTIAL = {
+    "seed": 9,
+    "model": {
+        "family": "interaction",
+        "params": {
+            "a": 2.0, "b": 0.5, "c": 1.0, "d": 4, "k": 4,
+            "sigma": [
+                [1.0, 0.3, -0.2, 0.1],
+                [0.2, 0.9, 0.3, -0.1],
+                [-0.1, 0.2, 1.1, 0.3],
+                [0.3, -0.2, 0.1, 0.8],
+            ],
+        },
+    },
+    "simulation": {
+        "N": 4, "T": 0.04, "epsilon_list": [0.1, 0.05, 0.025],
+        "delta_rule": {"type": "exponential", "delta": 0.0025},
+        "Delta": 0.01, "replicas": 6,
+        "x0": [
+            [0.3, -0.2, 0.5, 0.0],
+            [-0.4, 0.1, 0.0, 0.6],
+            [0.2, 0.7, -0.3, -0.5],
+            [0.0, -0.6, 0.4, 0.2],
+        ],
+    },
+}
+
+
+def test_interaction_d4_exponential_reports(tmp_path, capsys):
+    # the shape of the meanfield-d4 benchmark: every eps shares one limit path
+    assert converge_digests(tmp_path, INTERACTION_D4_EXPONENTIAL) == {
+        "report.json": "cbc453cf5f93cb0d55f08f34e80bb27d2ca5ff651140b2f1d0a87e4bcfeb7f67",
+        "report.csv": "5ddfa883c3cfb61ddadad30edd8a33e7b61594cb87a8939bf13fc674ab588510",
     }
 
 

@@ -398,3 +398,16 @@ class TestEnsembleFields:
         _, S, S_t, _ = limit_drift_fields(model, X)
         assert np.array_equal(S, np.zeros_like(S))
         assert np.array_equal(S_t, np.zeros_like(S_t))
+
+    def test_nan_friction_raises(self):
+        # NaN compares false against the stability floor in both directions
+        broken = SystemModel(
+            dim=1,
+            noise_dim=1,
+            force=lambda X, S: -X,
+            noise=lambda X, S: np.ones(X.shape + (1,)),
+            friction=lambda X, S: np.full(X.shape + (1,), np.nan),
+        )
+        with pytest.raises(UnstableFriction):
+            limit_drift_fields(broken, np.zeros((2, 3, 1)))
+
