@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -77,9 +78,17 @@ def _get_number(obj, key, where, default=None, integer=False):
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where}.{key} must be a number")
+    if isinstance(value, float) and not math.isfinite(value):   # json reads Infinity, NaN
+        raise ValidationError(f"{where}.{key} must be finite, got {value}")
     if integer and int(value) != value:
         raise ValidationError(f"{where}.{key} must be an integer")
     return int(value) if integer else float(value)
+
+
+def _check_seed(seed: int) -> int:
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _parse_delta_rule(obj) -> DeltaRule:
@@ -110,7 +119,7 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError("configuration must be a JSON object")
     _require_keys(doc, {"seed", "output_dir", "model", "simulation"}, "configuration")
 
-    seed = _get_number(doc, "seed", "configuration", default=0, integer=True)
+    seed = _check_seed(_get_number(doc, "seed", "configuration", default=0, integer=True))
     output_dir = doc.get("output_dir", ".")
     if not isinstance(output_dir, str):
         raise ValidationError("output_dir must be a string")
@@ -169,7 +178,10 @@ def parse_config(text: str) -> RunConfig:
         raw = sim["epsilon_list"]
         if not isinstance(raw, list) or not raw:
             raise ValidationError("simulation.epsilon_list must be a nonempty array")
-        epsilon_list = convergence._check_epsilons(raw)
+        entries = {f"epsilon_list[{i}]": e for i, e in enumerate(raw)}
+        epsilon_list = convergence._check_epsilons(
+            [_get_number(entries, key, "simulation") for key in entries]
+        )
     else:
         raise ValidationError("simulation needs 'epsilon' or 'epsilon_list'")
 
@@ -219,7 +231,7 @@ def _load_config(path: str, seed: Optional[int], out: Optional[str]) -> RunConfi
     with open(path, "r", encoding="utf-8") as fh:
         cfg = parse_config(fh.read())
     if seed is not None:
-        cfg.seed = seed
+        cfg.seed = _check_seed(seed)
     if out is not None:
         cfg.output_dir = out
     return cfg

@@ -10,15 +10,14 @@ agree to the last bit).
 The sweep makes one pass over the eps grid per replica batch: each batch
 (one task of a thread pool of the requested size) runs every eps, the eps
 values that share a fast step on one draw of the noise and one limit path.
-Batch sizes follow the work per replica, and results are assembled in replica
-order; each replica's result depends on nothing but its own streams, so
-reports are byte-reproducible for a given seed at any thread count, batch
-size or noise block size.
+Batches are sized by work, by the rule the velocity diagnostics share
+(``dynamics._replica_batches``), and results are assembled in replica order;
+each replica depends on nothing but its own streams, so a seed's reports are
+byte-identical at any thread count, batch size or noise block size.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -32,6 +31,7 @@ from .dynamics import (
     SCHEME_EXPONENTIAL,
     _coupled_sweep,
     _ratio_int,
+    _replica_batches,
     _state_array,
     run_limit_path,
     validate_assumptions,
@@ -42,15 +42,6 @@ from .errors import (
     ValidationError,
 )
 from .models import ModelSpec, SystemModel
-
-# Replicas per batch: at least BATCH_MIN_REPLICAS, more when particles are
-# few, so that a batch holds about BATCH_STATES replica-particle-component
-# states and numpy amortizes the interpreter's cost per step (200 replicas of
-# one particle: 0.43 s as one batch, 2.94 s in batches of 16).  Larger
-# batches of large ensembles do not pay: at 64 particles a batch of 50 ran
-# about 20% slower than batches of 16.  Results do not depend on either value.
-BATCH_STATES = 1024
-BATCH_MIN_REPLICAS = 16
 
 
 @dataclass(frozen=True)
@@ -103,8 +94,8 @@ class RateFit:
 
 def _check_epsilons(eps_list):
     eps = [float(e) for e in eps_list]
-    if not eps or any(e <= 0.0 for e in eps):
-        raise ValidationError("epsilon values must be positive")
+    if not eps or not all(0.0 < e < float("inf") for e in eps):   # NaN fails too
+        raise ValidationError("epsilon values must be positive and finite")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValidationError("epsilon_list must be strictly decreasing")
     return eps
@@ -139,10 +130,7 @@ def run_convergence(
     if validate:
         validate_assumptions(model)
     deltas = [delta_rule.resolve(eps, Delta) for eps in eps_values]
-
-    size = max(BATCH_MIN_REPLICAS, math.ceil(BATCH_STATES / (n_particles * model.dim)))
-    size = min(size, math.ceil(replicas / threads))
-    batches = [range(s, min(s + size, replicas)) for s in range(0, replicas, size)]
+    batches = _replica_batches(model, replicas, n_particles, threads)
 
     def one_batch(ids):
         return _coupled_sweep(

@@ -39,12 +39,20 @@ from .errors import (
 )
 from .linalg import expm, min_sym_eig_batch
 from .measures import EmpiricalMeasure, wasserstein2_assignment
-from .models import SystemModel, limit_drift_fields
+from .models import MODE_EXTENSION, SystemModel, limit_drift_fields
 
 DEFAULT_KAPPA = 20.0
 BLOWUP_CAP = 1e8
-# Replicas per batch in diagnostics_velocity; the value fixes the order in
-# which the per-time sums are accumulated, so it is part of the output bytes.
+# Replicas per batch: about BATCH_STATES values (512 KB) in a step's largest
+# array, at least BATCH_MIN_REPLICAS.  Larger batches amortize the
+# interpreter's cost per step (constant OU, 64 particles: diagnostics 0.58 s
+# in batches of 16, 0.44 s in batches of 128), but pairwise arrays grow with
+# them (interaction, d = 4, 32 particles: sweep peak RSS 139 MB in batches of
+# 16, 438 MB in batches of 64).  Results do not depend on either value.
+BATCH_STATES = 65536
+BATCH_MIN_REPLICAS = 16
+# Replicas per partial sum of the velocity diagnostics' per-time records; it
+# fixes only the order of the sums, which is part of the output bytes.
 DIAGNOSTICS_CHUNK = 128
 
 SCHEME_EXPLICIT = "explicit"
@@ -165,6 +173,20 @@ def _full_kernel(scheme: str, eps: float, delta: float, kappa: float = DEFAULT_K
     return _FULL_SCHEMES[scheme]
 
 
+def _replica_batches(model: SystemModel, replicas: int, n_particles: int, workers: int = 1):
+    """Consecutive replica ranges sized as above, at most ceil(replicas / workers).
+
+    A replica's largest array holds n_particles * dim values, times
+    n_particles when its coefficients read the ensemble's measure (pairwise
+    differences)."""
+    states = n_particles * model.dim
+    if model.mode == MODE_EXTENSION or not model.dmu_is_zero:
+        states *= n_particles
+    size = max(BATCH_MIN_REPLICAS, -(-BATCH_STATES // states))
+    size = min(size, -(-replicas // workers))
+    return [range(s, min(s + size, replicas)) for s in range(0, replicas, size)]
+
+
 # --- the stepping loop -------------------------------------------------------
 
 
@@ -182,6 +204,11 @@ def _march(
     after every fast step and X, XL after every window; calls
     ``on_step(s, V)`` after fast step s (from 1) of each system and
     ``on_window(j, systems, XL)`` after window j.  Returns XL.
+
+    A block is let go before the next one is drawn, so a streamed run holds
+    one block at a time, provided ``blocks`` keeps no reference to what it
+    yielded: ``map`` keeps none, a generator expression keeps its loop
+    variable while it draws the next block.
     """
     j = steps_done = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -205,6 +232,7 @@ def _march(
                     on_window(j, systems, XL)
                 j += 1
             steps_done += n_windows * m
+            del fast, coarse
     return XL
 
 
@@ -351,9 +379,9 @@ def _coupled_sweep(
     sup = np.zeros((len(eps_values), R))
     for delta, (m, members) in groups.items():
         driver = NoiseDriver(seed, delta, m)
-        blocks = (
-            (fast, driver.coarse_from_fast(fast))
-            for fast in driver.blocks(replica_ids, n_particles, k, n_coarse)
+        blocks = map(
+            lambda fast: (fast, driver.coarse_from_fast(fast)),
+            driver.blocks(replica_ids, n_particles, k, n_coarse),
         )
 
         def on_window(j, systems, XL):
@@ -415,7 +443,7 @@ def run_limit_path(
     out = np.empty((n_coarse + 1, n_particles, d))
     out[0] = x_init
     driver = NoiseDriver(seed, Delta, 1)
-    blocks = ((None, dws) for dws in driver.blocks([replica_id], n_particles, k, n_coarse))
+    blocks = map(lambda dws: (None, dws), driver.blocks([replica_id], n_particles, k, n_coarse))
 
     def on_window(j, systems, XL):
         out[j + 1] = XL[0]
@@ -479,7 +507,13 @@ def diagnostics_velocity(
     x0=0.0,
     v0=0.0,
 ) -> VelocityDiagnostics:
-    """Estimate the two velocity moment functionals of the mass-eps system."""
+    """Estimate the two velocity moment functionals of the mass-eps system.
+
+    Replicas march in the sweep's work-sized batches (``_replica_batches``).
+    The per-time records are added up over consecutive runs of
+    DIAGNOSTICS_CHUNK replicas as each run finishes, so no batch size moves a
+    byte, and the records of at most one run (n_rec x DIAGNOSTICS_CHUNK
+    values) are held at once, whatever the replica count or batch size."""
     if replicas < 2:
         raise ValidationError("diagnostics need at least two replicas")
     if n_record < 1:
@@ -494,32 +528,40 @@ def diagnostics_velocity(
 
     z_sum = np.zeros(len(rec_steps))
     z_sq_sum = np.zeros(len(rec_steps))
-    sup4 = np.empty(replicas)
+    # per record time, the records of the run of DIAGNOSTICS_CHUNK replicas
+    # being filled; a finished run is summed as one contiguous 1-D array
+    run = np.empty((len(rec_steps), DIAGNOSTICS_CHUNK))
+    sup_ev = np.zeros(replicas)
 
     def on_step(s, V):
-        np.maximum(
-            sup_ev, np.max(np.linalg.norm(eps * V, axis=-1), axis=-1), out=sup_ev
-        )
+        sup_ev[ids] = np.maximum(sup_ev[ids], np.linalg.norm(eps * V, axis=-1).max(axis=-1))
         if s % rec_every == 0:
-            z = eps * np.mean(np.sum(V * V, axis=-1), axis=-1)  # (R,)
-            z_sum[s // rec_every] += z.sum()
-            z_sq_sum[s // rec_every] += (z * z).sum()
+            j = s // rec_every
+            z = eps * np.mean(np.sum(V * V, axis=-1), axis=-1)
+            for start in run_starts:
+                stop = min(start + DIAGNOSTICS_CHUNK, replicas)
+                lo, hi = max(start, ids.start), min(stop, ids.stop)
+                run[j, lo - start:hi - start] = z[lo - ids.start:hi - ids.start]
+                if hi == stop:   # the run is complete
+                    r = run[j, :stop - start]
+                    z_sum[j] += r.sum()
+                    z_sq_sum[j] += (r * r).sum()
 
     driver = NoiseDriver(seed, delta, 1)
-    for start in range(0, replicas, DIAGNOSTICS_CHUNK):
-        ids = list(range(start, min(start + DIAGNOSTICS_CHUNK, replicas)))
-        R = len(ids)
-        X = np.broadcast_to(x_init, (R, n_particles, d)).copy()
-        V = np.broadcast_to(v_init, (R, n_particles, d)).copy()
-        sup_ev = np.zeros(R)
+    for batch in _replica_batches(model, replicas, n_particles):
+        ids = slice(batch.start, batch.stop)
+        first_run = batch.start - batch.start % DIAGNOSTICS_CHUNK
+        run_starts = range(first_run, batch.stop, DIAGNOSTICS_CHUNK)
+        X = np.broadcast_to(x_init, (len(batch), n_particles, d)).copy()
+        V = np.broadcast_to(v_init, (len(batch), n_particles, d)).copy()
         on_step(0, V)
-        blocks = ((fast, None) for fast in driver.blocks(ids, n_particles, k, n_steps))
+        blocks = map(lambda fast: (fast, None), driver.blocks(batch, n_particles, k, n_steps))
         _march(
             model, blocks, [[eps, X, V]], None, advance=advance,
             delta=delta, on_step=on_step,
         )
-        sup4[start:start + R] = sup_ev ** 4
 
+    sup4 = sup_ev ** 4
     mean_curve = z_sum / replicas
     j_star = int(np.argmax(mean_curve))
     var = (z_sq_sum[j_star] - replicas * mean_curve[j_star] ** 2) / (replicas - 1)
@@ -604,6 +646,7 @@ def validate_assumptions(
     # pairs are local perturbations of size fd_step
     ratios = {"force": 0.0, "noise": 0.0, "friction": 0.0, "friction_dx": 0.0}
     max_dmu = 0.0
+    w2 = {}   # per ordered pair (m1, m2): the transposed problem can round differently
     for pair_i in range(probe.n_pairs):
         x1 = rng.uniform(probe.lo, probe.hi, size=d)
         if pair_i % 2 == 0:
@@ -614,7 +657,9 @@ def validate_assumptions(
         m1, m2 = rng.choice(len(measures), size=2)
         mu1, mu2 = measures[m1], measures[m2]
         dx = float(np.linalg.norm(x1 - x2))
-        dw = wasserstein2_assignment(mu1, mu2)
+        if (m1, m2) not in w2:
+            w2[m1, m2] = wasserstein2_assignment(mu1, mu2)
+        dw = w2[m1, m2]
         denom = dx + dw
         if denom == 0.0:
             continue

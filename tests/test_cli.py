@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from smallmass import convergence, driver
+from smallmass import cli, driver, dynamics
 from smallmass.cli import dispatch, main, parse_config
 from smallmass.errors import ParseError, ValidationError
 
@@ -215,14 +215,14 @@ class TestConvergeCommand:
         # and the whole run
         settings = [
             (1, 1, 1),
-            (convergence.BATCH_MIN_REPLICAS, convergence.BATCH_STATES, driver.BLOCK_BYTES),
+            (dynamics.BATCH_MIN_REPLICAS, dynamics.BATCH_STATES, driver.BLOCK_BYTES),
             (replicas, 1, 2**40),
             (replicas, 1, 1),
         ]
         blobs = set()
         for n, (min_replicas, states, block_bytes) in enumerate(settings):
-            monkeypatch.setattr(convergence, "BATCH_MIN_REPLICAS", min_replicas)
-            monkeypatch.setattr(convergence, "BATCH_STATES", states)
+            monkeypatch.setattr(dynamics, "BATCH_MIN_REPLICAS", min_replicas)
+            monkeypatch.setattr(dynamics, "BATCH_STATES", states)
             monkeypatch.setattr(driver, "BLOCK_BYTES", block_bytes)
             doc["output_dir"] = str(tmp_path / f"run{n}")
             assert dispatch(["converge", write(tmp_path / "c.json", doc)]) == 0
@@ -276,3 +276,66 @@ class TestDispatch:
         problem = write(tmp_path / "p.json", {"gamma": [[1.0]], "Q": [[2.0]]})
         assert main(["solve", problem]) == 0
         assert json.loads(capsys.readouterr().out)["J"] == [[1.0]]
+
+
+def converge_config(**sim_overrides):
+    doc = base_config(**sim_overrides)
+    del doc["simulation"]["epsilon"]
+    doc["simulation"].setdefault("epsilon_list", [0.1, 0.05])
+    return doc
+
+
+class TestRejectedBeforeCompute:
+    """Bad numbers exit 1 with a validation error before any probe or sweep."""
+
+    @pytest.fixture(autouse=True)
+    def no_compute(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("compute started")
+
+        for name in ("run_convergence", "validate_assumptions", "simulate_coupled"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    def expect_validation_error(self, capsys, argv):
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ")
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("key", ["T", "Delta", "epsilon_list", "kappa", "delta", "N", "replicas"])
+    def test_nonfinite_number(self, tmp_path, capsys, key, value):
+        doc = converge_config()
+        sim = doc["simulation"]
+        if key == "epsilon_list":
+            sim[key] = [0.1, value]
+        elif key == "kappa":
+            sim["delta_rule"] = {"type": "explicit", "kappa": value}
+        elif key == "delta":
+            sim["delta_rule"] = {"type": "exponential", "delta": value}
+        else:
+            sim[key] = value
+        path = write(tmp_path / "c.json", doc)
+        text = (tmp_path / "c.json").read_text()
+        assert "Infinity" in text or "NaN" in text   # literals that Python's json reads
+        self.expect_validation_error(capsys, ["converge", path, "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("entry", ["abc", "0.1", True, None, [0.1]])
+    def test_epsilon_list_entry_that_is_not_a_number(self, tmp_path, capsys, entry):
+        doc = converge_config(epsilon_list=[0.1, entry])
+        path = write(tmp_path / "c.json", doc)
+        err = self.expect_validation_error(capsys, ["converge", path, "--out", str(tmp_path)])
+        assert "simulation.epsilon_list[1] must be a number" in err
+
+    @pytest.mark.parametrize("command", ["validate", "converge"])
+    def test_negative_seed_in_config(self, tmp_path, capsys, command):
+        doc = converge_config()
+        doc["seed"] = -3
+        self.expect_validation_error(capsys, [command, write(tmp_path / "c.json", doc)])
+
+    @pytest.mark.parametrize("command", ["validate", "simulate", "converge"])
+    def test_negative_seed_on_command_line(self, tmp_path, capsys, command):
+        doc = base_config() if command == "simulate" else converge_config()
+        path = write(tmp_path / "c.json", doc)
+        self.expect_validation_error(capsys, [command, path, "--seed", "-1"])

@@ -111,6 +111,15 @@ class TestRunConvergence:
                 seed=0, delta_rule=DeltaRule(), Delta=0.01,
             )
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_rejects_nonpositive_or_nonfinite_epsilons(self, bad):
+        # NaN compares False both ways, so it is rejected like inf and <= 0
+        with pytest.raises(ValidationError, match="positive and finite"):
+            run_convergence(
+                constant_model(), [0.1, bad], T=0.1, n_particles=1, replicas=2,
+                seed=0, delta_rule=DeltaRule(), Delta=0.01, validate=False,
+            )
+
     def test_bit_reproducible_and_thread_invariant(self):
         model = constant_model()
         kwargs = dict(

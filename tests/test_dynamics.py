@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from smallmass import driver, dynamics
 from smallmass.driver import NoiseDriver
 from smallmass.dynamics import (
     ParticleEnsembleFull,
@@ -9,6 +12,7 @@ from smallmass.dynamics import (
     _advance_full_em,
     _advance_full_exponential,
     _coupled_sweep,
+    _replica_batches,
     diagnostics_velocity,
     run_limit_path,
     simulate_coupled,
@@ -25,6 +29,7 @@ from smallmass.errors import (
     StepTooLarge,
     ValidationError,
 )
+from smallmass.measures import wasserstein2_assignment
 from smallmass.models import ModelSpec, SystemModel, model_library
 
 
@@ -320,6 +325,20 @@ class TestSimulateCoupled:
             assert res.sup_diff == pytest.approx(sup[rid], rel=1e-12, abs=1e-15)
 
 
+class TestReplicaBatches:
+    def test_pairs_count_when_coefficients_read_the_measure(self):
+        # 64 particles: 64 values per replica for the constant family, 64 x 64
+        # pairwise ones for the interaction family
+        pairwise = model_library(ModelSpec("interaction", {"a": 2.0, "b": 0.5, "c": 1.0, "d": 1}))
+        assert [len(b) for b in _replica_batches(constant_model(), 200, 64)] == [200]
+        assert [len(b) for b in _replica_batches(pairwise, 50, 64)] == [16, 16, 16, 2]
+
+    def test_batches_cover_the_replicas_in_order_with_a_share_per_worker(self):
+        batches = _replica_batches(constant_model(), 1001, 1, workers=4)
+        assert [len(b) for b in batches] == [251, 251, 251, 248]
+        assert [r for b in batches for r in b] == list(range(1001))
+
+
 class TestVelocityDiagnostics:
     def test_deterministic_decay_sup_at_time_zero(self):
         model = free_model(gamma=2.0)
@@ -352,6 +371,79 @@ class TestVelocityDiagnostics:
                 model, eps, T=1.0, delta=eps / 100.0, replicas=500, seed=seed
             )
             assert abs(diag.sup_ev2 - 0.25) <= 3.0 * diag.sup_ev2_stderr
+
+    @pytest.mark.parametrize("d, n_particles, scheme, delta", [
+        (1, 1, "explicit", 0.0025),
+        (2, 2, "exponential", 0.01),
+    ])
+    def test_bytes_do_not_depend_on_batches_or_blocks(
+        self, monkeypatch, d, n_particles, scheme, delta
+    ):
+        # 300 replicas span three summation chunks; (minimum replicas per
+        # batch, states per batch, noise block bytes): batches of 1, 100
+        # (runs that end inside a batch), the default and R; blocks of one
+        # step, the default and the whole run
+        model = model_library(ModelSpec("interaction", {"a": 2.0, "b": 0.5, "c": 1.0, "d": d}))
+        replicas = 300
+        settings = [
+            (1, 1, 1),
+            (100, 1, driver.BLOCK_BYTES),
+            (dynamics.BATCH_MIN_REPLICAS, dynamics.BATCH_STATES, driver.BLOCK_BYTES),
+            (replicas, 1, 2**40),
+            (replicas, 1, 1),
+        ]
+        reprs = set()
+        for min_replicas, states, block_bytes in settings:
+            monkeypatch.setattr(dynamics, "BATCH_MIN_REPLICAS", min_replicas)
+            monkeypatch.setattr(dynamics, "BATCH_STATES", states)
+            monkeypatch.setattr(driver, "BLOCK_BYTES", block_bytes)
+            diag = diagnostics_velocity(
+                model, 0.05, T=0.05, delta=delta, replicas=replicas, seed=12,
+                n_particles=n_particles, scheme=scheme, n_record=4, x0=0.2, v0=-0.3,
+            )
+            reprs.add(repr(vars(diag)))
+        assert len(reprs) == 1
+
+    @pytest.mark.parametrize("entry", ["sweep", "diagnostics"])
+    def test_streamed_runs_hold_one_block_at_a_time(self, monkeypatch, entry):
+        # 64 particles, 2 replicas, 3000 fast steps in blocks of 1 MB: a
+        # block is let go before the next is drawn, so the peak stays under
+        # 1.5 blocks (holding the previous block during the draw takes two)
+        monkeypatch.setattr(driver, "BLOCK_BYTES", 2**20)
+        model = constant_model()
+
+        def run(T):
+            if entry == "sweep":
+                _coupled_sweep(model, [0.02], [0.001], T, 0.01, 64, range(2), 3, 0.0, 0.0)
+            else:
+                diagnostics_velocity(model, 0.02, T=T, delta=0.001, replicas=2,
+                                     seed=3, n_particles=64)
+
+        run(0.01)   # lazy set-up
+        tracemalloc.start()
+        try:
+            run(3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 2**20 < peak < 1.5 * 2**20
+
+    def test_record_memory_does_not_grow_with_replicas(self, monkeypatch):
+        # batches of 64 replicas, one record per step: holding every
+        # replica's records would take 101 x 2700 x 8 bytes = 2.2 MB more
+        # at 3000 replicas than at 300
+        monkeypatch.setattr(dynamics, "BATCH_MIN_REPLICAS", 64)
+        monkeypatch.setattr(dynamics, "BATCH_STATES", 1)
+        peaks = []
+        for replicas in (300, 3000):
+            tracemalloc.start()
+            diagnostics_velocity(
+                constant_model(), 0.05, T=0.25, delta=0.0025, replicas=replicas,
+                seed=5, n_record=100,
+            )
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.5e6
 
     def test_exponential_terminal_distribution_matches_fine_em(self):
         # same model, same horizon: exponential stepper at delta = eps/10 vs
@@ -453,6 +545,20 @@ class TestValidateAssumptions:
         assert report.min_sym_eig >= 2.0
         assert report.max_dmu_norm > 0.0
         assert all(np.isfinite(v) for v in report.lipschitz.values())
+
+    @pytest.mark.parametrize("n_measures", [1, 2, 4])
+    def test_w2_once_per_ordered_pair_of_measures(self, monkeypatch, n_measures):
+        calls = []
+
+        def counted(mu, nu):
+            calls.append((mu, nu))
+            return wasserstein2_assignment(mu, nu)
+
+        monkeypatch.setattr(dynamics, "wasserstein2_assignment", counted)
+        model = model_library(ModelSpec("interaction", {"a": 2.0, "b": 0.5, "c": 1.0, "d": 2}))
+        validate_assumptions(model, ProbeConfig(n_measures=n_measures, n_pairs=64, seed=2))
+        assert 1 <= len(calls) <= n_measures ** 2
+        assert len({(id(mu), id(nu)) for mu, nu in calls}) == len(calls)
 
     def test_measure_dependence_shows_in_report(self):
         model = model_library(ModelSpec("scalar-state", {"a": 2.0, "b": 1.0}))

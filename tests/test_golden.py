@@ -193,3 +193,27 @@ def test_diagnostics_exponential_record_grid_off_the_end():
         "'sup_ev2_time': 0.1, 'mean_sup_ev4': 0.005346994565318617, "
         "'mean_sup_ev4_stderr': 0.0019432545716406213, 'replicas': 9}"
     )
+
+
+def test_diagnostics_explicit_three_summation_chunks():
+    # 300 replicas cross DIAGNOSTICS_CHUNK twice, so the per-time sums are
+    # accumulated over three runs of replicas
+    diag = diagnostics_velocity(constant_ou(), 0.05, T=0.2, delta=0.0025, replicas=300, seed=7)
+    assert repr(vars(diag)) == (
+        "{'sup_ev2': 0.3059597484407406, 'sup_ev2_stderr': 0.02615479983641236, "
+        "'sup_ev2_time': 0.18, 'mean_sup_ev4': 0.006520342632117218, "
+        "'mean_sup_ev4_stderr': 0.0003876852192370168, 'replicas': 300}"
+    )
+
+
+def test_diagnostics_exponential_d2_three_summation_chunks():
+    model = model_library(ModelSpec("interaction", INTERACTION_D2_EXPONENTIAL["model"]["params"]))
+    diag = diagnostics_velocity(
+        model, 0.05, T=0.1, delta=0.01, replicas=300, seed=8, n_particles=2,
+        scheme="exponential", n_record=5, x0=[[0.3, -0.2], [-0.1, 0.4]],
+    )
+    assert repr(vars(diag)) == (
+        "{'sup_ev2': 0.2993652600275941, 'sup_ev2_stderr': 0.012044682793694963, "
+        "'sup_ev2_time': 0.04, 'mean_sup_ev4': 0.002734658328103485, "
+        "'mean_sup_ev4_stderr': 0.00013536893523764484, 'replicas': 300}"
+    )
