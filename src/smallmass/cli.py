@@ -80,8 +80,8 @@ def _get_number(obj, key, where, default=None, integer=False):
         raise ValidationError(f"{where}.{key} must be a number")
     if isinstance(value, float) and not math.isfinite(value):   # json reads Infinity, NaN
         raise ValidationError(f"{where}.{key} must be finite, got {value}")
-    if integer and int(value) != value:
-        raise ValidationError(f"{where}.{key} must be an integer")
+    if integer and not (int(value) == value and -(2**63) <= value < 2**63):
+        raise ValidationError(f"{where}.{key} must be a 64-bit integer, got {value}")
     return int(value) if integer else float(value)
 
 

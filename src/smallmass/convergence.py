@@ -29,6 +29,7 @@ from .dynamics import (
     DEFAULT_KAPPA,
     SCHEME_EXPLICIT,
     SCHEME_EXPONENTIAL,
+    _check_explicit_damping,
     _coupled_sweep,
     _ratio_int,
     _replica_batches,
@@ -120,7 +121,9 @@ def run_convergence(
     Replica r of every eps value reuses stream key r.  Under the exponential
     rule every eps has the same fast step, so every eps sees the same Brownian
     path and the same limit path; under the explicit rule only the stream
-    keys are shared, each eps drawing its own fast grid.
+    keys are shared, each eps drawing its own fast grid.  Under the explicit
+    rule ``validate`` also raises StepTooLarge on a probed friction that one
+    step would not damp (``_check_explicit_damping``), before any sweep.
     """
     eps_values = _check_epsilons(eps_list)
     if replicas < 2:
@@ -128,7 +131,9 @@ def run_convergence(
     if threads < 1:
         raise ValidationError("threads must be >= 1")
     if validate:
-        validate_assumptions(model)
+        probed = validate_assumptions(model).friction
+        if delta_rule.scheme == SCHEME_EXPLICIT:
+            _check_explicit_damping(probed, delta_rule.kappa)
     deltas = [delta_rule.resolve(eps, Delta) for eps in eps_values]
     batches = _replica_batches(model, replicas, n_particles, threads)
 
@@ -202,7 +207,7 @@ def _naive_overdamped_path(
     drv = NoiseDriver(seed, Delta, 1)
     blocks = drv.blocks([replica_id], n_particles, k, n_coarse)
     dws = (dw for block in blocks for dw in block[0])
-    X = _state_array(x0, n_particles, d, "x0")[None]
+    X = _state_array(x0, n_particles, d, "x0")[None].copy()
     out = np.empty((n_coarse + 1, n_particles, d))
     out[0] = X[0]
     for j, dw in enumerate(dws):

@@ -34,6 +34,7 @@ from .errors import (
     AssumptionViolated,
     GridMismatch,
     NumericalBlowup,
+    SizeLimitExceeded,
     StepTooLarge,
     ValidationError,
 )
@@ -63,18 +64,19 @@ SCHEME_EXPONENTIAL = "exponential"
 
 
 def _state_array(value, n_particles: int, dim: int, name: str) -> np.ndarray:
+    """``value``, a number, a ``(dim,)`` row or an ``(n_particles, dim)`` array, as
+    a read-only ``(n_particles, dim)`` view: nothing of size n_particles is made."""
     if n_particles < 1:
         raise ValidationError(f"n_particles must be >= 1, got {n_particles}")
     arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full((n_particles, dim), float(arr))
-    elif arr.shape == (dim,):
-        arr = np.tile(arr, (n_particles, 1))
-    if arr.shape != (n_particles, dim):
+    if arr.shape not in ((), (dim,), (n_particles, dim)):
         raise ValidationError(f"{name} must broadcast to ({n_particles}, {dim})")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} must be finite")
-    return arr
+    try:
+        return np.broadcast_to(arr, (n_particles, dim))
+    except ValueError:   # more bytes than an array can address
+        raise SizeLimitExceeded(f"{name}: ({n_particles}, {dim}) is too large") from None
 
 
 @dataclass
@@ -171,6 +173,17 @@ def _full_kernel(scheme: str, eps: float, delta: float, kappa: float = DEFAULT_K
     if scheme == SCHEME_EXPLICIT and delta > eps / kappa * (1.0 + 1e-12):
         raise StepTooLarge(f"delta = {delta} exceeds eps/kappa = {eps / kappa:.3e}")
     return _FULL_SCHEMES[scheme]
+
+
+def _check_explicit_damping(gammas: np.ndarray, kappa: float):
+    """Raise StepTooLarge unless one explicit step, v -> (I - gamma / kappa) v,
+    shrinks every eigendirection of every friction matrix in ``gammas``."""
+    worst = float(np.max(np.abs(1.0 - np.linalg.eigvals(gammas) / kappa)))
+    if not worst < 1.0:
+        raise StepTooLarge(
+            f"explicit rule at kappa = {kappa}: a probed friction gives the velocity factor "
+            f"|1 - lambda/kappa| = {worst:.3e} >= 1; raise kappa or use the exponential rule"
+        )
 
 
 def _replica_batches(model: SystemModel, replicas: int, n_particles: int, workers: int = 1):
@@ -580,34 +593,37 @@ def diagnostics_velocity(
 
 # --- assumption validation ---------------------------------------------------
 
+# Probe measures hold PROBE_MEASURE_SIZE samples, half the Lipschitz pairs are
+# perturbations of length PROBE_FD_STEP, and sym(gamma) must stay above EIG_FLOOR.
+PROBE_MEASURE_SIZE = 8
+PROBE_FD_STEP = 1e-5
+EIG_FLOOR = 1e-8
+
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """State box, measure draws, and pair counts for assumption probing."""
+    """State box, pair counts and seed for assumption probing."""
 
     lo: float = -2.0
     hi: float = 2.0
     n_states: int = 64
     n_measures: int = 4
-    measure_size: int = 8
     n_pairs: int = 64
-    fd_step: float = 1e-5
     seed: int = 0
-    eig_floor: float = 1e-8
 
 
 @dataclass
 class AssumptionReport:
     min_sym_eig: float
     argmin_state: np.ndarray
+    friction: np.ndarray   # (n_measures, n_states, d, d): each probe state, each measure
     lipschitz: dict = field(default_factory=dict)
     max_dmu_norm: float = 0.0
     n_probes: int = 0
-    eig_floor: float = 1e-8
 
     @property
     def violated(self) -> bool:
-        return not self.min_sym_eig > self.eig_floor   # NaN counts as violated
+        return not self.min_sym_eig > EIG_FLOOR   # NaN counts as violated
 
 
 def validate_assumptions(
@@ -617,9 +633,12 @@ def validate_assumptions(
 
     Scans a state box against random empirical measures: reports the smallest
     symmetric-part friction eigenvalue (raising AssumptionViolated when it
-    falls to the floor), the worst difference-quotient Lipschitz ratios of
-    force, noise, friction and its state derivative, and the largest measure-
-    derivative norm.
+    falls to EIG_FLOOR), the worst Lipschitz ratios of force, noise, friction
+    and its state derivative over random pairs (x1, mu1), (x2, mu2), against
+    |x1 - x2| + W2(mu1, mu2) (against |x1 - x2| for force and noise in
+    state-only mode), and the largest measure-derivative norm.  Each
+    coefficient is evaluated once, on the stack of all pairs, through the
+    ``*_field`` calls of the integrators.
     """
     rng = np.random.default_rng(probe.seed)
     d = model.dim
@@ -628,66 +647,62 @@ def validate_assumptions(
     else:
         states = rng.uniform(probe.lo, probe.hi, size=(probe.n_states, d))
     measures = [
-        EmpiricalMeasure(rng.uniform(probe.lo, probe.hi, size=(probe.measure_size, d)))
+        EmpiricalMeasure(rng.uniform(probe.lo, probe.hi, size=(PROBE_MEASURE_SIZE, d)))
         for _ in range(probe.n_measures)
     ]
 
     # every probe state against every measure, as one (measure, state) stack
     X = np.repeat(states[None], len(measures), axis=0)
     samples = np.stack([mu.samples for mu in measures])
-    lam = min_sym_eig_batch(model.friction_field(X, samples))
+    gammas = model.friction_field(X, samples)
+    lam = min_sym_eig_batch(gammas)
     m, j = np.unravel_index(np.argmin(lam), lam.shape)
     min_eig, argmin = float(lam[m, j]), states[j].copy()
-    report = AssumptionReport(
-        min_sym_eig=min_eig, argmin_state=argmin, n_probes=lam.size, eig_floor=probe.eig_floor
-    )
 
-    # difference-quotient Lipschitz ratios over random probe pairs; half the
-    # pairs are local perturbations of size fd_step
-    ratios = {"force": 0.0, "noise": 0.0, "friction": 0.0, "friction_dx": 0.0}
-    max_dmu = 0.0
+    # random probe pairs, drawn in order; half are local perturbations
+    P = probe.n_pairs
+    x1, x2, y = np.zeros((3, P, 1, d))
+    m1, m2 = np.zeros((2, P), dtype=int)
+    dx, denom = np.zeros((2, P))
     w2 = {}   # per ordered pair (m1, m2): the transposed problem can round differently
-    for pair_i in range(probe.n_pairs):
-        x1 = rng.uniform(probe.lo, probe.hi, size=d)
-        if pair_i % 2 == 0:
+    for p in range(P):
+        x1[p] = rng.uniform(probe.lo, probe.hi, size=d)
+        if p % 2 == 0:
             direction = rng.normal(size=d)
-            x2 = x1 + probe.fd_step * direction / max(np.linalg.norm(direction), 1e-300)
+            x2[p] = x1[p] + PROBE_FD_STEP * direction / max(np.linalg.norm(direction), 1e-300)
         else:
-            x2 = rng.uniform(probe.lo, probe.hi, size=d)
-        m1, m2 = rng.choice(len(measures), size=2)
-        mu1, mu2 = measures[m1], measures[m2]
-        dx = float(np.linalg.norm(x1 - x2))
-        if (m1, m2) not in w2:
-            w2[m1, m2] = wasserstein2_assignment(mu1, mu2)
-        dw = w2[m1, m2]
-        denom = dx + dw
-        if denom == 0.0:
-            continue
-        mu_arg1 = mu1 if model.mode == "extension" else None
-        mu_arg2 = mu2 if model.mode == "extension" else None
-        denom_state = dx if model.mode != "extension" else denom
-        if dx > 0.0 or model.mode == "extension":
-            df = np.linalg.norm(model.force(x1, mu_arg1) - model.force(x2, mu_arg2))
-            dsig = np.linalg.norm(model.noise(x1, mu_arg1) - model.noise(x2, mu_arg2))
-            if denom_state > 0.0:
-                ratios["force"] = max(ratios["force"], df / denom_state)
-                ratios["noise"] = max(ratios["noise"], dsig / denom_state)
-        dgamma = np.linalg.norm(model.friction(x1, mu1) - model.friction(x2, mu2))
-        ddx = np.linalg.norm(
-            (model.friction_dx(x1, mu1) - model.friction_dx(x2, mu2)).reshape(-1)
-        )
-        ratios["friction"] = max(ratios["friction"], dgamma / denom)
-        ratios["friction_dx"] = max(ratios["friction_dx"], ddx / denom)
-        y = mu1.samples[int(rng.integers(0, mu1.size))]
-        dmu_norm = float(np.linalg.norm(model.friction_dmu(x1, mu1, y).reshape(-1)))
-        max_dmu = max(max_dmu, dmu_norm)
+            x2[p] = rng.uniform(probe.lo, probe.hi, size=d)
+        m1[p], m2[p] = key = tuple(rng.choice(len(measures), size=2))
+        dx[p] = np.linalg.norm(x1[p] - x2[p])
+        if key not in w2:
+            w2[key] = wasserstein2_assignment(measures[m1[p]], measures[m2[p]])
+        denom[p] = dx[p] + w2[key]
+        if denom[p] != 0.0:   # zero only when lo == hi; such a pair is left out
+            y[p] = measures[m1[p]].samples[int(rng.integers(0, PROBE_MEASURE_SIZE))]
 
-    report.lipschitz = ratios
-    report.max_dmu_norm = max_dmu
+    # each coefficient once: x1 against mu1 in rows :P, x2 against mu2 in rows P:
+    X12, S12 = np.concatenate([x1, x2]), np.concatenate([samples[m1], samples[m2]])
+    state_denom = denom if model.mode == MODE_EXTENSION else dx
+    ratios = {}
+    for name, field_at, den in (
+        ("force", model.force_field, state_denom),
+        ("noise", model.noise_field, state_denom),
+        ("friction", model.friction_field, denom),
+        ("friction_dx", model.friction_dx_field, denom),
+    ):
+        f = field_at(X12, S12)
+        ratios[name] = max([0.0] + [
+            np.linalg.norm((f[p] - f[P + p]).reshape(-1)) / den[p] for p in np.flatnonzero(den)
+        ])
+    dmu = model.friction_dmu_field(x1, samples[m1], y)
+    dmu_norms = [float(np.linalg.norm(dmu[p].reshape(-1))) for p in np.flatnonzero(denom)]
 
+    report = AssumptionReport(
+        min_eig, argmin, gammas, ratios, max([0.0] + dmu_norms), n_probes=lam.size
+    )
     if report.violated:
         raise AssumptionViolated(
-            f"min symmetric-part eigenvalue {min_eig:.3e} <= {probe.eig_floor:.0e} "
+            f"min symmetric-part eigenvalue {min_eig:.3e} <= {EIG_FLOOR:.0e} "
             f"at state {argmin}",
             probe_point=argmin,
             report=report,

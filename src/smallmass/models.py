@@ -32,6 +32,8 @@ own measure) and ``m`` indexes evaluation points; measure samples are
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -178,99 +180,77 @@ class SystemModel:
 # --- built-in families -------------------------------------------------------
 
 
-def _scalar(params, name, default=None, positive=False):
-    if name not in params:
-        if default is None:
-            raise ParameterViolation(f"missing parameter {name!r}")
-        return float(default)
-    try:
-        value = float(params[name])
-    except (TypeError, ValueError) as exc:
-        raise ParameterViolation(f"parameter {name!r} must be a real number") from exc
-    if positive and value <= 0.0:
-        raise ParameterViolation(f"parameter {name!r} must be positive")
-    if not np.isfinite(value):
+def _reals(value, name):
+    """``value`` with every number in it checked and made a float."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_reals(v, name) for v in value]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):   # np.bool_ is no Real
+        raise ParameterViolation(f"parameter {name!r} must be a number, got {value!r}")
+    if not math.isfinite(value):
         raise NonFinite(f"parameter {name!r} is not finite")
-    return value
+    return float(value)
 
 
-def _matrix(params, name, shape, default_scale=None):
-    """Parameter that may be a scalar (scale of eye) or a full matrix."""
-    value = params.get(name, default_scale)
+def _param(params, name, default=None, shape=None, count=False):
+    """The one reader of family parameters: ``params[name]``, or ``default`` when
+    absent (required when None).  A parameter is a finite real number, not a bool
+    or a string; a ``count`` is an integer >= 1; one with a ``shape`` is a nested
+    list of numbers of that shape, or one number, the scale of the identity."""
+    value = params.get(name, default)
     if value is None:
         raise ParameterViolation(f"missing parameter {name!r}")
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = float(arr) * np.eye(*shape)
-    if arr.shape != shape:
-        raise ParameterViolation(f"parameter {name!r} must have shape {shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFinite(f"parameter {name!r} is not finite")
-    return arr
+    try:
+        arr = np.asarray(_reals(value, name))
+    except ValueError:   # ragged nesting
+        raise ParameterViolation(f"parameter {name!r} is a ragged list") from None
+    if shape is not None:
+        arr = float(arr) * np.eye(*shape) if arr.ndim == 0 else arr
+        if arr.shape != shape:
+            raise ParameterViolation(f"parameter {name!r} must have shape {shape}")
+        return arr
+    if arr.ndim != 0:
+        raise ParameterViolation(f"parameter {name!r} must be a number")
+    if count and not (arr >= 1.0 and arr == int(arr)):
+        raise ParameterViolation(f"parameter {name!r} must be an integer >= 1, got {value!r}")
+    return int(arr) if count else float(arr)
 
 
-def _reject_unknown(params, allowed, family):
-    unknown = set(params) - set(allowed)
-    if unknown:
-        raise ParameterViolation(
-            f"unknown parameter(s) {sorted(unknown)} for family {family!r}"
-        )
-
-
-def _build_constant(params) -> SystemModel:
-    _reject_unknown(params, {"d", "k", "gamma0", "K", "sigma"}, "constant")
-    d = int(_scalar(params, "d", default=1, positive=True))
-    k = int(_scalar(params, "k", default=d, positive=True))
-    gamma0 = _matrix(params, "gamma0", (d, d))
-    K = _matrix(params, "K", (d, d), default_scale=1.0)
-    sigma = _matrix(params, "sigma", (d, k), default_scale=1.0)
-    if linalg.min_sym_eig(gamma0) <= linalg.STABILITY_EPS:
-        raise ParameterViolation(
-            "constant friction must have a positive definite symmetric part"
-        )
+def _linear_force(K):
+    """F(x) = -K x."""
 
     def force(X, S):
         return -np.einsum("ij,bmj->bmi", K, X)
 
-    def noise(X, S):
+    return force
+
+
+def _constant(matrix):
+    """A coefficient equal to ``matrix`` at every point and for every measure."""
+
+    def field(X, S):
         B, m, _ = X.shape
-        return np.broadcast_to(sigma, (B, m, d, k))
+        return np.broadcast_to(matrix, (B, m) + matrix.shape)
 
-    def friction(X, S):
-        B, m, _ = X.shape
-        return np.broadcast_to(gamma0, (B, m, d, d))
-
-    return SystemModel(d, k, force, noise, friction)
+    return field
 
 
-def _build_scalar_state(params) -> SystemModel:
-    _reject_unknown(params, {"a", "b", "sigma"}, "scalar-state")
-    a = _scalar(params, "a")
-    b = _scalar(params, "b")
-    sigma = _scalar(params, "sigma", default=1.0)
+def _tanh_profile(params, family):
+    """``a`` and ``b`` of the friction profile a + b tanh(x), under a > |b|."""
+    a = _param(params, "a")
+    b = _param(params, "b")
     if not a > abs(b):
-        raise ParameterViolation("scalar-state requires a > |b|")
-
-    def force(X, S):
-        return -X
-
-    def noise(X, S):
-        return sigma * np.ones(X.shape + (1,))
-
-    def friction(X, S):
-        return (a + b * np.tanh(X))[..., None]
-
-    def friction_dx(X, S):
-        sech2 = 1.0 / np.cosh(X) ** 2
-        return (b * sech2)[..., None, None]
-
-    return SystemModel(1, 1, force, noise, friction, friction_dx=friction_dx)
+        raise ParameterViolation(f"{family} requires a > |b|")
+    return a, b
 
 
-def _interaction_friction_closures(a, b, c, d):
-    """gamma(x, mu) = a I + b diag(tanh x_i) + mean_y psi(x - y) I with the
-    rational bump psi(z) = c / (1 + |z|^2)."""
-
+def _interaction_friction(params, family, d):
+    """(friction, friction_dx, friction_dmu) of gamma(x, mu) = a I + b diag(tanh x_i)
+    + mean_{y~mu} psi(x - y) I, psi(z) = c / (1 + |z|^2) with c >= 0: the measure
+    derivative is a genuine Lions derivative of a linear functional of mu."""
+    a, b = _tanh_profile(params, family)
+    c = _param(params, "c")
+    if c < 0.0:
+        raise ParameterViolation(f"{family} requires c >= 0")
     idx = np.arange(d)
 
     def friction(X, S):
@@ -307,53 +287,47 @@ def _interaction_friction_closures(a, b, c, d):
     return friction, friction_dx, friction_dmu
 
 
+def _build_constant(params) -> SystemModel:
+    d = _param(params, "d", default=1, count=True)
+    k = _param(params, "k", default=d, count=True)
+    gamma0 = _param(params, "gamma0", shape=(d, d))
+    K = _param(params, "K", default=1.0, shape=(d, d))
+    sigma = _param(params, "sigma", default=1.0, shape=(d, k))
+    if linalg.min_sym_eig(gamma0) <= linalg.STABILITY_EPS:
+        raise ParameterViolation("constant friction must have a positive definite symmetric part")
+    return SystemModel(d, k, _linear_force(K), _constant(sigma), _constant(gamma0))
+
+
+def _build_scalar_state(params) -> SystemModel:
+    a, b = _tanh_profile(params, "scalar-state")
+    sigma = np.full((1, 1), _param(params, "sigma", default=1.0))
+
+    def friction(X, S):
+        return (a + b * np.tanh(X))[..., None]
+
+    def friction_dx(X, S):
+        sech2 = 1.0 / np.cosh(X) ** 2
+        return (b * sech2)[..., None, None]
+
+    return SystemModel(1, 1, lambda X, S: -X, _constant(sigma), friction, friction_dx)
+
+
 def _build_interaction(params) -> SystemModel:
-    _reject_unknown(params, {"a", "b", "c", "d", "k", "K", "sigma"}, "interaction")
-    a = _scalar(params, "a")
-    b = _scalar(params, "b")
-    c = _scalar(params, "c")
-    d = int(_scalar(params, "d", default=1, positive=True))
-    k = int(_scalar(params, "k", default=d, positive=True))
-    if not a > abs(b):
-        raise ParameterViolation("interaction requires a > |b|")
-    if c < 0.0:
-        raise ParameterViolation("interaction requires c >= 0")
-    K = _matrix(params, "K", (d, d), default_scale=1.0)
-    sigma = _matrix(params, "sigma", (d, k), default_scale=1.0)
-
-    friction, friction_dx, friction_dmu = _interaction_friction_closures(a, b, c, d)
-
-    def force(X, S):
-        return -np.einsum("ij,bmj->bmi", K, X)
-
-    def noise(X, S):
-        B, m, _ = X.shape
-        return np.broadcast_to(sigma, (B, m, d, k))
-
+    d = _param(params, "d", default=1, count=True)
+    k = _param(params, "k", default=d, count=True)
+    K = _param(params, "K", default=1.0, shape=(d, d))
+    sigma = _param(params, "sigma", default=1.0, shape=(d, k))
     return SystemModel(
-        d, k, force, noise, friction,
-        friction_dx=friction_dx, friction_dmu=friction_dmu,
+        d, k, _linear_force(K), _constant(sigma), *_interaction_friction(params, "interaction", d)
     )
 
 
 def _build_carrillo_force(params) -> SystemModel:
-    _reject_unknown(
-        params, {"a", "b", "c", "d", "k", "kappa_v", "c_w", "sigma"}, "carrillo-force"
-    )
-    a = _scalar(params, "a")
-    b = _scalar(params, "b")
-    c = _scalar(params, "c")
-    d = int(_scalar(params, "d", default=1, positive=True))
-    k = int(_scalar(params, "k", default=d, positive=True))
-    kappa_v = _scalar(params, "kappa_v", default=1.0)
-    c_w = _scalar(params, "c_w", default=1.0)
-    if not a > abs(b):
-        raise ParameterViolation("carrillo-force requires a > |b|")
-    if c < 0.0:
-        raise ParameterViolation("carrillo-force requires c >= 0")
-    sigma = _matrix(params, "sigma", (d, k), default_scale=1.0)
-
-    friction, friction_dx, friction_dmu = _interaction_friction_closures(a, b, c, d)
+    d = _param(params, "d", default=1, count=True)
+    k = _param(params, "k", default=d, count=True)
+    kappa_v = _param(params, "kappa_v", default=1.0)
+    c_w = _param(params, "c_w", default=1.0)
+    sigma = _param(params, "sigma", default=1.0, shape=(d, k))
 
     def force(X, S):
         # -grad V(x) - mean_y grad W(x - y), V quadratic, W(z) = c_w sqrt(1+|z|^2)
@@ -362,22 +336,20 @@ def _build_carrillo_force(params) -> SystemModel:
         grad_w = c_w * (diff / root[..., None]).mean(axis=2)
         return -kappa_v * X - grad_w
 
-    def noise(X, S):
-        B, m, _ = X.shape
-        return np.broadcast_to(sigma, (B, m, d, k))
-
     return SystemModel(
-        d, k, force, noise, friction,
-        friction_dx=friction_dx, friction_dmu=friction_dmu,
+        d, k, force, _constant(sigma), *_interaction_friction(params, "carrillo-force", d),
         mode=MODE_EXTENSION,
     )
 
 
+# family -> (builder, the parameters it takes)
 _REGISTRY = {
-    "constant": _build_constant,
-    "scalar-state": _build_scalar_state,
-    "interaction": _build_interaction,
-    "carrillo-force": _build_carrillo_force,
+    "constant": (_build_constant, {"d", "k", "gamma0", "K", "sigma"}),
+    "scalar-state": (_build_scalar_state, {"a", "b", "sigma"}),
+    "interaction": (_build_interaction, {"a", "b", "c", "d", "k", "K", "sigma"}),
+    "carrillo-force": (
+        _build_carrillo_force, {"a", "b", "c", "d", "k", "kappa_v", "c_w", "sigma"}
+    ),
 }
 
 
@@ -387,7 +359,13 @@ def model_library(spec: ModelSpec) -> SystemModel:
         raise UnknownFamily(
             f"unknown family {spec.family!r}; available: {sorted(_REGISTRY)}"
         )
-    model = _REGISTRY[spec.family](dict(spec.params))
+    build, allowed = _REGISTRY[spec.family]
+    unknown = set(spec.params) - allowed
+    if unknown:
+        raise ParameterViolation(
+            f"unknown parameter(s) {sorted(unknown)} for family {spec.family!r}"
+        )
+    model = build(dict(spec.params))
     model.spec = spec
     return model
 

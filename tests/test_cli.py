@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -94,6 +95,17 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(doc))
         assert cfg.delta_rule.scheme == "exponential"
         assert cfg.delta_rule.resolve(0.1, 0.005) == 0.005
+
+    def test_parsing_allocates_nothing_of_size_n(self):
+        text = json.dumps(base_config(N=10**7, x0=0.5, v0=0.0))
+        tracemalloc.start()
+        try:
+            cfg = parse_config(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cfg.n_particles == 10**7
+        assert peak < 1_000_000
 
     def test_rejects_wrong_x0_shape(self):
         doc = base_config(x0=[0.0, 1.0, 2.0])  # d = 1, N = 1
@@ -252,6 +264,24 @@ class TestConvergeCommand:
         assert dispatch(["converge", cfg]) == 1
 
 
+class TestExplicitRuleOnStiffFriction:
+    def stiff_config(self, tmp_path, gamma0):
+        doc = converge_config(T=0.1, Delta=0.01, epsilon_list=[0.1, 0.05, 0.025])
+        doc["model"]["params"]["gamma0"] = gamma0
+        doc["output_dir"] = str(tmp_path / "out")
+        return write(tmp_path / "c.json", doc)
+
+    def test_fails_early_without_a_report(self, tmp_path, capsys):
+        # gamma0 = 50 at kappa = 20: one explicit step multiplies v by -1.5
+        assert dispatch(["converge", self.stiff_config(tmp_path, 50.0)]) == 1
+        assert "velocity factor" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_moderate_friction_still_runs(self, tmp_path, capsys):
+        assert dispatch(["converge", self.stiff_config(tmp_path, 2.0)]) == 0
+        assert (tmp_path / "out" / "report.json").exists()
+
+
 class TestReduceCheckCommand:
     def test_constant_model_gap_is_zero(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.json", base_config(epsilon=0.001))
@@ -327,6 +357,32 @@ class TestRejectedBeforeCompute:
         path = write(tmp_path / "c.json", doc)
         err = self.expect_validation_error(capsys, ["converge", path, "--out", str(tmp_path)])
         assert "simulation.epsilon_list[1] must be a number" in err
+
+    @pytest.mark.parametrize(
+        "family, params, needle",
+        [
+            ("constant", {"gamma0": 2.0, "d": 2.7}, "'d'"),
+            ("constant", {"gamma0": 2.0, "k": 2.9}, "'k'"),
+            ("constant", {"gamma0": 2.0, "d": True}, "'d'"),
+            ("constant", {"gamma0": "2.0"}, "'gamma0'"),
+            ("interaction", {"a": "2", "b": 0.5, "c": 1.0}, "'a'"),
+        ],
+    )
+    def test_model_parameter_that_is_not_a_proper_number(
+        self, tmp_path, capsys, family, params, needle
+    ):
+        doc = converge_config()
+        doc["model"] = {"family": family, "params": params}
+        path = write(tmp_path / "c.json", doc)
+        err = self.expect_validation_error(capsys, ["converge", path, "--out", str(tmp_path)])
+        assert f"parameter {needle}" in err
+
+    @pytest.mark.parametrize("n", [1e300, 2**63, 2**62])
+    def test_particle_count_too_large(self, tmp_path, capsys, n):
+        # 1e300 and 2**63 fall outside int64; 2**62 fits, but no array of
+        # 2**62 float rows can be addressed
+        path = write(tmp_path / "c.json", converge_config(N=n))
+        self.expect_validation_error(capsys, ["converge", path, "--out", str(tmp_path)])
 
     @pytest.mark.parametrize("command", ["validate", "converge"])
     def test_negative_seed_in_config(self, tmp_path, capsys, command):

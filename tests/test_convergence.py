@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smallmass import driver, dynamics
+from smallmass import convergence, driver, dynamics
 from smallmass.convergence import (
     ConvergenceReport,
     DeltaRule,
@@ -16,6 +16,7 @@ from smallmass.convergence import (
 from smallmass.errors import (
     DegenerateFit,
     InsufficientReplicas,
+    StepTooLarge,
     ValidationError,
 )
 from smallmass.models import ModelSpec, SystemModel, limit_drift_fields, model_library
@@ -96,6 +97,17 @@ class TestRunConvergence:
             delta_rule=DeltaRule(), Delta=0.01, validate=False,
         )
         assert rep.errors == [0.0, 0.0]
+
+    def test_stiff_friction_fails_before_the_sweep(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep started")
+
+        monkeypatch.setattr(convergence, "_coupled_sweep", refuse)
+        with pytest.raises(StepTooLarge, match="velocity factor"):
+            run_convergence(
+                constant_model(gamma=50.0), [0.1, 0.05], T=0.1, n_particles=1,
+                replicas=2, seed=0, delta_rule=DeltaRule(kappa=20.0), Delta=0.01,
+            )
 
     def test_insufficient_replicas(self):
         with pytest.raises(InsufficientReplicas):

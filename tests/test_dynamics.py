@@ -29,7 +29,7 @@ from smallmass.errors import (
     StepTooLarge,
     ValidationError,
 )
-from smallmass.measures import wasserstein2_assignment
+from smallmass.measures import EmpiricalMeasure, wasserstein2_assignment
 from smallmass.models import ModelSpec, SystemModel, model_library
 
 
@@ -223,6 +223,45 @@ class TestRunInputValidation:
                 constant_model(), T=0.05, Delta=0.01, n_particles=n_particles,
                 replica_id=0, seed=0,
             )
+
+
+class TestStartState:
+    def test_broadcast_view_allocates_nothing_of_size_n(self):
+        tracemalloc.start()
+        try:
+            x = dynamics._state_array([0.5, -1.0], 10**7, 2, "x0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (10**7, 2) and not x.flags.writeable
+        assert x[123456].tolist() == [0.5, -1.0]
+        assert peak < 100_000
+
+    @pytest.mark.parametrize("value", [[1.0, 2.0, 3.0], np.zeros((3, 1)), [[0.0, np.nan]]])
+    def test_shape_and_finiteness_checked(self, value):
+        with pytest.raises(ValidationError, match="x0"):
+            dynamics._state_array(value, 2, 2, "x0")
+
+
+class TestExplicitDamping:
+    # the factor |1 - gamma/20| of one step: 0.9, 0.95, 1 (not shrinking), 1.5
+    @pytest.mark.parametrize(
+        "gamma, ok", [(2.0, True), (39.0, True), (40.0, False), (50.0, False)]
+    )
+    def test_factor_of_one_step(self, gamma, ok):
+        gammas = np.full((2, 3, 1, 1), gamma)
+        if ok:
+            dynamics._check_explicit_damping(gammas, kappa=20.0)
+        else:
+            with pytest.raises(StepTooLarge, match="kappa = 20"):
+                dynamics._check_explicit_damping(gammas, kappa=20.0)
+
+    def test_complex_eigenvalues(self):
+        # eigenvalues 10 +- 25i: positive real part, but |1 - lambda/20| > 1
+        gammas = np.array([[[10.0, 25.0], [-25.0, 10.0]]])
+        with pytest.raises(StepTooLarge):
+            dynamics._check_explicit_damping(gammas, kappa=20.0)
+        dynamics._check_explicit_damping(gammas, kappa=40.0)
 
 
 class TestSimulateCoupled:
@@ -559,6 +598,91 @@ class TestValidateAssumptions:
         validate_assumptions(model, ProbeConfig(n_measures=n_measures, n_pairs=64, seed=2))
         assert 1 <= len(calls) <= n_measures ** 2
         assert len({(id(mu), id(nu)) for mu, nu in calls}) == len(calls)
+
+    @staticmethod
+    def point_probe(model, probe):
+        """Lipschitz ratios and largest measure-derivative norm, one pair at a
+        time through the point API, on the probe's own draws: the reference
+        for the probe's stacked evaluation."""
+        rng = np.random.default_rng(probe.seed)
+        d, extension = model.dim, model.mode == "extension"
+        if d > 1:
+            rng.uniform(probe.lo, probe.hi, size=(probe.n_states, d))
+        size = (dynamics.PROBE_MEASURE_SIZE, d)
+        measures = [
+            EmpiricalMeasure(rng.uniform(probe.lo, probe.hi, size=size))
+            for _ in range(probe.n_measures)
+        ]
+        ratios = dict.fromkeys(["force", "noise", "friction", "friction_dx"], 0.0)
+        max_dmu = 0.0
+        for p in range(probe.n_pairs):
+            x1 = rng.uniform(probe.lo, probe.hi, size=d)
+            if p % 2 == 0:
+                direction = rng.normal(size=d)
+                x2 = x1 + dynamics.PROBE_FD_STEP * direction / np.linalg.norm(direction)
+            else:
+                x2 = rng.uniform(probe.lo, probe.hi, size=d)
+            m1, m2 = rng.choice(len(measures), size=2)
+            mu1, mu2 = measures[m1], measures[m2]
+            dx = float(np.linalg.norm(x1 - x2))
+            denom = dx + wasserstein2_assignment(mu1, mu2)
+            state_denom = denom if extension else dx
+            at1, at2 = (mu1, mu2) if extension else (None, None)
+            pairs = {
+                "force": (model.force(x1, at1), model.force(x2, at2), state_denom),
+                "noise": (model.noise(x1, at1), model.noise(x2, at2), state_denom),
+                "friction": (model.friction(x1, mu1), model.friction(x2, mu2), denom),
+                "friction_dx": (
+                    model.friction_dx(x1, mu1), model.friction_dx(x2, mu2), denom
+                ),
+            }
+            for name, (f1, f2, den) in pairs.items():
+                if den > 0.0:
+                    ratio = np.linalg.norm((f1 - f2).reshape(-1)) / den
+                    ratios[name] = max(ratios[name], ratio)
+            y = mu1.samples[int(rng.integers(0, mu1.size))]
+            dmu_norm = float(np.linalg.norm(model.friction_dmu(x1, mu1, y).reshape(-1)))
+            max_dmu = max(max_dmu, dmu_norm)
+        return ratios, max_dmu
+
+    @pytest.mark.parametrize(
+        "family, d",
+        [("scalar-state", 1)]
+        + [(f, d) for f in ("constant", "interaction", "carrillo-force") for d in (1, 2, 3)],
+    )
+    def test_stacked_probe_matches_point_evaluation(self, family, d):
+        rng = np.random.default_rng(d)
+        dense = (np.eye(d) + 0.3 * rng.normal(size=(d, d))).tolist()
+        params = {
+            "constant": {"gamma0": 2.0, "K": dense, "sigma": dense, "d": d},
+            "scalar-state": {"a": 2.0, "b": 1.0, "sigma": 0.7},
+            "interaction": {"a": 2.0, "b": 0.5, "c": 1.0, "d": d, "K": dense, "sigma": dense},
+            "carrillo-force": {"a": 2.0, "b": -0.5, "c": 0.8, "d": d, "sigma": dense},
+        }[family]
+        model = model_library(ModelSpec(family, params))
+        probe = ProbeConfig(n_pairs=24, seed=d + 10)
+        report = validate_assumptions(model, probe)
+        assert (report.lipschitz, report.max_dmu_norm) == self.point_probe(model, probe)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_probe_uses_no_point_method(self, monkeypatch, d):
+        # the probe evaluates every coefficient through the *_field stacks only
+        def refuse(*args, **kwargs):
+            raise AssertionError("point method called")
+
+        for name in ("force", "noise", "friction", "friction_dx", "friction_dmu"):
+            monkeypatch.setattr(SystemModel, name, refuse)
+        specs = {
+            "constant": {"gamma0": 2.0, "d": d},
+            "interaction": {"a": 2.0, "b": 0.5, "c": 1.0, "d": d},
+            "carrillo-force": {"a": 2.0, "b": 0.5, "c": 1.0, "d": d},
+        }
+        if d == 1:
+            specs["scalar-state"] = {"a": 2.0, "b": 1.0}
+        for family, params in specs.items():
+            report = validate_assumptions(model_library(ModelSpec(family, params)))
+            assert report.friction.shape == (4, 64, d, d)
+            assert np.isfinite(list(report.lipschitz.values())).all()
 
     def test_measure_dependence_shows_in_report(self):
         model = model_library(ModelSpec("scalar-state", {"a": 2.0, "b": 1.0}))

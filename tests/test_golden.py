@@ -3,8 +3,9 @@
 The digests and reprs were recorded with numpy 2.4.6 (OpenBLAS 0.3.31,
 Python 3.11).  They pin the sample-config reports and path dump, the
 reports of d = 2 and d = 4 interaction runs under the exponential rule (a
-stack of d > 1 matrix exponentials at every fast step), the ``validate`` and
-``solve --oracle`` output, and the velocity diagnostics, which no
+stack of d > 1 matrix exponentials at every fast step), the ``validate``
+output (two d = 1 sample configs, a d = 4 interaction model and a d = 3
+carrillo-force model), the ``solve --oracle`` output, and the velocity diagnostics, which no
 byte-determinism test covers otherwise.  A
 change of numpy or BLAS may move the last digits without any change in the
 package; re-record them then from a commit whose behaviour is unchanged.
@@ -130,6 +131,54 @@ GOLDEN_VALIDATE = {
 def test_validate_output(capsys, config):
     assert dispatch(["validate", str(CONFIGS / config)]) == 0
     assert capsys.readouterr().out == GOLDEN_VALIDATE[config]
+
+
+CARRILLO_D3 = {
+    "seed": 4,
+    "model": {
+        "family": "carrillo-force",
+        "params": {
+            "a": 2.0, "b": -0.6, "c": 0.8, "d": 3, "kappa_v": 1.5, "c_w": 0.7,
+            "sigma": [[1.0, 0.2, 0.0], [-0.3, 0.9, 0.1], [0.2, 0.0, 0.7]],
+        },
+    },
+    "simulation": {"N": 3, "T": 0.05, "epsilon": 0.05, "Delta": 0.01},
+}
+
+# beyond d = 1: a dense-sigma interaction model, and a carrillo-force model in
+# extension mode, where the force reads the measure and its Lipschitz ratio
+# is taken against |x1 - x2| + W2
+GOLDEN_VALIDATE_D_ABOVE_1 = {
+    "interaction-d4": (
+        INTERACTION_D4_EXPONENTIAL,
+        "min_sym_eig=1.5702858143245617\n"
+        "argmin_state=[0.89283411819241909, -1.7015811483806016, "
+        "-1.9706480221625555, -1.2822618972396254]\n"
+        "max_dmu_norm=0.72112747361283303\nn_probes=256\nlipschitz_force=1\n"
+        "lipschitz_friction=0.42603398732468956\n"
+        "lipschitz_friction_dx=0.32277134588673989\nlipschitz_noise=0\n"
+        "violated=false\n",
+    ),
+    "carrillo-force-d3": (
+        CARRILLO_D3,
+        "min_sym_eig=1.4843188538392174\n"
+        "argmin_state=[1.732073921496279, -1.9216701002689263, 1.8605632443463209]\n"
+        "max_dmu_norm=0.89794194618264822\nn_probes=256\n"
+        "lipschitz_force=1.7416873707091445\n"
+        "lipschitz_friction=0.55746290036380786\n"
+        "lipschitz_friction_dx=0.52247664730599797\nlipschitz_noise=0\n"
+        "violated=false\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VALIDATE_D_ABOVE_1))
+def test_validate_output_above_d1(tmp_path, capsys, name):
+    doc, expected = GOLDEN_VALIDATE_D_ABOVE_1[name]
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(doc))
+    assert dispatch(["validate", str(config)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 GOLDEN_SOLVE = {

@@ -96,6 +96,37 @@ class TestModelLibrary:
         with pytest.raises(ParameterViolation):
             model_library(ModelSpec("constant", {"gamma0": 1.0, "typo_key": 3.0}))
 
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("constant", {"gamma0": 2.0, "d": 2.7}),
+            ("constant", {"gamma0": 2.0, "k": 2.9}),
+            ("constant", {"gamma0": 2.0, "d": True}),
+            ("constant", {"gamma0": 2.0, "d": 0}),
+            ("constant", {"gamma0": "2.0"}),
+            ("constant", {"gamma0": [[True]]}),
+            ("constant", {"gamma0": 2.0, "d": 2, "sigma": [[1.0, 0.0], [0.5]]}),
+            ("interaction", {"a": "2", "b": 0.5, "c": 1.0}),
+            ("interaction", {"a": 2.0, "b": 0.5, "c": np.bool_(True)}),
+            ("interaction", {"a": 2.0, "b": 0.5, "c": [1.0]}),
+            ("scalar-state", {"a": 2.0, "b": 0.5, "sigma": None}),
+        ],
+    )
+    def test_parameter_must_be_a_number(self, family, params):
+        with pytest.raises(ParameterViolation):
+            model_library(ModelSpec(family, params))
+
+    def test_integral_float_and_numpy_scalars_accepted(self):
+        model = model_library(ModelSpec("constant", {"gamma0": 2.0, "d": 2.0}))
+        assert (model.dim, model.noise_dim) == (2, 2)
+        model = model_library(ModelSpec("interaction", {
+            "a": np.float64(2.0), "b": np.float32(0.5), "c": np.int64(1),
+            "d": np.int64(3), "k": np.float64(2.0),
+        }))
+        assert (model.dim, model.noise_dim) == (3, 2)
+        mu = EmpiricalMeasure(np.zeros((1, 3)))
+        assert model.friction(np.zeros(3), mu)[0, 0] == pytest.approx(3.0)
+
     def test_extension_mode_requires_measure(self):
         model = model_library(ModelSpec("carrillo-force", {"a": 2.0, "b": 0.0, "c": 1.0}))
         with pytest.raises(ValidationError):
