@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import convergence, dynamics, linalg
+from . import convergence, dynamics, linalg, models
 from .convergence import DeltaRule, _fmt, constant_reduction_check, fit_rate, run_convergence
 from .dynamics import ProbeConfig, simulate_coupled, validate_assumptions, write_path_csv
 from .errors import (
@@ -78,7 +78,11 @@ def _get_number(obj, key, where, default=None, integer=False):
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where}.{key} must be a number")
-    if isinstance(value, float) and not math.isfinite(value):   # json reads Infinity, NaN
+    try:
+        finite = math.isfinite(value)   # json reads Infinity, NaN
+    except OverflowError:   # an integer beyond the float range
+        raise ValidationError(f"{where}.{key} is beyond the float range") from None
+    if not finite:
         raise ValidationError(f"{where}.{key} must be finite, got {value}")
     if integer and not (int(value) == value and -(2**63) <= value < 2**63):
         raise ValidationError(f"{where}.{key} must be a 64-bit integer, got {value}")
@@ -101,7 +105,8 @@ def _parse_delta_rule(obj) -> DeltaRule:
     if kind == "explicit":
         if "delta" in obj:
             raise ValidationError("explicit delta_rule takes no 'delta'")
-        return DeltaRule(scheme="explicit", kappa=_get_number(obj, "kappa", "delta_rule", 20.0))
+        kappa = _get_number(obj, "kappa", "delta_rule", dynamics.DEFAULT_KAPPA)
+        return DeltaRule(scheme="explicit", kappa=kappa)
     if kind == "exponential":
         if "kappa" in obj:
             raise ValidationError("exponential delta_rule takes no 'kappa'")
@@ -109,12 +114,18 @@ def _parse_delta_rule(obj) -> DeltaRule:
     raise ValidationError("delta_rule.type must be 'explicit' or 'exponential'")
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate a run configuration document."""
+def _load_json(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:   # an integer literal beyond Python's digit limit
+        raise ParseError(str(exc)) from None
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse and fully validate a run configuration document."""
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ValidationError("configuration must be a JSON object")
     _require_keys(doc, {"seed", "output_dir", "model", "simulation"}, "configuration")
@@ -244,45 +255,46 @@ def _matrix_from_json(obj, key) -> np.ndarray:
     value = obj.get(key)
     if not isinstance(value, list):
         raise ValidationError(f"problem key {key!r} must be a matrix (list of rows)")
-    return np.asarray(value, dtype=float)
+    try:
+        return np.asarray(models._reals(value, key))
+    except ValueError:   # ragged nesting
+        raise ValidationError(f"problem key {key!r} is a ragged list") from None
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return tol
+
+
+# operand keys, result name, solver and quadrature oracle of each problem
+_PROBLEMS = (
+    (("gamma", "Q"), "J", linalg.solve_lyapunov, linalg.lyapunov_by_quadrature),
+    (("A", "B", "C"), "Y", linalg.solve_sylvester, linalg.sylvester_by_quadrature),
+)
 
 
 def _cmd_solve(args) -> int:
     with open(args.problem, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+        doc = _load_json(fh.read())
     if not isinstance(doc, dict):
         raise ValidationError("problem must be a JSON object")
-    keys = set(doc)
-    if keys == {"gamma", "Q"}:
-        gamma = _matrix_from_json(doc, "gamma")
-        Q = _matrix_from_json(doc, "Q")
-        result = linalg.solve_lyapunov(gamma, Q)
-        name = "J"
-        if args.oracle:
-            oracle = linalg.lyapunov_by_quadrature(gamma, Q, args.tol)
-            gap = float(np.abs(result - oracle).max())
-    elif keys == {"A", "B", "C"}:
-        A = _matrix_from_json(doc, "A")
-        B = _matrix_from_json(doc, "B")
-        C = _matrix_from_json(doc, "C")
-        result = linalg.solve_sylvester(A, B, C)
-        name = "Y"
-        if args.oracle:
-            oracle = linalg.sylvester_by_quadrature(A, B, C, args.tol)
-            gap = float(np.abs(result - oracle).max())
+    for keys, name, solve, oracle in _PROBLEMS:
+        if set(doc) == set(keys):
+            break
     else:
         raise ValidationError("problem must have keys {gamma, Q} or {A, B, C}")
-    rows = ", ".join(
-        "[" + ", ".join(_fmt(v) for v in row) + "]" for row in result
-    )
+    mats = [_matrix_from_json(doc, key) for key in keys]
+    result = solve(*mats)
+    rows = ", ".join("[" + ", ".join(_fmt(v) for v in row) + "]" for row in result)
+    text = f'"{name}": [{rows}]'
     if args.oracle:
-        text = f'{{"{name}": [{rows}], "oracle_gap": {_fmt(gap)}}}\n'
-    else:
-        text = f'{{"{name}": [{rows}]}}\n'
-    _write_or_print(args.out, text)
+        text += f', "oracle_gap": {_fmt(float(np.abs(result - oracle(*mats, args.tol)).max()))}'
+    _write_or_print(args.out, "{" + text + "}\n")
     return 0
 
 
@@ -386,7 +398,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("solve", help="solve a Lyapunov or Sylvester problem from JSON")
     p.add_argument("problem", help="JSON file with {gamma, Q} or {A, B, C}")
     p.add_argument("--oracle", action="store_true", help="cross-check with quadrature")
-    p.add_argument("--tol", type=float, default=1e-8, help="quadrature tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-8, help="quadrature tolerance, > 0")
     p.add_argument("--out", default=None, help="write result here instead of stdout")
     p.set_defaults(func=_cmd_solve)
 

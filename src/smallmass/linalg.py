@@ -1,26 +1,32 @@
 """Dense matrix kernels for small systems.
 
-Matrix exponential, smallest eigenvalue of the symmetric part, Lyapunov and
-Sylvester solvers, and quadrature evaluations of the corresponding semigroup
-integral representations.  Everything here is written for the d <= 64
-regime.
+Matrix exponential, smallest eigenvalue of the symmetric part, and one
+matrix equation, G1 J + J G2^T = Q, in the form the limit drifts use it:
+the Lyapunov equation gamma J + J gamma^T = Q is G1 = G2 = gamma, and the
+Sylvester equation gamma(x) J~ + J~ gamma(y)^T = sigma(x) sigma(y)^T is
+G1 = gamma(x), G2 = gamma(y).  The point solvers take a Sylvester problem as
+A Y - Y B = C and map it onto the equation as (G1, G2, Q) = (-A, B^T, -C).
+Everything here is written for the d <= MAX_DIM = 64 regime.
 
 The kernels take a stack of matrices (..., d, d) and give the same bits as
 its matrices one at a time: ``expm``, ``min_sym_eig_batch`` and the one
-Lyapunov/Sylvester kernel, the vectorized d^2 x d^2 Kronecker system solved
-by LAPACK (``lyapunov_batch``/``sylvester_batch``, O(d^6) per matrix).  Stack
-kernels do no checks; ``expm`` alone checks the shape and finiteness of every
-matrix.  The point functions accept one square matrix and check it:
-``min_sym_eig`` and the point solvers ``solve_lyapunov``/``solve_sylvester``
-run a kernel on a stack of one (the solvers also reject a numerically
-singular operator by its singular values), and the quadrature oracles
-evaluate each panel's Gauss nodes as one stack of exponentials.
+equation's solver, the vectorized d^2 x d^2 Kronecker system
+G1 (x) I + I (x) G2 solved by LAPACK on broadcastable stacks
+(``lyapunov_batch``/``sylvester_batch``, O(d^6) per matrix).  Stack kernels
+do no checks; ``expm`` alone checks the shape and finiteness of every
+matrix.  The point functions accept square matrices and check them:
+``min_sym_eig``, the point solvers ``solve_lyapunov``/``solve_sylvester``,
+which also reject a numerically singular operator by its singular values,
+and the quadrature oracles, which evaluate the one semigroup integral
+int_0^inf e^{-G1 y} Q e^{-G2^T y} dy with each panel's Gauss nodes as one
+stack of exponentials.
 
 All functions are pure; none keeps state.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from functools import lru_cache
 
@@ -38,6 +44,8 @@ from .errors import (
 
 # Smallest admissible eigenvalue of the symmetric part of a friction matrix.
 STABILITY_EPS = 1e-12
+# Largest state (and noise) dimension of a model.
+MAX_DIM = 64
 
 _TAYLOR_TERMS = 16
 _TAYLOR_RADIUS = 0.25
@@ -102,22 +110,77 @@ def min_sym_eig(M) -> float:
     return float(min_sym_eig_batch(_as_square(M, "M")[None])[0])
 
 
-def _check_same_dim(*mats: np.ndarray) -> int:
-    d = mats[0].shape[0]
-    for m in mats[1:]:
-        if m.shape[0] != d:
-            raise ValidationError("operands must share one dimension")
-    return d
+# --- the one equation: G1 J + J G2^T = Q ---------------------------------------
+#
+# Every Lyapunov and Sylvester solve in the package goes through ``_solve``:
+# the operator is assembled for broadcastable stacks and handed to LAPACK's
+# batched solver (plain division for d = 1).  The stacked solvers do no
+# checks; callers have checked stability already.
+
+def _operator(G1: np.ndarray, G2: np.ndarray) -> np.ndarray:
+    """G1 (x) I + I (x) G2: the d^2 x d^2 matrix that maps the rows of J, laid
+    end to end, to those of G1 J + J G2^T."""
+    # entry [..., i, k, j, l] is G1_ij delta_kl + delta_ij G2_kl
+    d = G1.shape[-1]
+    ident = np.eye(d)
+    M = (G1[..., :, None, :, None] * ident[:, None, :]
+         + ident[:, None, :, None] * G2[..., None, :, None, :])
+    return M.reshape(*M.shape[:-4], d * d, d * d)
 
 
-def _is_symmetric(Q: np.ndarray) -> bool:
-    scale = max(1.0, float(np.abs(Q).max()))
-    return float(np.abs(Q - Q.T).max()) <= 1e-12 * scale
+def _solve(G1: np.ndarray, G2: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    d = Q.shape[-1]
+    if d == 1:
+        return Q / (G1 + G2)
+    J = np.linalg.solve(_operator(G1, G2), Q.reshape(*Q.shape[:-2], d * d, 1))
+    return J.reshape(*J.shape[:-2], d, d)
 
 
-def _check_conditioning(M: np.ndarray):
-    """Reject or flag a Kronecker operator by the spread of its singular values."""
-    sv = np.linalg.svd(M, compute_uv=False)
+def lyapunov_batch(gammas: np.ndarray, Qs: np.ndarray) -> np.ndarray:
+    """Solve gamma J + J gamma^T = Q for broadcastable stacks (..., d, d)."""
+    return _solve(gammas, gammas, Qs)
+
+
+def sylvester_batch(G1: np.ndarray, G2: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Solve G1 J + J G2^T = Q for broadcastable stacks (..., d, d)."""
+    return _solve(G1, G2, Q)
+
+
+def _equation(operands: dict, form, error: Exception):
+    """(G1, G2, Q, c): the named ``operands``, finite square matrices of one
+    dimension, mapped by ``form`` to the one equation, and its decay rate c, the
+    smallest symmetric-part eigenvalue of G1 and G2.  Raises ``error`` unless
+    c > STABILITY_EPS."""
+    mats = [_as_square(m, name) for name, m in operands.items()]
+    if any(m.shape != mats[0].shape for m in mats):
+        raise ValidationError("operands must share one dimension")
+    G1, G2, Q = form(*mats)
+    c = min(min_sym_eig(G1), min_sym_eig(G2))
+    if c <= STABILITY_EPS:
+        raise error
+    return G1, G2, Q, c
+
+
+def _lyapunov(gamma, Q):
+    error = UnstableFriction("symmetric part of gamma is not positive definite")
+    return _equation({"gamma": gamma, "Q": Q}, lambda g, Q: (g, g, Q), error)
+
+
+def _sylvester(A, B, C, what: str):
+    """A Y - Y B = C as the one equation: (G1, G2, Q) = (-A, B^T, -C)."""
+    error = SpectrumOverlap(f"require sym(-A) and sym(B) positive definite for {what}")
+    return _equation({"A": A, "B": B, "C": C}, lambda A, B, C: (-A, B.T, -C), error)
+
+
+def _symmetrized(J: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    symmetric = float(np.abs(Q - Q.T).max()) <= 1e-12 * max(1.0, float(np.abs(Q).max()))
+    return 0.5 * (J + J.T) if symmetric else J
+
+
+def _point_solve(G1: np.ndarray, G2: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """``_solve`` on one equation, after rejecting or flagging its operator by the
+    spread of its singular values."""
+    sv = np.linalg.svd(_operator(G1, G2), compute_uv=False)
     if sv[-1] < _PIVOT_RTOL * sv[0]:
         raise SingularSystem(
             f"smallest singular value {sv[-1]:.3e} below {_PIVOT_RTOL:.0e} "
@@ -129,42 +192,27 @@ def _check_conditioning(M: np.ndarray):
             IllConditionedWarning,
             stacklevel=3,
         )
+    return _solve(G1, G2, Q)
 
 
 def solve_lyapunov(gamma, Q) -> np.ndarray:
-    """Solve gamma J + J gamma^T = Q as ``lyapunov_batch`` on a stack of one.
+    """Solve gamma J + J gamma^T = Q, the one equation with G1 = G2 = gamma.
 
     Requires the symmetric part of gamma to be positive definite; the result
     is symmetrized when Q is symmetric.
     """
-    g = _as_square(gamma, "gamma")
-    Qm = _as_square(Q, "Q")
-    _check_same_dim(g, Qm)
-    if min_sym_eig(g) <= STABILITY_EPS:
-        raise UnstableFriction("symmetric part of gamma is not positive definite")
-    _check_conditioning(_lyapunov_operator(g))
-    J = lyapunov_batch(g[None], Qm[None])[0]
-    if _is_symmetric(Qm):
-        J = 0.5 * (J + J.T)
-    return J
+    G1, G2, Qm, _ = _lyapunov(gamma, Q)
+    return _symmetrized(_point_solve(G1, G2, Qm), Qm)
 
 
 def solve_sylvester(A, B, C) -> np.ndarray:
-    """Solve A Y - Y B = C as ``sylvester_batch`` on a stack of one.
+    """Solve A Y - Y B = C, the one equation with (G1, G2, Q) = (-A, B^T, -C).
 
     The spectra of A and B must be separated by the imaginary axis: the
     symmetric parts of -A and B must both be positive definite.
     """
-    Am = _as_square(A, "A")
-    Bm = _as_square(B, "B")
-    Cm = _as_square(C, "C")
-    _check_same_dim(Am, Bm, Cm)
-    if min_sym_eig(-Am) <= STABILITY_EPS or min_sym_eig(Bm) <= STABILITY_EPS:
-        raise SpectrumOverlap(
-            "require sym(-A) and sym(B) positive definite for a unique solution"
-        )
-    _check_conditioning(_sylvester_operator(Am, Bm))
-    return sylvester_batch(Am[None], Bm[None], Cm[None])[0]
+    G1, G2, Qm, _ = _sylvester(A, B, C, "a unique solution")
+    return _point_solve(G1, G2, Qm)
 
 
 @lru_cache(maxsize=8)
@@ -199,101 +247,39 @@ def _refine_quadrature(integrand, upper, tol, shape, max_panels, order=12):
     )
 
 
-def lyapunov_by_quadrature(gamma, Q, tol: float, max_panels: int = 1024) -> np.ndarray:
-    """Evaluate J = int_0^inf e^{-gamma y} Q e^{-gamma^T y} dy numerically.
+def _semigroup_integral(G1, G2, Q, c, tol, max_panels) -> np.ndarray:
+    """J = int_0^inf e^{-G1 y} Q e^{-G2^T y} dy, the solution of G1 J + J G2^T = Q.
 
-    The improper integral is truncated at Y* = ln(|Q| / (tol c)) / (2c) with
-    c the smallest symmetric-part eigenvalue of gamma (the semigroup decays
-    like e^{-cy}), then composite fixed-order Gauss panels are doubled until
-    two refinements differ by at most ``tol``.
+    The improper integral is truncated at Y* = ln(|Q| / (tol c)) / (2c), the
+    semigroups decaying like e^{-cy}; then composite fixed-order Gauss panels
+    are doubled until two refinements differ by at most ``tol``.  When G2 is
+    G1, e^{-G2^T y} is the transpose of e^{-G1 y}: one exponential per node.
     """
-    g = _as_square(gamma, "gamma")
-    Qm = _as_square(Q, "Q")
-    d = _check_same_dim(g, Qm)
-    c = min_sym_eig(g)
-    if c <= STABILITY_EPS:
-        raise UnstableFriction("symmetric part of gamma is not positive definite")
-    qnorm = float(np.linalg.norm(Qm))
+    qnorm = float(np.linalg.norm(Q))
     if qnorm == 0.0:
-        return np.zeros((d, d))
-    upper = max(np.log(qnorm / (tol * c)) / (2.0 * c), 1e-2 / c)
-
-    def integrand(ys: np.ndarray) -> np.ndarray:
-        E = expm(-g * ys[:, None, None])
-        return E @ Qm @ np.swapaxes(E, -1, -2)
-
-    J = _refine_quadrature(integrand, upper, tol, (d, d), max_panels)
-    if _is_symmetric(Qm):
-        J = 0.5 * (J + J.T)
-    return J
-
-
-def sylvester_by_quadrature(A, B, C, tol: float, max_panels: int = 1024) -> np.ndarray:
-    """Evaluate Y = -int_0^inf e^{A y} C e^{-B y} dy numerically.
-
-    Truncation uses the decay rate c = min(min_sym_eig(-A), min_sym_eig(B));
-    panel refinement as in ``lyapunov_by_quadrature``.
-    """
-    Am = _as_square(A, "A")
-    Bm = _as_square(B, "B")
-    Cm = _as_square(C, "C")
-    d = _check_same_dim(Am, Bm, Cm)
-    c = min(min_sym_eig(-Am), min_sym_eig(Bm))
-    if c <= STABILITY_EPS:
-        raise SpectrumOverlap(
-            "require sym(-A) and sym(B) positive definite for a convergent integral"
-        )
-    cnorm = float(np.linalg.norm(Cm))
-    if cnorm == 0.0:
-        return np.zeros((d, d))
-    upper = max(np.log(cnorm / (tol * c)) / (2.0 * c), 1e-2 / c)
+        return np.zeros(Q.shape)
+    ratio = qnorm / (tol * c) if 0.0 < tol * c < math.inf else math.inf
+    upper = max(np.log(max(ratio, 1.0)) / (2.0 * c), 1e-2 / c)
+    if not math.isfinite(upper):
+        raise ToleranceNotMet(f"tolerance {tol:.1e} leaves the integral no finite cut-off")
 
     def integrand(ys: np.ndarray) -> np.ndarray:
         ys = ys[:, None, None]
-        return expm(Am * ys) @ Cm @ expm(-Bm * ys)
+        E = expm(-G1 * ys)
+        F = np.swapaxes(E, -1, -2) if G2 is G1 else expm(-G2.T * ys)
+        return E @ Q @ F
 
-    return -_refine_quadrature(integrand, upper, tol, (d, d), max_panels)
-
-
-# --- the Kronecker kernel -----------------------------------------------------
-#
-# Every Lyapunov and Sylvester solve in the package goes through here: the
-# d^2 x d^2 operator is assembled for a whole stack of matrices and handed to
-# LAPACK's batched solver (plain division for d = 1).  The stacked solvers do
-# no checks; callers have checked stability already.
-
-def _kron_last(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    p, q = A.shape[-2:]
-    r, s = B.shape[-2:]
-    out = A[..., :, None, :, None] * B[..., None, :, None, :]
-    return out.reshape(*A.shape[:-2], p * r, q * s)
+    return _refine_quadrature(integrand, upper, tol, Q.shape, max_panels)
 
 
-def _lyapunov_operator(gammas: np.ndarray) -> np.ndarray:
-    ident = np.broadcast_to(np.eye(gammas.shape[-1]), gammas.shape)
-    return _kron_last(gammas, ident) + _kron_last(ident, gammas)
+def lyapunov_by_quadrature(gamma, Q, tol: float, max_panels: int = 1024) -> np.ndarray:
+    """Evaluate J = int_0^inf e^{-gamma y} Q e^{-gamma^T y} dy numerically, with
+    the decay rate c of the smallest symmetric-part eigenvalue of gamma."""
+    G1, G2, Qm, c = _lyapunov(gamma, Q)
+    return _symmetrized(_semigroup_integral(G1, G2, Qm, c, tol, max_panels), Qm)
 
 
-def _sylvester_operator(As: np.ndarray, Bs: np.ndarray) -> np.ndarray:
-    ident = np.broadcast_to(np.eye(As.shape[-1]), As.shape)
-    return _kron_last(As, ident) - _kron_last(ident, np.swapaxes(Bs, -1, -2))
-
-
-def _kron_solve(M: np.ndarray, Cs: np.ndarray) -> np.ndarray:
-    d = Cs.shape[-1]
-    rhs = Cs.reshape(*Cs.shape[:-2], d * d, 1)
-    return np.linalg.solve(M, rhs).reshape(Cs.shape)
-
-
-def lyapunov_batch(gammas: np.ndarray, Qs: np.ndarray) -> np.ndarray:
-    """Solve gamma J + J gamma^T = Q for stacks of matrices (..., d, d)."""
-    if gammas.shape[-1] == 1:
-        return Qs / (2.0 * gammas)
-    return _kron_solve(_lyapunov_operator(gammas), Qs)
-
-
-def sylvester_batch(As: np.ndarray, Bs: np.ndarray, Cs: np.ndarray) -> np.ndarray:
-    """Solve A Y - Y B = C for stacks of matrices (..., d, d)."""
-    if As.shape[-1] == 1:
-        return Cs / (As - Bs)
-    return _kron_solve(_sylvester_operator(As, Bs), Cs)
+def sylvester_by_quadrature(A, B, C, tol: float, max_panels: int = 1024) -> np.ndarray:
+    """Evaluate Y = -int_0^inf e^{A y} C e^{-B y} dy numerically, with the decay
+    rate c = min(min_sym_eig(-A), min_sym_eig(B))."""
+    return _semigroup_integral(*_sylvester(A, B, C, "a convergent integral"), tol, max_panels)

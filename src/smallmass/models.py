@@ -20,6 +20,9 @@ The limit dynamics carries two correction drifts on top of ``gamma^{-1} F``:
   the average over the samples of an empirical measure (self term included,
   weight 1/N).
 
+Both are the one equation G1 J + J G2^T = Q of :mod:`linalg`, with G1 = G2 =
+gamma(x) for ``J`` and G1 = gamma(x), G2 = gamma(y), x broadcast against y, for ``J~``.
+
 Derivatives of the inverse are never differenced numerically: we use the
 sandwich identities d_x gamma^{-1} = -gamma^{-1} (d_x gamma) gamma^{-1} and
 its measure-derivative analogue.
@@ -43,6 +46,7 @@ from . import linalg
 from .errors import (
     NonFinite,
     ParameterViolation,
+    SizeLimitExceeded,
     UnknownFamily,
     UnstableFriction,
     ValidationError,
@@ -51,11 +55,6 @@ from .measures import EmpiricalMeasure
 
 MODE_STATE_ONLY = "state-only"
 MODE_EXTENSION = "extension"
-
-# Magnitude guard used by the drift sanity property: corrections are bounded
-# by derivative bounds * |sigma|^2 / c^3 on any probe set; anything beyond
-# this cap indicates a broken model.
-DRIFT_MAGNITUDE_CAP = 1e6
 
 
 @dataclass(frozen=True)
@@ -186,16 +185,21 @@ def _reals(value, name):
         return [_reals(v, name) for v in value]
     if isinstance(value, bool) or not isinstance(value, numbers.Real):   # np.bool_ is no Real
         raise ParameterViolation(f"parameter {name!r} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:   # an integer beyond the float range
+        raise ParameterViolation(f"parameter {name!r} is beyond the float range") from None
+    if not math.isfinite(number):
         raise NonFinite(f"parameter {name!r} is not finite")
-    return float(value)
+    return number
 
 
 def _param(params, name, default=None, shape=None, count=False):
     """The one reader of family parameters: ``params[name]``, or ``default`` when
     absent (required when None).  A parameter is a finite real number, not a bool
-    or a string; a ``count`` is an integer >= 1; one with a ``shape`` is a nested
-    list of numbers of that shape, or one number, the scale of the identity."""
+    or a string; a ``count`` is an integer from 1 to ``linalg.MAX_DIM``; one with a
+    ``shape`` is a nested list of numbers of that shape, or one number, the scale
+    of the identity."""
     value = params.get(name, default)
     if value is None:
         raise ParameterViolation(f"missing parameter {name!r}")
@@ -212,6 +216,8 @@ def _param(params, name, default=None, shape=None, count=False):
         raise ParameterViolation(f"parameter {name!r} must be a number")
     if count and not (arr >= 1.0 and arr == int(arr)):
         raise ParameterViolation(f"parameter {name!r} must be an integer >= 1, got {value!r}")
+    if count and arr > linalg.MAX_DIM:
+        raise SizeLimitExceeded(f"parameter {name!r} is {value!r}, above {linalg.MAX_DIM}")
     return int(arr) if count else float(arr)
 
 
@@ -460,13 +466,8 @@ def limit_drift_fields(model: SystemModel, X: np.ndarray, samples=None):
             g_y = model.friction_field(samples, samples)
             _require_stable(g_y, "friction at measure samples")
             sig_y = model.noise_field(samples, samples)
-        n = samples.shape[1]
-        A = np.broadcast_to(-g[:, :, None], (B, N, n, d, d))
-        Bm = np.broadcast_to(
-            np.swapaxes(g_y, -1, -2)[:, None, :], (B, N, n, d, d)
-        )
-        C = -np.einsum("bnik,bmjk->bnmij", sig, sig_y)
-        J_t = linalg.sylvester_batch(A, Bm, C)                 # (B, N, n, d, d)
+        Q = np.einsum("bnik,bmjk->bnmij", sig, sig_y)
+        J_t = linalg.sylvester_batch(g[:, :, None], g_y[:, None], Q)   # (B, N, n, d, d)
         D = model.friction_dmu_field(X, samples, samples)      # (B, N, n, d, d, d)
         G = _sandwich(ginv[:, :, None], D)
         S_t = np.einsum("bnmijl,bnmjl->bnmi", G, J_t).mean(axis=2)

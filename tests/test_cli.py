@@ -107,6 +107,10 @@ class TestParseConfig:
         assert cfg.n_particles == 10**7
         assert peak < 1_000_000
 
+    def test_explicit_rule_defaults_to_the_dynamics_kappa(self):
+        cfg = parse_config(json.dumps(base_config(delta_rule={"type": "explicit"})))
+        assert cfg.delta_rule.kappa == dynamics.DEFAULT_KAPPA
+
     def test_rejects_wrong_x0_shape(self):
         doc = base_config(x0=[0.0, 1.0, 2.0])  # d = 1, N = 1
         with pytest.raises(ValidationError, match="x0"):
@@ -147,6 +151,39 @@ class TestSolveCommand:
     def test_unstable_friction_is_numerical_error(self, tmp_path):
         problem = write(tmp_path / "p.json", {"gamma": [[-1.0]], "Q": [[1.0]]})
         assert dispatch(["solve", problem]) == 2
+
+    @pytest.mark.parametrize(
+        "gamma, needle",
+        [
+            ([[2.0, 0.0], [1.0]], "ragged"),
+            ([["2.0"]], "must be a number"),
+            ([[True]], "must be a number"),
+            ([[None]], "must be a number"),
+            ([[10**400]], "beyond the float range"),
+        ],
+    )
+    def test_bad_matrix_entry_is_validation_error(self, tmp_path, capsys, gamma, needle):
+        problem = write(tmp_path / "p.json", {"gamma": gamma, "Q": [[1.0]]})
+        assert dispatch(["solve", problem, "--oracle"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and needle in err
+
+    def test_integer_beyond_the_digit_limit_is_parse_error(self, tmp_path, capsys):
+        problem = tmp_path / "p.json"
+        problem.write_text('{"gamma": [[' + "1" * 5000 + ']], "Q": [[1.0]]}')
+        assert dispatch(["solve", str(problem)]) == 1
+        assert capsys.readouterr().err.startswith("validation error: ")
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "abc"])
+    def test_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, tol):
+        problem = write(tmp_path / "p.json", {"gamma": [[2.0]], "Q": [[1.0]]})
+        assert dispatch(["solve", problem, "--oracle", "--tol", tol]) == 64
+        assert "--tol" in capsys.readouterr().err
+
+    def test_tolerance_below_the_float_range_is_numerical_error(self, tmp_path, capsys):
+        problem = write(tmp_path / "p.json", {"gamma": [[2.0]], "Q": [[1.0]]})
+        assert dispatch(["solve", problem, "--oracle", "--tol", "1e-320"]) == 2
+        assert "ToleranceNotMet" in capsys.readouterr().err
 
 
 class TestValidateCommand:
@@ -366,6 +403,9 @@ class TestRejectedBeforeCompute:
             ("constant", {"gamma0": 2.0, "d": True}, "'d'"),
             ("constant", {"gamma0": "2.0"}, "'gamma0'"),
             ("interaction", {"a": "2", "b": 0.5, "c": 1.0}, "'a'"),
+            ("interaction", {"a": 10**400, "b": 0.5, "c": 1.0}, "'a'"),
+            ("interaction", {"a": 2.0, "b": 0.5, "c": 1.0, "d": 1e9}, "'d'"),
+            ("constant", {"gamma0": 2.0, "k": 65}, "'k'"),
         ],
     )
     def test_model_parameter_that_is_not_a_proper_number(
@@ -376,6 +416,19 @@ class TestRejectedBeforeCompute:
         path = write(tmp_path / "c.json", doc)
         err = self.expect_validation_error(capsys, ["converge", path, "--out", str(tmp_path)])
         assert f"parameter {needle}" in err
+
+    @pytest.mark.parametrize("key", ["T", "Delta", "epsilon_list"])
+    def test_number_beyond_the_float_range(self, tmp_path, capsys, key):
+        doc = converge_config()
+        doc["simulation"][key] = [0.1, 10**400] if key == "epsilon_list" else 10**400
+        path = write(tmp_path / "c.json", doc)
+        err = self.expect_validation_error(capsys, ["converge", path, "--out", str(tmp_path)])
+        assert "beyond the float range" in err
+
+    def test_integer_beyond_the_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(converge_config()).replace('"T": 0.25', '"T": ' + "1" * 5000))
+        self.expect_validation_error(capsys, ["converge", str(path), "--out", str(tmp_path)])
 
     @pytest.mark.parametrize("n", [1e300, 2**63, 2**62])
     def test_particle_count_too_large(self, tmp_path, capsys, n):

@@ -5,8 +5,9 @@ Python 3.11).  They pin the sample-config reports and path dump, the
 reports of d = 2 and d = 4 interaction runs under the exponential rule (a
 stack of d > 1 matrix exponentials at every fast step), the ``validate``
 output (two d = 1 sample configs, a d = 4 interaction model and a d = 3
-carrillo-force model), the ``solve --oracle`` output, and the velocity diagnostics, which no
-byte-determinism test covers otherwise.  A
+carrillo-force model), the ``solve --oracle`` output at d = 1, 2 and 3,
+the bytes of ``limit_drift_fields`` against explicit measure samples, and
+the velocity diagnostics, which no byte-determinism test covers otherwise.  A
 change of numpy or BLAS may move the last digits without any change in the
 package; re-record them then from a commit whose behaviour is unchanged.
 """
@@ -15,11 +16,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from smallmass.cli import dispatch
 from smallmass.dynamics import diagnostics_velocity
-from smallmass.models import ModelSpec, model_library
+from smallmass.models import ModelSpec, limit_drift_fields, model_library
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -192,6 +194,31 @@ GOLDEN_SOLVE = {
         "[0.066122574984014457, -0.081682113490696429, 0.18762730502445102]], "
         '"oracle_gap": 7.5435546698088274e-10}\n',
     ),
+    # d = 1 takes the one division formula, Q / (G1 + G2)
+    "lyapunov-d1": (
+        {"gamma": [[2.5]], "Q": [[0.7]]},
+        '{"J": [[0.13999999999999999]], "oracle_gap": 5.0000000251237964e-09}\n',
+    ),
+    "sylvester-d1": (
+        {"A": [[-1.5]], "B": [[0.8]], "C": [[0.6]]},
+        '{"Y": [[-0.2608695652173913]], "oracle_gap": 1.2473355681663634e-12}\n',
+    ),
+    "lyapunov-d2": (
+        {"gamma": [[1.5, 0.4], [-0.2, 2.0]], "Q": [[1.0, 0.3], [0.3, 0.5]]},
+        '{"J": [[0.30983302411873842, 0.088126159554730979], '
+        "[0.088126159554730979, 0.13381261595547309]], "
+        '"oracle_gap": 5.2552956431028974e-10}\n',
+    ),
+    "sylvester-d2": (
+        {
+            "A": [[-2.0, 0.5], [0.3, -1.2]],
+            "B": [[1.1, -0.4], [0.2, 1.6]],
+            "C": [[0.4, -0.7], [0.9, 0.2]],
+        },
+        '{"Y": [[-0.20493485493951927, 0.1559749992226126], '
+        "[-0.40820610093597437, -0.11303212164557358]], "
+        '"oracle_gap": 4.8560604148928377e-10}\n',
+    ),
     "sylvester-d3": (
         {
             "A": [[-2.0, 0.4, 0.0], [-0.3, -1.5, 0.2], [0.1, 0.0, -1.2]],
@@ -213,6 +240,47 @@ def test_solve_with_oracle_output(tmp_path, capsys, name):
     path.write_text(json.dumps(problem))
     assert dispatch(["solve", str(path), "--oracle"]) == 0
     assert capsys.readouterr().out == expected
+
+
+# A Y - Y B = C is solved as (-A) Y + Y B = -C: the exact zeros of this
+# diagonal problem's solution come out as +0, and print as 0.
+def test_solve_prints_exact_zeros_unsigned(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({
+        "A": [[-1.0, 0, 0], [0, -2.0, 0], [0, 0, -3.0]],
+        "B": [[1.0, 0, 0], [0, 2.0, 0], [0, 0, 0.5]],
+        "C": [[1.0, 0, 0], [0, 2.0, 0], [0, 0, 1.5]],
+    }))
+    assert dispatch(["solve", str(path), "--oracle"]) == 0
+    assert capsys.readouterr().out == (
+        '{"Y": [[-0.5, 0, 0], [0, -0.5, 0], [0, 0, -0.42857142857142855]], '
+        '"oracle_gap": 4.4408920985006262e-16}\n'
+    )
+
+
+# limit_drift_fields against a measure given by its own samples: x and y
+# friction evaluated apart, and m = 3 points against n = 4 samples
+GOLDEN_DRIFT_EXPLICIT_SAMPLES = {
+    1: ([[0.9]], "92a5b80ea5346ec656e2dd85f32bc6ca16b07e541bef5e05286d8935f609aeaf"),
+    2: (
+        [[1.0, 0.3], [-0.2, 0.8]],
+        "cfa3dd49d04ebe1684e483cdb4d5fdb20f6c82698226a06201c7839fced232e0",
+    ),
+}
+
+
+@pytest.mark.parametrize("d", sorted(GOLDEN_DRIFT_EXPLICIT_SAMPLES))
+def test_limit_drift_fields_with_explicit_samples(d):
+    sigma, expected = GOLDEN_DRIFT_EXPLICIT_SAMPLES[d]
+    model = model_library(
+        ModelSpec("interaction", {"a": 2.0, "b": 0.5, "c": 1.0, "d": d, "sigma": sigma})
+    )
+    rng = np.random.default_rng(d)
+    X = rng.standard_normal((2, 3, d))
+    samples = rng.standard_normal((2, 4, d))
+    fields = limit_drift_fields(model, X, samples)
+    digest = hashlib.sha256(b"".join(np.ascontiguousarray(f).tobytes() for f in fields))
+    assert digest.hexdigest() == expected
 
 
 def constant_ou():

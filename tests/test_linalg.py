@@ -284,6 +284,14 @@ class TestQuadrature:
         with pytest.raises(ToleranceNotMet):
             linalg.lyapunov_by_quadrature(g, np.array([[1.0]]), 1e-14, max_panels=16)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), 1e-320])
+    def test_tolerance_without_a_finite_cut_off(self, tol):
+        # |Q| / (tol c) is zero, negative, NaN or beyond the float range
+        with pytest.raises(ToleranceNotMet, match="cut-off"):
+            linalg.lyapunov_by_quadrature(np.eye(2), np.eye(2), tol)
+        with pytest.raises(ToleranceNotMet, match="cut-off"):
+            linalg.sylvester_by_quadrature(-np.eye(2), np.eye(2), np.eye(2), tol)
+
     def test_unstable_raises(self):
         with pytest.raises(UnstableFriction):
             linalg.lyapunov_by_quadrature(np.zeros((2, 2)), np.eye(2), 1e-8)
@@ -308,7 +316,24 @@ class TestBatchedSolvers:
             As = np.stack([-random_stable(rng, d) for _ in range(6)])
             Bs = np.stack([random_stable(rng, d) for _ in range(6)])
             Cs = rng.normal(size=(6, d, d))
-            Ys = linalg.sylvester_batch(As, Bs, Cs)
+            Ys = linalg.sylvester_batch(-As, np.swapaxes(Bs, -1, -2), -Cs)
             for A, B, C, Y in zip(As, Bs, Cs, Ys):
                 ref = linalg.sylvester_by_quadrature(A, B, C, 1e-10)
                 assert np.abs(Y - ref).max() <= 1e-8 * max(np.abs(ref).max(), 1.0)
+
+    def test_sylvester_batch_broadcasts(self):
+        # gamma(x) and gamma(y) against each other, as the measure drift passes
+        # them: the same bits as the stacks materialized to (B, N, n, d, d)
+        rng = np.random.default_rng(43)
+        B, N, n = 2, 3, 4
+        for d in (1, 2, 4):
+            G1 = np.stack([random_stable(rng, d) for _ in range(B * N)]).reshape(B, N, 1, d, d)
+            G2 = np.stack([random_stable(rng, d) for _ in range(B * n)]).reshape(B, 1, n, d, d)
+            Q = rng.normal(size=(B, N, n, d, d))
+            full = (B, N, n, d, d)
+            J = linalg.sylvester_batch(G1, G2, Q)
+            ref = linalg.sylvester_batch(
+                np.broadcast_to(G1, full).copy(), np.broadcast_to(G2, full).copy(), Q
+            )
+            assert J.shape == full
+            assert J.tobytes() == ref.tobytes()

@@ -4,13 +4,13 @@ import pytest
 from smallmass import linalg
 from smallmass.errors import (
     ParameterViolation,
+    SizeLimitExceeded,
     UnknownFamily,
     UnstableFriction,
     ValidationError,
 )
 from smallmass.measures import EmpiricalMeasure
 from smallmass.models import (
-    DRIFT_MAGNITUDE_CAP,
     ModelSpec,
     SystemModel,
     drift_S,
@@ -20,6 +20,12 @@ from smallmass.models import (
     limit_drift_fields,
     model_library,
 )
+
+
+# Magnitude guard used by the drift sanity property: corrections are bounded
+# by derivative bounds * |sigma|^2 / c^3 on any probe set; anything beyond
+# this cap indicates a broken model.
+DRIFT_MAGNITUDE_CAP = 1e6
 
 
 def interaction(a=2.0, b=0.5, c=1.0, d=1, sigma=1.0):
@@ -107,6 +113,7 @@ class TestModelLibrary:
             ("constant", {"gamma0": [[True]]}),
             ("constant", {"gamma0": 2.0, "d": 2, "sigma": [[1.0, 0.0], [0.5]]}),
             ("interaction", {"a": "2", "b": 0.5, "c": 1.0}),
+            ("interaction", {"a": 10**400, "b": 0.5, "c": 1.0}),
             ("interaction", {"a": 2.0, "b": 0.5, "c": np.bool_(True)}),
             ("interaction", {"a": 2.0, "b": 0.5, "c": [1.0]}),
             ("scalar-state", {"a": 2.0, "b": 0.5, "sigma": None}),
@@ -115,6 +122,15 @@ class TestModelLibrary:
     def test_parameter_must_be_a_number(self, family, params):
         with pytest.raises(ParameterViolation):
             model_library(ModelSpec(family, params))
+
+    @pytest.mark.parametrize("key", ["d", "k"])
+    def test_dimensions_bounded_by_max_dim(self, key):
+        model = model_library(ModelSpec("constant", {"gamma0": 2.0, key: linalg.MAX_DIM}))
+        assert {"d": model.dim, "k": model.noise_dim}[key] == linalg.MAX_DIM
+        with pytest.raises(SizeLimitExceeded, match=f"'{key}'"):
+            model_library(ModelSpec("constant", {"gamma0": 2.0, key: linalg.MAX_DIM + 1}))
+        with pytest.raises(SizeLimitExceeded):
+            model_library(ModelSpec("constant", {"gamma0": 2.0, key: 1e9}))
 
     def test_integral_float_and_numpy_scalars_accepted(self):
         model = model_library(ModelSpec("constant", {"gamma0": 2.0, "d": 2.0}))
