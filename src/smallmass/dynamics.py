@@ -37,10 +37,11 @@ from .errors import (
     SizeLimitExceeded,
     StepTooLarge,
     ValidationError,
+    ValidationFailure,
 )
 from .linalg import expm, min_sym_eig_batch
 from .measures import EmpiricalMeasure, wasserstein2_assignment
-from .models import MODE_EXTENSION, SystemModel, limit_drift_fields
+from .models import MODE_EXTENSION, SystemModel, _reals, limit_drift_fields
 
 DEFAULT_KAPPA = 20.0
 BLOWUP_CAP = 1e8
@@ -68,11 +69,14 @@ def _state_array(value, n_particles: int, dim: int, name: str) -> np.ndarray:
     a read-only ``(n_particles, dim)`` view: nothing of size n_particles is made."""
     if n_particles < 1:
         raise ValidationError(f"n_particles must be >= 1, got {n_particles}")
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(_reals(value, name))
+    except ValueError:   # ragged nesting
+        raise ValidationError(f"{name} is a ragged list") from None
+    except ValidationFailure as exc:   # a bool, a string, or a number not finite
+        raise ValidationError(str(exc)) from None
     if arr.shape not in ((), (dim,), (n_particles, dim)):
         raise ValidationError(f"{name} must broadcast to ({n_particles}, {dim})")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} must be finite")
     try:
         return np.broadcast_to(arr, (n_particles, dim))
     except ValueError:   # more bytes than an array can address

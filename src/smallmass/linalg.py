@@ -8,18 +8,27 @@ G1 = gamma(x), G2 = gamma(y).  The point solvers take a Sylvester problem as
 A Y - Y B = C and map it onto the equation as (G1, G2, Q) = (-A, B^T, -C).
 Everything here is written for the d <= MAX_DIM = 64 regime.
 
-The kernels take a stack of matrices (..., d, d) and give the same bits as
-its matrices one at a time: ``expm``, ``min_sym_eig_batch`` and the one
-equation's solver, the vectorized d^2 x d^2 Kronecker system
-G1 (x) I + I (x) G2 solved by LAPACK on broadcastable stacks
-(``lyapunov_batch``/``sylvester_batch``, O(d^6) per matrix).  Stack kernels
-do no checks; ``expm`` alone checks the shape and finiteness of every
+The kernels take a stack of matrices (..., d, d): ``expm`` and
+``min_sym_eig_batch`` give the same bits as its matrices one at a time.  The
+stack solvers ``lyapunov_batch``/``sylvester_batch`` solve the one equation on
+broadcastable stacks by diagonalization (Bartels & Stewart, CACM 15(9), 1972):
+G1 = V1 L1 V1^-1 and G2 = V2 L2 V2^-1, each factored once on the stack as
+passed (gamma(x) as (B, N, 1, d, d) and gamma(y) as (B, 1, n, d, d), so N + n
+eigen-decompositions per ensemble for N n solves), and
+J = V1 [(V1^-1 Q V2^-T) / (l1_a + l2_b)] V2^T, with the real part taken when
+the eigenpairs are complex: O(d^3) per solve.  When an eigenvector matrix of
+either stack is singular or has ||V||_F ||V^-1||_F above _SPECTRAL_COND_MAX
+(a defective or nearly defective G, such as [[2, 1], [0, 2]]), the whole call
+falls back to the vectorized d^2 x d^2 Kronecker system G1 (x) I + I (x) G2
+solved by LAPACK (O(d^6) per solve); at d = 1 both are Q / (G1 + G2).  Stack
+kernels do no checks; ``expm`` alone checks the shape and finiteness of every
 matrix.  The point functions accept square matrices and check them:
-``min_sym_eig``, the point solvers ``solve_lyapunov``/``solve_sylvester``,
-which also reject a numerically singular operator by its singular values,
-and the quadrature oracles, which evaluate the one semigroup integral
-int_0^inf e^{-G1 y} Q e^{-G2^T y} dy with each panel's Gauss nodes as one
-stack of exponentials.
+``min_sym_eig``; the point solvers ``solve_lyapunov``/``solve_sylvester``,
+which stay on the Kronecker system and reject a numerically singular operator
+by its singular values; and the quadrature oracles, which evaluate the one
+semigroup integral int_0^inf e^{-G1 y} Q e^{-G2^T y} dy with each panel's
+Gauss nodes as one stack of exponentials.  Solvers and oracles take
+d <= MAX_DIM.
 
 All functions are pure; none keeps state.
 """
@@ -36,6 +45,7 @@ from .errors import (
     IllConditionedWarning,
     NonFinite,
     SingularSystem,
+    SizeLimitExceeded,
     SpectrumOverlap,
     ToleranceNotMet,
     UnstableFriction,
@@ -54,6 +64,11 @@ _TAYLOR_RADIUS = 0.25
 # number.
 _PIVOT_RTOL = 1e-14
 _PIVOT_RATIO_WARN = 1e12
+# Stack solver: largest eigenvector condition number ||V||_F ||V^-1||_F of G1
+# or G2 that the spectral solve accepts; above it the call takes the Kronecker
+# solve.  The spectral solve's error grows about like 1e-16 times this number,
+# so the two agree to about 1e-13 relative.
+_SPECTRAL_COND_MAX = 1e3
 
 
 def _as_stack(M, name: str) -> np.ndarray:
@@ -112,10 +127,11 @@ def min_sym_eig(M) -> float:
 
 # --- the one equation: G1 J + J G2^T = Q ---------------------------------------
 #
-# Every Lyapunov and Sylvester solve in the package goes through ``_solve``:
-# the operator is assembled for broadcastable stacks and handed to LAPACK's
-# batched solver (plain division for d = 1).  The stacked solvers do no
-# checks; callers have checked stability already.
+# ``_solve`` assembles the Kronecker operator for broadcastable stacks and
+# hands it to LAPACK's batched solver (plain division for d = 1); the point
+# solvers and the stack solvers' fallback use it.  ``_stacked_solve`` is the
+# spectral solve behind the stack solvers.  Neither checks anything; callers
+# have checked stability already.
 
 def _operator(G1: np.ndarray, G2: np.ndarray) -> np.ndarray:
     """G1 (x) I + I (x) G2: the d^2 x d^2 matrix that maps the rows of J, laid
@@ -136,14 +152,47 @@ def _solve(G1: np.ndarray, G2: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return J.reshape(*J.shape[:-2], d, d)
 
 
+def _eigenbasis(G: np.ndarray):
+    """(lambda, V, V^-1) of every matrix of the stack G, or None when an
+    eigenvector matrix is singular or has ||V|| ||V^-1|| above _SPECTRAL_COND_MAX."""
+    try:
+        lam, V = np.linalg.eig(G)
+        W = np.linalg.inv(V)
+    except np.linalg.LinAlgError:   # non-finite G, or a singular V
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow reads inf
+        cond = np.linalg.norm(V, axis=(-2, -1)) * np.linalg.norm(W, axis=(-2, -1))
+    if not cond.max(initial=0.0) <= _SPECTRAL_COND_MAX:   # inf and NaN fall back too
+        return None
+    return lam, V, W
+
+
+def _stacked_solve(G1: np.ndarray, G2: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The stack solver: for d > 1, J = V1 [(V1^-1 Q V2^-T) / (lambda1_a + lambda2_b)]
+    V2^T with G1 and G2 diagonalized once each on the stacks as given, before
+    they broadcast against each other; ``_solve`` on the whole call when either
+    eigenbasis is ill-conditioned."""
+    if Q.shape[-1] == 1:
+        return _solve(G1, G2, Q)
+    one = _eigenbasis(G1)
+    two = one if G2 is G1 else _eigenbasis(G2)
+    if one is None or two is None:
+        return _solve(G1, G2, Q)
+    (lam1, V1, W1), (lam2, V2, W2) = one, two
+    Qh = W1 @ Q @ np.swapaxes(W2, -1, -2)
+    Qh /= lam1[..., :, None] + lam2[..., None, :]
+    J = V1 @ Qh @ np.swapaxes(V2, -1, -2)
+    return J.real if np.iscomplexobj(J) else J
+
+
 def lyapunov_batch(gammas: np.ndarray, Qs: np.ndarray) -> np.ndarray:
     """Solve gamma J + J gamma^T = Q for broadcastable stacks (..., d, d)."""
-    return _solve(gammas, gammas, Qs)
+    return _stacked_solve(gammas, gammas, Qs)
 
 
 def sylvester_batch(G1: np.ndarray, G2: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Solve G1 J + J G2^T = Q for broadcastable stacks (..., d, d)."""
-    return _solve(G1, G2, Q)
+    return _stacked_solve(G1, G2, Q)
 
 
 def _equation(operands: dict, form, error: Exception):
@@ -154,6 +203,8 @@ def _equation(operands: dict, form, error: Exception):
     mats = [_as_square(m, name) for name, m in operands.items()]
     if any(m.shape != mats[0].shape for m in mats):
         raise ValidationError("operands must share one dimension")
+    if mats[0].shape[-1] > MAX_DIM:   # before a d^2 x d^2 operator is built
+        raise SizeLimitExceeded(f"dimension {mats[0].shape[-1]} is above {MAX_DIM}")
     G1, G2, Q = form(*mats)
     c = min(min_sym_eig(G1), min_sym_eig(G2))
     if c <= STABILITY_EPS:

@@ -23,9 +23,15 @@ The limit dynamics carries two correction drifts on top of ``gamma^{-1} F``:
 Both are the one equation G1 J + J G2^T = Q of :mod:`linalg`, with G1 = G2 =
 gamma(x) for ``J`` and G1 = gamma(x), G2 = gamma(y), x broadcast against y, for ``J~``.
 
-Derivatives of the inverse are never differenced numerically: we use the
-sandwich identities d_x gamma^{-1} = -gamma^{-1} (d_x gamma) gamma^{-1} and
-its measure-derivative analogue.
+Derivatives of the inverse are never differenced numerically.  They follow
+from d gamma^{-1} = -gamma^{-1} (d gamma) gamma^{-1}, for the state and the
+measure derivative alike.  The point functions ``gamma_inv_dx`` /
+``gamma_inv_dmu`` form this sandwich; ``limit_drift_fields`` at d > 1 never
+does, and contracts factor by factor instead:
+S_i = -gamma^{-1}_ip sum_{q,l} (d_x gamma)_pql (gamma^{-1} J)_ql, and S~ the
+same with d_mu gamma, J~ and the mean over the samples taken before the last
+product, so no (B, N, n, d, d, d) tensor but the derivative itself is made.
+At d = 1 it keeps the sandwich, whose bits the d = 1 reports carry.
 
 Batch evaluation conventions (used by the integrators): states are arrays of
 shape ``(B, m, d)`` where ``B`` indexes independent ensembles (each with its
@@ -181,7 +187,9 @@ class SystemModel:
 
 def _reals(value, name):
     """``value`` with every number in it checked and made a float."""
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
         return [_reals(v, name) for v in value]
     if isinstance(value, bool) or not isinstance(value, numbers.Real):   # np.bool_ is no Real
         raise ParameterViolation(f"parameter {name!r} must be a number, got {value!r}")
@@ -393,6 +401,25 @@ def _sandwich(ginv: np.ndarray, D: np.ndarray) -> np.ndarray:
     return -np.einsum("...ip,...pql,...qj->...ijl", ginv, D, ginv)
 
 
+def _contract(ginv: np.ndarray, D: np.ndarray, J: np.ndarray, samples: bool = False):
+    """sum_{j,l} (d gamma^{-1})_{ijl} J_{jl}, entry [b, n, i], from gamma^{-1} (B, N, d, d)
+    and the derivative D of gamma (B, N, d, d, d) and J (B, N, d, d) at the points;
+    with ``samples`` D and J carry a sample axis after (B, N), and the result is
+    the mean over it.
+
+    At d > 1 it runs factor by factor, -gamma^{-1} (sum_{q,l} D_{pql}
+    (gamma^{-1} J)_{ql}), the mean taken before the last product; at d = 1 it
+    contracts the sandwich, as the d = 1 reports were recorded."""
+    g = ginv[:, :, None] if samples else ginv
+    if ginv.shape[-1] == 1:
+        S = np.einsum("...ijl,...jl->...i", _sandwich(g, D), J)
+        return S.mean(axis=2) if samples else S
+    T = np.einsum("...pql,...ql->...p", D, g @ J)
+    if samples:
+        T = T.mean(axis=2)
+    return -np.einsum("bnip,bnp->bni", ginv, T)
+
+
 def _point_inverse_derivative(model: SystemModel, x, mu, D) -> np.ndarray:
     g = model.friction(x, mu)
     _require_stable(g)
@@ -454,8 +481,7 @@ def limit_drift_fields(model: SystemModel, X: np.ndarray, samples=None):
     else:
         Q = np.einsum("bnik,bnjk->bnij", sig, sig)
         J = linalg.lyapunov_batch(g, Q)
-        G = _sandwich(ginv, model.friction_dx_field(X, samples))
-        S = np.einsum("bnijl,bnjl->bni", G, J)
+        S = _contract(ginv, model.friction_dx_field(X, samples), J)
 
     if model.dmu_is_zero:
         S_t = np.zeros((B, N, d))
@@ -469,7 +495,6 @@ def limit_drift_fields(model: SystemModel, X: np.ndarray, samples=None):
         Q = np.einsum("bnik,bmjk->bnmij", sig, sig_y)
         J_t = linalg.sylvester_batch(g[:, :, None], g_y[:, None], Q)   # (B, N, n, d, d)
         D = model.friction_dmu_field(X, samples, samples)      # (B, N, n, d, d, d)
-        G = _sandwich(ginv[:, :, None], D)
-        S_t = np.einsum("bnmijl,bnmjl->bnmi", G, J_t).mean(axis=2)
+        S_t = _contract(ginv, D, J_t, samples=True)
 
     return ginv_f, S, S_t, ginv_sigma

@@ -1,9 +1,10 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from smallmass import cli, driver, dynamics
+from smallmass import cli, driver, dynamics, linalg
 from smallmass.cli import dispatch, main, parse_config
 from smallmass.errors import ParseError, ValidationError
 
@@ -179,6 +180,18 @@ class TestSolveCommand:
         problem = write(tmp_path / "p.json", {"gamma": [[2.0]], "Q": [[1.0]]})
         assert dispatch(["solve", problem, "--oracle", "--tol", tol]) == 64
         assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys", [("gamma", "Q"), ("A", "B", "C")])
+    def test_dimension_above_the_bound_is_rejected_before_the_operator(
+        self, tmp_path, capsys, monkeypatch, keys
+    ):
+        # a 65 x 65 problem would ask for a 4225 x 4225 Kronecker operator
+        monkeypatch.setattr(linalg, "_operator", None)
+        eye = np.eye(linalg.MAX_DIM + 1).tolist()
+        problem = write(tmp_path / "p.json", {key: eye for key in keys})
+        assert dispatch(["solve", problem, "--oracle"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and "above 64" in err
 
     def test_tolerance_below_the_float_range_is_numerical_error(self, tmp_path, capsys):
         problem = write(tmp_path / "p.json", {"gamma": [[2.0]], "Q": [[1.0]]})
@@ -436,6 +449,23 @@ class TestRejectedBeforeCompute:
         # 2**62 float rows can be addressed
         path = write(tmp_path / "c.json", converge_config(N=n))
         self.expect_validation_error(capsys, ["converge", path, "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("key", ["x0", "v0"])
+    @pytest.mark.parametrize(
+        "value, needle",
+        [
+            (True, "must be a number"),
+            ("abc", "must be a number"),
+            ([[0.0], [1.0, 2.0]], "ragged"),
+            ([0.0, None], "must be a number"),
+            (10**400, "beyond the float range"),
+        ],
+        ids=["bool", "string", "ragged", "null", "huge-integer"],
+    )
+    def test_start_state_that_is_not_numbers(self, tmp_path, capsys, key, value, needle):
+        path = write(tmp_path / "c.json", base_config(N=2, **{key: value}))
+        err = self.expect_validation_error(capsys, ["simulate", path, "--out", str(tmp_path)])
+        assert f"simulation.{key}" in err and needle in err
 
     @pytest.mark.parametrize("command", ["validate", "converge"])
     def test_negative_seed_in_config(self, tmp_path, capsys, command):

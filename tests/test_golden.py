@@ -259,12 +259,13 @@ def test_solve_prints_exact_zeros_unsigned(tmp_path, capsys):
 
 
 # limit_drift_fields against a measure given by its own samples: x and y
-# friction evaluated apart, and m = 3 points against n = 4 samples
+# friction evaluated apart, and m = 3 points against n = 4 samples.  The d = 2
+# digest is of the factor-by-factor contraction of S and S~ used at d > 1.
 GOLDEN_DRIFT_EXPLICIT_SAMPLES = {
     1: ([[0.9]], "92a5b80ea5346ec656e2dd85f32bc6ca16b07e541bef5e05286d8935f609aeaf"),
     2: (
         [[1.0, 0.3], [-0.2, 0.8]],
-        "cfa3dd49d04ebe1684e483cdb4d5fdb20f6c82698226a06201c7839fced232e0",
+        "34dcbd20789c6cda7eec38a319d707d468d5a6b0efb6f843f86652a972df0f6c",
     ),
 }
 

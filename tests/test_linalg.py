@@ -337,3 +337,68 @@ class TestBatchedSolvers:
             )
             assert J.shape == full
             assert J.tobytes() == ref.tobytes()
+
+
+class TestSpectralStackSolve:
+    # the stack solvers diagonalize G1 and G2; the Kronecker solve that the
+    # point solvers keep is their reference
+    @staticmethod
+    def stacks(rng, d, B=2, N=5, n=4):
+        G1 = np.stack([random_stable(rng, d) for _ in range(B * N)]).reshape(B, N, 1, d, d)
+        G2 = np.stack([random_stable(rng, d) for _ in range(B * n)]).reshape(B, 1, n, d, d)
+        return G1, G2, rng.normal(size=(B, N, n, d, d))
+
+    @staticmethod
+    def relative_gap(J, ref):
+        return float((np.linalg.norm(J - ref, axis=(-2, -1))
+                      / np.linalg.norm(ref, axis=(-2, -1))).max())
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_the_kronecker_solve_on_non_normal_stacks(self, d):
+        rng = np.random.default_rng(47 + d)
+        for _ in range(10):
+            G1, G2, Q = self.stacks(rng, d)
+            assert np.abs(np.linalg.eigvals(G1).imag).max() > 0.0   # complex eigenpairs
+            J = linalg.sylvester_batch(G1, G2, Q)
+            assert J.dtype == float and J.shape == Q.shape
+            assert self.relative_gap(J, linalg._solve(G1, G2, Q)) <= 1e-12
+            g = G1[:, :, 0]
+            Qs = Q[:, :, 0] @ np.swapaxes(Q[:, :, 0], -1, -2)
+            assert self.relative_gap(linalg.lyapunov_batch(g, Qs), linalg._solve(g, g, Qs)) <= 1e-12
+
+    def test_defective_friction_takes_the_kronecker_bits(self):
+        rng = np.random.default_rng(53)
+        G1, G2, Q = self.stacks(rng, 2)
+        defective = np.array([[2.0, 1.0], [0.0, 2.0]])
+        assert linalg._eigenbasis(defective) is None
+        assert linalg._eigenbasis(G1) is not None
+        G1[1, 3, 0] = defective
+        J = linalg.sylvester_batch(G1, G2, Q)
+        assert J.tobytes() == linalg._solve(G1, G2, Q).tobytes()
+        J = linalg.sylvester_batch(G2, G1, Q)     # the defective matrix on the y side
+        assert J.tobytes() == linalg._solve(G2, G1, Q).tobytes()
+        g, Q_x = G1[:, :, 0], Q[:, :, 0]
+        assert linalg.lyapunov_batch(g, Q_x).tobytes() == linalg._solve(g, g, Q_x).tobytes()
+
+    def test_eigen_decompositions_run_on_the_unbroadcast_stacks(self, monkeypatch):
+        factored = []
+        eig = np.linalg.eig
+
+        def counted(a):
+            factored.append(int(np.prod(np.shape(a)[:-2])))
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        B, N, n = 2, 5, 4
+        G1, G2, Q = self.stacks(np.random.default_rng(59), 3, B, N, n)
+        linalg.sylvester_batch(G1, G2, Q)
+        assert sorted(factored) == [B * n, B * N]    # not B * N * n each
+        factored.clear()
+        linalg.lyapunov_batch(G1[:, :, 0], Q[:, :, 0])
+        assert factored == [B * N]                   # gamma is factored once
+
+    def test_d1_keeps_the_scalar_formula(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eig", None)
+        G1, G2, Q = self.stacks(np.random.default_rng(61), 1)
+        assert linalg.sylvester_batch(G1, G2, Q).tobytes() == (Q / (G1 + G2)).tobytes()
+        assert linalg.lyapunov_batch(G1, Q).tobytes() == (Q / (G1 + G1)).tobytes()
