@@ -53,9 +53,6 @@ BLOWUP_CAP = 1e8
 # 16, 438 MB in batches of 64).  Results do not depend on either value.
 BATCH_STATES = 65536
 BATCH_MIN_REPLICAS = 16
-# Replicas per partial sum of the velocity diagnostics' per-time records; it
-# fixes only the order of the sums, which is part of the output bytes.
-DIAGNOSTICS_CHUNK = 128
 
 SCHEME_EXPLICIT = "explicit"
 SCHEME_EXPONENTIAL = "exponential"
@@ -174,6 +171,8 @@ def _full_kernel(scheme: str, eps: float, delta: float, kappa: float = DEFAULT_K
     """One-step kernel of ``scheme``; the explicit rule needs delta <= eps/kappa."""
     if scheme not in _FULL_SCHEMES:
         raise ValidationError(f"unknown scheme {scheme!r}")
+    if not (0.0 < eps < np.inf and 0.0 < delta < np.inf):
+        raise ValidationError(f"eps = {eps} and delta = {delta} must be positive and finite")
     if scheme == SCHEME_EXPLICIT and delta > eps / kappa * (1.0 + 1e-12):
         raise StepTooLarge(f"delta = {delta} exceeds eps/kappa = {eps / kappa:.3e}")
     return _FULL_SCHEMES[scheme]
@@ -342,8 +341,10 @@ class CoupledResult:
 
 
 def _ratio_int(big: float, small: float, what: str) -> int:
+    if not 0.0 < small < np.inf:
+        raise GridMismatch(f"{what}: the step {small} is not positive and finite")
     ratio = big / small
-    m = int(round(ratio))
+    m = int(round(ratio)) if np.isfinite(ratio) else 0
     if m < 1 or abs(ratio - m) > 1e-9 * max(1.0, abs(m)):
         raise GridMismatch(f"{what} = {ratio} is not a positive integer")
     return m
@@ -527,10 +528,10 @@ def diagnostics_velocity(
     """Estimate the two velocity moment functionals of the mass-eps system.
 
     Replicas march in the sweep's work-sized batches (``_replica_batches``).
-    The per-time records are added up over consecutive runs of
-    DIAGNOSTICS_CHUNK replicas as each run finishes, so no batch size moves a
-    byte, and the records of at most one run (n_rec x DIAGNOSTICS_CHUNK
-    values) are held at once, whatever the replica count or batch size."""
+    Each batch's per-time records are folded into two running sums per record
+    time, strictly left to right in replica order, ((c + z_0) + z_1) + ..., so
+    no batch size moves a byte, and the record memory is 2 x n_rec values,
+    whatever the replica count or batch size."""
     if replicas < 2:
         raise ValidationError("diagnostics need at least two replicas")
     if n_record < 1:
@@ -545,9 +546,6 @@ def diagnostics_velocity(
 
     z_sum = np.zeros(len(rec_steps))
     z_sq_sum = np.zeros(len(rec_steps))
-    # per record time, the records of the run of DIAGNOSTICS_CHUNK replicas
-    # being filled; a finished run is summed as one contiguous 1-D array
-    run = np.empty((len(rec_steps), DIAGNOSTICS_CHUNK))
     sup_ev = np.zeros(replicas)
 
     def on_step(s, V):
@@ -555,20 +553,13 @@ def diagnostics_velocity(
         if s % rec_every == 0:
             j = s // rec_every
             z = eps * np.mean(np.sum(V * V, axis=-1), axis=-1)
-            for start in run_starts:
-                stop = min(start + DIAGNOSTICS_CHUNK, replicas)
-                lo, hi = max(start, ids.start), min(stop, ids.stop)
-                run[j, lo - start:hi - start] = z[lo - ids.start:hi - ids.start]
-                if hi == stop:   # the run is complete
-                    r = run[j, :stop - start]
-                    z_sum[j] += r.sum()
-                    z_sq_sum[j] += (r * r).sum()
+            # add.accumulate is a strict left fold, unlike the pairwise sum
+            z_sum[j] = np.add.accumulate(np.concatenate(([z_sum[j]], z)))[-1]
+            z_sq_sum[j] = np.add.accumulate(np.concatenate(([z_sq_sum[j]], z * z)))[-1]
 
     driver = NoiseDriver(seed, delta, 1)
     for batch in _replica_batches(model, replicas, n_particles):
         ids = slice(batch.start, batch.stop)
-        first_run = batch.start - batch.start % DIAGNOSTICS_CHUNK
-        run_starts = range(first_run, batch.stop, DIAGNOSTICS_CHUNK)
         X = np.broadcast_to(x_init, (len(batch), n_particles, d)).copy()
         V = np.broadcast_to(v_init, (len(batch), n_particles, d)).copy()
         on_step(0, V)

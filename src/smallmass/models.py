@@ -26,12 +26,11 @@ gamma(x) for ``J`` and G1 = gamma(x), G2 = gamma(y), x broadcast against y, for 
 Derivatives of the inverse are never differenced numerically.  They follow
 from d gamma^{-1} = -gamma^{-1} (d gamma) gamma^{-1}, for the state and the
 measure derivative alike.  The point functions ``gamma_inv_dx`` /
-``gamma_inv_dmu`` form this sandwich; ``limit_drift_fields`` at d > 1 never
-does, and contracts factor by factor instead:
+``gamma_inv_dmu`` form this sandwich; ``limit_drift_fields`` never does,
+and contracts factor by factor instead, at every d:
 S_i = -gamma^{-1}_ip sum_{q,l} (d_x gamma)_pql (gamma^{-1} J)_ql, and S~ the
 same with d_mu gamma, J~ and the mean over the samples taken before the last
 product, so no (B, N, n, d, d, d) tensor but the derivative itself is made.
-At d = 1 it keeps the sandwich, whose bits the d = 1 reports carry.
 
 Batch evaluation conventions (used by the integrators): states are arrays of
 shape ``(B, m, d)`` where ``B`` indexes independent ensembles (each with its
@@ -407,13 +406,9 @@ def _contract(ginv: np.ndarray, D: np.ndarray, J: np.ndarray, samples: bool = Fa
     with ``samples`` D and J carry a sample axis after (B, N), and the result is
     the mean over it.
 
-    At d > 1 it runs factor by factor, -gamma^{-1} (sum_{q,l} D_{pql}
-    (gamma^{-1} J)_{ql}), the mean taken before the last product; at d = 1 it
-    contracts the sandwich, as the d = 1 reports were recorded."""
+    It runs factor by factor, -gamma^{-1} (sum_{q,l} D_{pql} (gamma^{-1} J)_{ql}),
+    the mean taken before the last product."""
     g = ginv[:, :, None] if samples else ginv
-    if ginv.shape[-1] == 1:
-        S = np.einsum("...ijl,...jl->...i", _sandwich(g, D), J)
-        return S.mean(axis=2) if samples else S
     T = np.einsum("...pql,...ql->...p", D, g @ J)
     if samples:
         T = T.mean(axis=2)

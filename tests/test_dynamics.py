@@ -1,3 +1,5 @@
+import functools
+import operator
 import tracemalloc
 
 import numpy as np
@@ -224,6 +226,39 @@ class TestRunInputValidation:
                 replica_id=0, seed=0,
             )
 
+    # the CLI checks these values before any run; the Python entry points
+    # check them in the one-step kernel and in the grid ratio
+    @pytest.mark.parametrize("entry, change, error", [
+        ("diagnostics", {"eps": 0.0, "scheme": "exponential"}, ValidationError),
+        ("diagnostics", {"eps": -0.05, "scheme": "exponential"}, ValidationError),
+        ("diagnostics", {"eps": np.inf, "scheme": "exponential"}, ValidationError),
+        ("diagnostics", {"delta": 0.0}, ValidationError),
+        ("diagnostics", {"delta": np.nan}, ValidationError),
+        ("simulate", {"eps": 0.0, "scheme": "exponential"}, ValidationError),
+        ("simulate", {"eps": np.nan, "scheme": "exponential"}, ValidationError),
+        ("simulate", {"delta": 0.0}, ValidationError),
+        ("limit", {"Delta": 0.0}, GridMismatch),
+        ("limit", {"Delta": np.nan}, GridMismatch),
+        ("limit", {"T": np.inf}, GridMismatch),
+    ], ids=[
+        "diagnostics-eps-0", "diagnostics-eps-negative", "diagnostics-eps-inf",
+        "diagnostics-delta-0", "diagnostics-delta-nan", "simulate-eps-0",
+        "simulate-eps-nan", "simulate-delta-0", "limit-Delta-0", "limit-Delta-nan",
+        "limit-T-inf",
+    ])
+    def test_impossible_mass_or_step_is_a_typed_error(self, entry, change, error):
+        run, kwargs = {
+            "diagnostics": (diagnostics_velocity, dict(
+                eps=0.05, T=0.1, delta=0.0025, replicas=2, seed=0)),
+            "simulate": (simulate_coupled, dict(
+                eps=0.05, T=0.05, delta=0.0025, Delta=0.01, n_particles=1,
+                replica_id=0, seed=0)),
+            "limit": (run_limit_path, dict(
+                T=0.05, Delta=0.01, n_particles=1, replica_id=0, seed=0)),
+        }[entry]
+        with pytest.raises(error, match="positive and finite|not a positive integer"):
+            run(constant_model(), **{**kwargs, **change})
+
 
 class TestStartState:
     def test_broadcast_view_allocates_nothing_of_size_n(self):
@@ -418,10 +453,10 @@ class TestVelocityDiagnostics:
     def test_bytes_do_not_depend_on_batches_or_blocks(
         self, monkeypatch, d, n_particles, scheme, delta
     ):
-        # 300 replicas span three summation chunks; (minimum replicas per
-        # batch, states per batch, noise block bytes): batches of 1, 100
-        # (runs that end inside a batch), the default and R; blocks of one
-        # step, the default and the whole run
+        # 300 replicas, whose per-time sums fold in replica order; (minimum
+        # replicas per batch, states per batch, noise block bytes): batches
+        # of 1, 100, the default and R; blocks of one step, the default and
+        # the whole run
         model = model_library(ModelSpec("interaction", {"a": 2.0, "b": 0.5, "c": 1.0, "d": d}))
         replicas = 300
         settings = [
@@ -483,6 +518,48 @@ class TestVelocityDiagnostics:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] - peaks[0] < 0.5e6
+
+    def test_per_time_sums_are_a_left_fold_in_replica_order(self, monkeypatch):
+        # 300 replicas in batches of 64: the per-replica records, rebuilt
+        # from each batch's velocities at the record steps and added one
+        # replica at a time, give sup_ev2 and its standard error bit for bit
+        monkeypatch.setattr(dynamics, "BATCH_MIN_REPLICAS", 64)
+        monkeypatch.setattr(dynamics, "BATCH_STATES", 1)
+        eps, T, delta, replicas, n_record = 0.05, 0.2, 0.0025, 300, 8
+        rec_every = round(T / delta) // n_record
+        batches = []   # per _march call (one batch): record index -> V
+        march = dynamics._march
+
+        def spy(model, blocks, systems, XL, *, on_step, **kwargs):
+            seen = {0: systems[0][2].copy()}
+            batches.append(seen)
+
+            def capture(s, V):
+                if s % rec_every == 0:
+                    seen[s // rec_every] = V.copy()
+                on_step(s, V)
+
+            return march(model, blocks, systems, XL, on_step=capture, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_march", spy)
+        diag = diagnostics_velocity(
+            constant_model(), eps, T=T, delta=delta, replicas=replicas, seed=9,
+            n_particles=3, n_record=n_record, v0=-0.3,
+        )
+        assert [len(b[0]) for b in batches] == [64, 64, 64, 64, 44]
+
+        z_sum, z_sq_sum = [], []
+        for j in range(n_record + 1):
+            z = np.concatenate(
+                [eps * np.mean(np.sum(b[j] * b[j], axis=-1), axis=-1) for b in batches]
+            )
+            z_sum.append(functools.reduce(operator.add, z.tolist(), 0.0))
+            z_sq_sum.append(functools.reduce(operator.add, (z * z).tolist(), 0.0))
+        mean_curve = np.array(z_sum) / replicas
+        j_star = int(np.argmax(mean_curve))
+        var = (z_sq_sum[j_star] - replicas * mean_curve[j_star] ** 2) / (replicas - 1)
+        assert diag.sup_ev2 == float(mean_curve[j_star])
+        assert diag.sup_ev2_stderr == float(np.sqrt(max(var, 0.0) / replicas))
 
     def test_exponential_terminal_distribution_matches_fine_em(self):
         # same model, same horizon: exponential stepper at delta = eps/10 vs

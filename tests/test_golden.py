@@ -31,7 +31,7 @@ GOLDEN_FILES = {
         "report.csv": "8e5928d05c4bc972602500d2e69c7809f08294ce6467999c1519857e795c1303",
     },
     ("simulate", "simulate_interaction.json"): {
-        "paths.csv": "2fad404809f4f1c77a3254b159430bd1b5d018a43e8f9ea4b66b397f63c7b27b",
+        "paths.csv": "78bc5fa7ed454f63364ad75ef1167f4f1e552c4e9fe5c663318d4a3407ae3f56",
     },
 }
 
@@ -259,10 +259,10 @@ def test_solve_prints_exact_zeros_unsigned(tmp_path, capsys):
 
 
 # limit_drift_fields against a measure given by its own samples: x and y
-# friction evaluated apart, and m = 3 points against n = 4 samples.  The d = 2
-# digest is of the factor-by-factor contraction of S and S~ used at d > 1.
+# friction evaluated apart, and m = 3 points against n = 4 samples.  Both
+# digests are of the factor-by-factor contraction of S and S~.
 GOLDEN_DRIFT_EXPLICIT_SAMPLES = {
-    1: ([[0.9]], "92a5b80ea5346ec656e2dd85f32bc6ca16b07e541bef5e05286d8935f609aeaf"),
+    1: ([[0.9]], "845cf10b809ebb51721d74203538552580ffb2e50cea4b11508f28819b82dee9"),
     2: (
         [[1.0, 0.3], [-0.2, 0.8]],
         "34dcbd20789c6cda7eec38a319d707d468d5a6b0efb6f843f86652a972df0f6c",
@@ -293,7 +293,7 @@ def test_diagnostics_explicit_three_particles():
         constant_ou(), 0.05, T=0.5, delta=0.0025, replicas=20, seed=3, n_particles=3
     )
     assert repr(vars(diag)) == (
-        "{'sup_ev2': 0.3762511728518736, 'sup_ev2_stderr': 0.06145734561428592, "
+        "{'sup_ev2': 0.37625117285187365, 'sup_ev2_stderr': 0.061457345614285924, "
         "'sup_ev2_time': 0.15, 'mean_sup_ev4': 0.019459795578473434, "
         "'mean_sup_ev4_stderr': 0.0018714586612595065, 'replicas': 20}"
     )
@@ -307,31 +307,32 @@ def test_diagnostics_exponential_record_grid_off_the_end():
         scheme="exponential", n_record=7,
     )
     assert repr(vars(diag)) == (
-        "{'sup_ev2': 0.43028249852859063, 'sup_ev2_stderr': 0.2288883539025338, "
+        "{'sup_ev2': 0.4302824985285907, 'sup_ev2_stderr': 0.22888835390253376, "
         "'sup_ev2_time': 0.1, 'mean_sup_ev4': 0.005346994565318617, "
         "'mean_sup_ev4_stderr': 0.0019432545716406213, 'replicas': 9}"
     )
 
 
 def test_diagnostics_explicit_three_summation_chunks():
-    # 300 replicas cross DIAGNOSTICS_CHUNK twice, so the per-time sums are
-    # accumulated over three runs of replicas
+    # 300 replicas, one batch at the default batch size: the per-time sums
+    # fold the 300 records in replica order, as they do for any batching
     diag = diagnostics_velocity(constant_ou(), 0.05, T=0.2, delta=0.0025, replicas=300, seed=7)
     assert repr(vars(diag)) == (
-        "{'sup_ev2': 0.3059597484407406, 'sup_ev2_stderr': 0.02615479983641236, "
+        "{'sup_ev2': 0.30595974844074053, 'sup_ev2_stderr': 0.026154799836412352, "
         "'sup_ev2_time': 0.18, 'mean_sup_ev4': 0.006520342632117218, "
         "'mean_sup_ev4_stderr': 0.0003876852192370168, 'replicas': 300}"
     )
 
 
 def test_diagnostics_exponential_d2_three_summation_chunks():
+    # 300 replicas of 2 particles at d = 2, also one batch at the default size
     model = model_library(ModelSpec("interaction", INTERACTION_D2_EXPONENTIAL["model"]["params"]))
     diag = diagnostics_velocity(
         model, 0.05, T=0.1, delta=0.01, replicas=300, seed=8, n_particles=2,
         scheme="exponential", n_record=5, x0=[[0.3, -0.2], [-0.1, 0.4]],
     )
     assert repr(vars(diag)) == (
-        "{'sup_ev2': 0.2993652600275941, 'sup_ev2_stderr': 0.012044682793694963, "
+        "{'sup_ev2': 0.29936526002759417, 'sup_ev2_stderr': 0.012044682793694972, "
         "'sup_ev2_time': 0.04, 'mean_sup_ev4': 0.002734658328103485, "
         "'mean_sup_ev4_stderr': 0.00013536893523764484, 'replicas': 300}"
     )
