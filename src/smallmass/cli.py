@@ -90,6 +90,10 @@ def _get_number(obj, key, where, default=None, integer=False):
 
 
 def _check_seed(seed: int) -> int:
+    """The master seed, from the configuration or from --seed, which overrides
+    it: an integer in [0, 2**63), one message for both sources."""
+    if seed >= 2**63:
+        raise ValidationError(f"configuration.seed must be a 64-bit integer, got {seed}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     return seed

@@ -42,6 +42,7 @@ from .errors import (
     InsufficientReplicas,
     ValidationError,
 )
+from .linalg import inv_batch
 from .models import ModelSpec, SystemModel
 
 
@@ -56,8 +57,8 @@ class DeltaRule:
     def __post_init__(self):
         if self.scheme not in (SCHEME_EXPLICIT, SCHEME_EXPONENTIAL):
             raise ValidationError(f"unknown delta_rule scheme {self.scheme!r}")
-        if self.scheme == SCHEME_EXPLICIT and self.kappa <= 0.0:
-            raise ValidationError("kappa must be positive")
+        if self.scheme == SCHEME_EXPLICIT and not 0.0 < self.kappa < np.inf:
+            raise ValidationError(f"kappa = {self.kappa} must be positive and finite")
         if self.scheme == SCHEME_EXPONENTIAL and (
             self.delta is None or self.delta <= 0.0
         ):
@@ -212,7 +213,7 @@ def _naive_overdamped_path(
     out[0] = X[0]
     for j, dw in enumerate(dws):
         g = model.friction_field(X, X)
-        ginv = np.linalg.inv(g)
+        ginv = inv_batch(g)
         F = model.force_field(X, X)
         sig = model.noise_field(X, X)
         ginv_f = np.einsum("bnij,bnj->bni", ginv, F)

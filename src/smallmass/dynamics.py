@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
     ValidationFailure,
 )
-from .linalg import expm, min_sym_eig_batch
+from .linalg import expm, inv_batch, min_sym_eig_batch
 from .measures import EmpiricalMeasure, wasserstein2_assignment
 from .models import MODE_EXTENSION, SystemModel, _reals, limit_drift_fields
 
@@ -143,7 +143,7 @@ def _advance_full_exponential(model, X, V, delta, eps, dw):
     sig = model.noise_field(X, X)
     scales = np.array([delta / eps, delta / (2.0 * eps)]).reshape(2, 1, 1, 1, 1)
     E, E_half = expm(-g * scales)
-    ginv = np.linalg.inv(g)
+    ginv = inv_batch(g)
     ident = np.broadcast_to(np.eye(g.shape[-1]), g.shape)
     drift_gain = np.einsum("bnij,bnjk->bnik", ginv, ident - E)
     V_new = (
@@ -173,8 +173,11 @@ def _full_kernel(scheme: str, eps: float, delta: float, kappa: float = DEFAULT_K
         raise ValidationError(f"unknown scheme {scheme!r}")
     if not (0.0 < eps < np.inf and 0.0 < delta < np.inf):
         raise ValidationError(f"eps = {eps} and delta = {delta} must be positive and finite")
-    if scheme == SCHEME_EXPLICIT and delta > eps / kappa * (1.0 + 1e-12):
-        raise StepTooLarge(f"delta = {delta} exceeds eps/kappa = {eps / kappa:.3e}")
+    if scheme == SCHEME_EXPLICIT:
+        if not 0.0 < kappa < np.inf:
+            raise ValidationError(f"kappa = {kappa} must be positive and finite")
+        if delta > eps / kappa * (1.0 + 1e-12):
+            raise StepTooLarge(f"delta = {delta} exceeds eps/kappa = {eps / kappa:.3e}")
     return _FULL_SCHEMES[scheme]
 
 

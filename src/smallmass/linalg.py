@@ -1,17 +1,18 @@
 """Dense matrix kernels for small systems.
 
-Matrix exponential, smallest eigenvalue of the symmetric part, and one
-matrix equation, G1 J + J G2^T = Q, in the form the limit drifts use it:
+Matrix exponential, inverse, smallest eigenvalue of the symmetric part, and
+one matrix equation, G1 J + J G2^T = Q, in the form the limit drifts use it:
 the Lyapunov equation gamma J + J gamma^T = Q is G1 = G2 = gamma, and the
 Sylvester equation gamma(x) J~ + J~ gamma(y)^T = sigma(x) sigma(y)^T is
 G1 = gamma(x), G2 = gamma(y).  The point solvers take a Sylvester problem as
 A Y - Y B = C and map it onto the equation as (G1, G2, Q) = (-A, B^T, -C).
 Everything here is written for the d <= MAX_DIM = 64 regime.
 
-The kernels take a stack of matrices (..., d, d): ``expm`` and
-``min_sym_eig_batch`` give the same bits as its matrices one at a time.  The
-stack solvers ``lyapunov_batch``/``sylvester_batch`` solve the one equation on
-broadcastable stacks by diagonalization (Bartels & Stewart, CACM 15(9), 1972):
+The kernels take a stack of matrices (..., d, d): ``expm``,
+``min_sym_eig_batch`` and ``inv_batch`` give the same bits as its matrices one
+at a time, and at d = 1 all three are plain arithmetic.  The stack solvers
+``lyapunov_batch``/``sylvester_batch`` solve the one equation on broadcastable
+stacks by diagonalization (Bartels & Stewart, CACM 15(9), 1972):
 G1 = V1 L1 V1^-1 and G2 = V2 L2 V2^-1, each factored once on the stack as
 passed (gamma(x) as (B, N, 1, d, d) and gamma(y) as (B, 1, n, d, d), so N + n
 eigen-decompositions per ensemble for N n solves), and
@@ -115,9 +116,28 @@ def expm(M) -> np.ndarray:
 
 
 def min_sym_eig_batch(Ms: np.ndarray) -> np.ndarray:
-    """Smallest symmetric-part eigenvalue of each matrix of a stack (..., d, d); no checks."""
+    """Smallest symmetric-part eigenvalue of each matrix of a stack (..., d, d); no checks.
+
+    At d = 1 the eigenvalue is the symmetric part's one entry, which is what
+    LAPACK returns for a 1 x 1 matrix."""
     sym = 0.5 * (Ms + np.swapaxes(Ms, -1, -2))
+    if sym.shape[-1] == 1:
+        return sym[..., 0, 0]
     return np.linalg.eigvalsh(sym)[..., 0]
+
+
+def inv_batch(G: np.ndarray) -> np.ndarray:
+    """Inverse of each matrix of a stack (..., d, d); no checks.
+
+    At d = 1 it is 1 / G, the bits LAPACK gives for a 1 x 1 matrix: a zero
+    entry raises LinAlgError and a subnormal one reads inf without a warning,
+    as there."""
+    if G.shape[-1] > 1:
+        return np.linalg.inv(G)
+    if not G.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    with np.errstate(over="ignore"):
+        return 1.0 / G
 
 
 def min_sym_eig(M) -> float:

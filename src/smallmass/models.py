@@ -418,7 +418,7 @@ def _contract(ginv: np.ndarray, D: np.ndarray, J: np.ndarray, samples: bool = Fa
 def _point_inverse_derivative(model: SystemModel, x, mu, D) -> np.ndarray:
     g = model.friction(x, mu)
     _require_stable(g)
-    return _sandwich(np.linalg.inv(g), D)
+    return _sandwich(linalg.inv_batch(g), D)
 
 
 def gamma_inv_dx(model: SystemModel, x, mu: EmpiricalMeasure) -> np.ndarray:
@@ -465,7 +465,7 @@ def limit_drift_fields(model: SystemModel, X: np.ndarray, samples=None):
     B, N, d = X.shape
     g = model.friction_field(X, samples)                       # (B, N, d, d)
     _require_stable(g)
-    ginv = np.linalg.inv(g)
+    ginv = linalg.inv_batch(g)
     F = model.force_field(X, samples)
     sig = model.noise_field(X, samples)
     ginv_f = np.einsum("bnij,bnj->bni", ginv, F)

@@ -478,3 +478,16 @@ class TestRejectedBeforeCompute:
         doc = base_config() if command == "simulate" else converge_config()
         path = write(tmp_path / "c.json", doc)
         self.expect_validation_error(capsys, [command, path, "--seed", "-1"])
+
+    @pytest.mark.parametrize("command", ["validate", "simulate", "converge"])
+    @pytest.mark.parametrize("seed", [2**63, 10**40])
+    def test_seed_beyond_64_bits_on_command_line_as_in_config(
+        self, tmp_path, capsys, command, seed
+    ):
+        doc = base_config() if command == "simulate" else converge_config()
+        path = write(tmp_path / "c.json", doc)
+        flag = self.expect_validation_error(capsys, [command, path, "--seed", str(seed)])
+        doc["seed"] = seed
+        path = write(tmp_path / "big.json", doc)
+        config = self.expect_validation_error(capsys, [command, path])
+        assert flag == config and "64-bit integer" in flag

@@ -82,6 +82,11 @@ class TestDeltaRule:
         with pytest.raises(ValidationError):
             DeltaRule(scheme="midpoint")
 
+    @pytest.mark.parametrize("kappa", [0.0, -2.0, float("nan"), float("inf")])
+    def test_explicit_kappa_must_be_positive_and_finite(self, kappa):
+        with pytest.raises(ValidationError, match="kappa"):
+            DeltaRule(scheme="explicit", kappa=kappa)
+
 
 class TestRunConvergence:
     def test_zero_noise_zero_force_gives_zero_errors(self):

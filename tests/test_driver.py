@@ -32,6 +32,44 @@ class TestDeterminism:
         assert np.array_equal(batch[1], drv.fast_increments(9, 3, 1, 20))
 
 
+class TestKeyHash:
+    # the vectorized keys against numpy's own SeedSequence: a numpy change to
+    # the hash fails here instead of moving every increment
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5, 10**40])
+    def test_keys_match_seed_sequence(self, seed):
+        spawn = [(0, 0, 0), (3, 7, 1), (2**31, 5, 0), (1, 2**31, 2**31), (2**32 - 1, 0, 9)]
+        keys = driver._stream_keys(seed, np.array(spawn, dtype=np.uint64).T)
+        for key, sp in zip(keys, spawn):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=sp)
+            assert np.array_equal(key, ss.generate_state(2, np.uint64))
+
+    def test_keys_broadcast_over_the_spawn_grid(self):
+        keys = driver._stream_keys(11, (np.arange(2)[:, None, None], np.arange(3)[:, None], np.arange(2)))
+        assert keys.shape == (2, 3, 2, 2) and keys.dtype == np.uint64
+        ss = np.random.SeedSequence(entropy=11, spawn_key=(1, 2, 0))
+        assert np.array_equal(keys[1, 2, 0], ss.generate_state(2, np.uint64))
+
+    @pytest.mark.parametrize("replica", [2**32, 2**64, -1])
+    def test_spawn_component_beyond_one_word_is_rejected(self, replica):
+        # SeedSequence reads a component >= 2**32 as two words
+        with pytest.raises(ValidationError, match="2\\*\\*32"):
+            NoiseDriver(3, 0.01).fast_increments(replica, 1, 1, 4)
+
+    def test_negative_master_seed_is_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            NoiseDriver(-1, 0.01)
+
+    @pytest.mark.parametrize("seed", [2**63 - 1, 2**64 + 5])
+    def test_draws_are_the_seed_sequence_streams(self, seed):
+        got = NoiseDriver(seed, 1.0).fast_increments_batch([2, 0], 3, 2, 9)
+        for r_i, r in enumerate([2, 0]):
+            for p in range(3):
+                for c in range(2):
+                    ss = np.random.SeedSequence(entropy=seed, spawn_key=(r, p, c))
+                    want = np.random.Generator(np.random.Philox(ss)).standard_normal(9)
+                    assert np.array_equal(got[r_i, :, p, c], want)
+
+
 class TestStreaming:
     def test_pieces_match_one_draw(self):
         drv = NoiseDriver(31, 0.01)
@@ -39,6 +77,8 @@ class TestStreaming:
         live = []
         pieces = [drv.fast_increments_batch([2, 5], 3, 2, n, live) for n in (7, 250, 743, 1000)]
         assert np.array_equal(np.concatenate(pieces, axis=1), whole)
+        # the saved states: one uint64 row per (replica, particle, component)
+        assert len(live) == 1 and live[0].shape == (12, 13) and live[0].dtype == np.uint64
 
     # a window of 3 replicas x 4 steps x 2 particles x 2 components is 384
     # bytes: blocks of one window, of three (the last one short), of the run

@@ -202,6 +202,16 @@ class TestRunInputValidation:
                 n_record=n_record,
             )
 
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan"), float("inf")])
+    def test_diagnostics_rejects_kappa_that_is_not_positive_and_finite(self, kappa):
+        # kappa = 0 once ended in a ZeroDivisionError, and NaN turned the
+        # explicit step bound off
+        with pytest.raises(ValidationError, match="kappa"):
+            diagnostics_velocity(
+                constant_model(), 0.05, T=0.1, delta=0.0025, replicas=2, seed=0,
+                kappa=kappa,
+            )
+
     @pytest.mark.parametrize("n_particles", [0, -1])
     def test_diagnostics_rejects_empty_ensemble(self, n_particles):
         with pytest.raises(ValidationError, match="n_particles"):

@@ -109,6 +109,35 @@ class TestStacks:
                 assert np.array_equal(E[idx], linalg.expm(M[idx]))
                 assert lam[idx] == linalg.min_sym_eig(M[idx])
 
+    @pytest.mark.parametrize(
+        "kernel, lapack",
+        [
+            (linalg.inv_batch, np.linalg.inv),
+            (linalg.min_sym_eig_batch,
+             lambda M: np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, -1, -2)))[..., 0]),
+        ],
+        ids=["inv", "min_sym_eig"],
+    )
+    def test_d1_arithmetic_gives_lapack_bits(self, kernel, lapack):
+        # magnitudes over six hundred decades, both signs, subnormals (whose
+        # inverses overflow to inf, silently as in LAPACK) and non-finite entries
+        rng = np.random.default_rng(12)
+        mags = 10.0 ** rng.uniform(-300.0, 300.0, 400)
+        tiny = [5e-324, 1e-310, 3e-320, np.finfo(float).tiny, 1.0, np.inf]
+        vals = np.concatenate([mags, -mags, tiny, np.negative(tiny), [np.nan]])
+        M = vals.reshape(-1, 3, 1, 1)
+        got, want = kernel(M), lapack(M)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for v in vals[::37]:
+            assert kernel(np.array([[v]])).tobytes() == lapack(np.array([[v]])).tobytes()
+
+    def test_d1_inverse_of_zero_is_singular_as_in_lapack(self):
+        for G in (np.array([[[0.0]]]), np.array([[[2.0]], [[-0.0]]])):
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.inv(G)
+            with pytest.raises(np.linalg.LinAlgError):
+                linalg.inv_batch(G)
+
     def test_expm_checks_every_matrix_of_a_stack(self):
         M = np.zeros((3, 2, 2))
         M[2, 1, 0] = np.inf
