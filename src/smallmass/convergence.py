@@ -8,8 +8,8 @@ friction case (where both corrections vanish identically and the two must
 agree to the last bit).
 
 The sweep makes one pass over the eps grid per replica batch: each batch
-(one task of a thread pool of the requested size) runs every eps, the eps
-values that share a fast step on one draw of the noise and one limit path.
+(one task of a thread pool of the requested size) runs every eps on one draw
+of the noise, on the union of their fast grids, and one limit path.
 Batches are sized by work, by the rule the velocity diagnostics share
 (``dynamics._replica_batches``), and results are assembled in replica order;
 each replica depends on nothing but its own streams, so a seed's reports are
@@ -119,12 +119,13 @@ def run_convergence(
 ) -> ConvergenceReport:
     """Estimate the coupled strong error over a descending eps grid.
 
-    Replica r of every eps value reuses stream key r.  Under the exponential
-    rule every eps has the same fast step, so every eps sees the same Brownian
-    path and the same limit path; under the explicit rule only the stream
-    keys are shared, each eps drawing its own fast grid.  Under the explicit
-    rule ``validate`` also raises StepTooLarge on a probed friction that one
-    step would not damp (``_check_explicit_damping``), before any sweep.
+    Replica r of every eps value sees the same Brownian path and the same
+    limit path, under either rule: the noise is drawn once, on the union of
+    the fast grids (one grid under the exponential rule), and each eps steps
+    over its sums on its own grid, so the per-eps estimates are correlated
+    through their common noise.  Under the explicit rule ``validate`` also
+    raises StepTooLarge on a probed friction that one step would not damp
+    (``_check_explicit_damping``), before any sweep.
     """
     eps_values = _check_epsilons(eps_list)
     if replicas < 2:

@@ -11,6 +11,15 @@ streams in turn, its state set to each stream's key and a zero counter.
 Coarse-grid increments are defined as the window sums of the fast-grid
 increments, which makes the fast/coarse coupling exact by construction.
 
+Runs on several fast grids of one coarse step, Delta/m_i, share one draw: the
+driver of their union (``NoiseDriver.union``) cuts each coarse window at every
+point of every grid, the gaps computed exactly from the integers m_i, and each
+grid's increments are the left-to-right sums of the union's over its steps
+(``grid_increments``).  So every grid and the coarse grid ride one Brownian
+path.  The union has at most sum(m_i) substeps per window, where the finest
+grid holding every point, Delta/lcm(m_i), can have far more (1001 against 29
+for m = 7, 11, 13).
+
 Long runs are drawn in blocks of whole coarse windows: each stream's Philox
 state is saved from one block to the next as one row of a uint64 array, and
 consecutive pieces of a Philox stream are bit-identical to one draw of their
@@ -18,6 +27,8 @@ total length, so the block size changes memory, never values.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -127,9 +138,38 @@ def _state_row(state: dict) -> list:
             state["buffer_pos"], state["has_uint32"], state["uinteger"]]
 
 
+def union_grid(ms):
+    """The union of the fast grids {j/m : 0 <= j < m}, m in ``ms``, on a coarse
+    window of unit length, in exact integer arithmetic: (gaps, cuts).  Every
+    point is a multiple of 1/L, L = lcm(ms); gaps[u] is the length of the
+    union's substep u in units of 1/L, so the gaps sum to L; cuts[i] holds,
+    for each step of grid ms[i] in order, the union substep it begins at."""
+    L = math.lcm(*ms)
+    points = sorted({j * (L // m) for m in ms for j in range(m)})
+    gaps = [b - a for a, b in zip(points, points[1:] + [L])]   # ints of any size
+    where = {p: u for u, p in enumerate(points)}
+    cuts = [np.array([where[j * (L // m)] for j in range(m)]) for m in ms]
+    return gaps, cuts
+
+
+def grid_increments(union: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """One grid's increments over one coarse window, (R, len(cuts), P, C), from
+    the union's increments ``union`` (R, U, P, C) of that window: step s is the
+    sum of substeps cuts[s] up to the next cut (the last up to U), added left to
+    right, ((a + b) + c) + ...  A new array; nothing of ``union`` is kept."""
+    bounds = [*cuts.tolist(), union.shape[1]]
+    out = union[:, cuts]
+    for s in range(len(cuts)):
+        step = out[:, s]
+        for u in range(bounds[s] + 1, bounds[s + 1]):
+            step += union[:, u]
+    return out
+
+
 class NoiseDriver:
     """Gaussian increment source on a fast grid of step ``delta`` with a
-    coarse grid of step ``m_substeps * delta``.
+    coarse grid of step ``m_substeps * delta``, or on the union of several
+    fast grids (``union``).
 
     ``blocks`` streams a run's increments: it holds one block of at most
     ``BLOCK_BYTES`` of fast increments (never less than one window), so the
@@ -147,11 +187,39 @@ class NoiseDriver:
         self.master_seed = int(master_seed)
         self.delta = float(delta)
         self.m_substeps = int(m_substeps)
+        # standard deviation of an increment; per substep, (m_substeps, 1),
+        # when a window's substeps are unequal
+        self._scale = np.sqrt(self.delta)
+
+    @classmethod
+    def union(cls, master_seed: int, Delta: float, deltas, ms):
+        """(driver, cuts) for runs on the fast grids of steps ``deltas``, as
+        passed, with ms[i] steps of deltas[i] to a coarse window of step
+        ``Delta``: one driver on the union of the grids (``union_grid``), and
+        per grid the cuts that ``grid_increments`` sums its steps by.
+
+        When the union is one of the grids (a single grid, or grids nested in
+        the finest), the driver is that grid's: steps of its delta as passed,
+        bit for bit the increments of a run on that grid alone.  Otherwise
+        substep u has the length gaps[u] / lcm(ms) * Delta, the ratio rounded
+        once, and increments of that variance; ``delta`` is then the mean substep,
+        and the driver draws whole windows only."""
+        gaps, cuts = union_grid(ms)
+        U = len(gaps)
+        if U in ms:
+            return cls(master_seed, deltas[ms.index(U)], U), cuts
+        driver = cls(master_seed, Delta / U, U)
+        L = sum(gaps)
+        driver._scale = np.sqrt(np.array([g / L for g in gaps]) * Delta)[:, None]
+        return driver, cuts
 
     def fast_increments(
         self, replica: int, n_particles: int, n_components: int, n_steps: int
     ) -> np.ndarray:
-        """Increments of shape (n_steps, n_particles, n_components), variance delta."""
+        """Increments of shape (n_steps, n_particles, n_components), variance
+        delta; on a driver of unequal substeps (``union``), substep u of each
+        window has variance gaps[u] / lcm(ms) * Delta, and ``delta`` is only
+        their mean."""
         return self.fast_increments_batch(
             [replica], n_particles, n_components, n_steps
         )[0]
@@ -169,6 +237,11 @@ class NoiseDriver:
         give consecutive pieces of the same streams.
         """
         replicas = [int(r) for r in replicas]
+        windows = np.ndim(self._scale) > 0   # unequal substeps: scaled window by window
+        if windows and n_steps % self.m_substeps:
+            raise GridMismatch(
+                f"{n_steps} fast steps are not whole windows of {self.m_substeps} unequal substeps"
+            )
         if live:
             states = live[0]
         else:
@@ -191,7 +264,9 @@ class NoiseDriver:
             out[s // width, :, s % width] = gen.standard_normal(n_steps)
             if live is not None:
                 states[s] = _state_row(bitgen.state)
-        out *= np.sqrt(self.delta)
+        if windows:
+            out = out.reshape(len(replicas), -1, self.m_substeps, width)
+        out *= self._scale
         return out.reshape(len(replicas), n_steps, n_particles, n_components)
 
     def blocks(self, replicas, n_particles: int, n_components: int, n_windows: int):

@@ -11,7 +11,10 @@ the exact damping semigroup.  The exponential stepper stays stable for any
 
 The limit system is advanced on a coarse grid whose Brownian increments are
 the window sums of the fast ones, so both systems ride the same noise path
-and their difference estimates the strong error directly.
+and their difference estimates the strong error directly.  A sweep over
+several eps draws once, on the union of their fast grids, and each eps steps
+over the sums of that draw on its own grid: every eps and the one limit path
+ride one Brownian path.
 
 Every entry point (the one-step functions, coupled runs, limit paths and
 velocity diagnostics) steps through one loop, ``_march``, which also owns
@@ -29,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .driver import NoiseDriver
+from .driver import NoiseDriver, grid_increments
 from .errors import (
     AssumptionViolated,
     GridMismatch,
@@ -211,47 +214,53 @@ def _replica_batches(model: SystemModel, replicas: int, n_particles: int, worker
 
 def _march(
     model, blocks, systems, XL, *,
-    advance=None, delta=None, Delta=None, on_step=None, on_window=None,
+    advance=None, Delta=None, on_step=None, on_window=None,
 ):
     """Step through ``blocks``, pairs (fast, coarse) of increments for
-    consecutive runs of whole windows, fast (R, w * m, N, k) and coarse
-    (R, w, N, k) with m fast steps per window; either may be None, leaving
+    consecutive runs of whole windows, fast (R, w * m, N, k) with m fast
+    substeps per window and coarse (R, w, N, k); either may be None, leaving
     that system out, and a block without coarse increments is one window.
-    Per window, each mass-eps system of ``systems`` (a list of [eps, X, V],
-    updated in place) is advanced over the window's fast increments with
-    ``advance``, then the limit XL once over its coarse increment.  Guards V
-    after every fast step and X, XL after every window; calls
-    ``on_step(s, V)`` after fast step s (from 1) of each system and
-    ``on_window(j, systems, XL)`` after window j.  Returns XL.
+    Per window, each mass-eps system of ``systems`` (a list of
+    [eps, X, V, delta, cuts], X and V updated in place) is advanced with
+    ``advance`` by steps of its own ``delta``: over the window's fast
+    increments, or, with ``cuts`` of fewer than m steps, over their sums on
+    its coarser grid (``driver.grid_increments``); then the limit XL once
+    over its coarse increment.  Guards V after every fast step and X, XL
+    after every window; calls ``on_step(s, V)`` after step s (from 1) of each
+    system and ``on_window(j, systems, XL)`` after window j.  Returns XL.
 
     A block is let go before the next one is drawn, so a streamed run holds
     one block at a time, provided ``blocks`` keeps no reference to what it
     yielded: ``map`` keeps none, a generator expression keeps its loop
     variable while it draws the next block.
     """
-    j = steps_done = 0
+    j = 0
+    done = [0] * len(systems)   # steps of each system so far
     with np.errstate(over="ignore", invalid="ignore"):
         for fast, coarse in blocks:
             n_windows = coarse.shape[1] if coarse is not None else 1
             m = fast.shape[1] // n_windows if fast is not None else 0
             for w in range(n_windows):
-                for system in systems:
-                    eps, X, V = system
-                    for s in range(w * m, (w + 1) * m):
-                        X, V = advance(model, X, V, delta, eps, fast[:, s])
+                for i, system in enumerate(systems):
+                    eps, X, V, delta, cuts = system
+                    steps = fast[:, w * m:(w + 1) * m]
+                    if cuts is not None and len(cuts) < m:
+                        steps = grid_increments(steps, cuts)
+                    for s in range(steps.shape[1]):
+                        X, V = advance(model, X, V, delta, eps, steps[:, s])
                         _guard(V, "velocity")
                         if on_step is not None:
-                            on_step(steps_done + s + 1, V)
+                            on_step(done[i] + s + 1, V)
+                    done[i] += steps.shape[1]
                     _guard(X, "position")
-                    system[1:] = X, V
+                    system[1:3] = X, V
                 if coarse is not None:
                     XL = _advance_limit_em(model, XL, Delta, coarse[:, w])
                     _guard(XL, "limit position")
                 if on_window is not None:
                     on_window(j, systems, XL)
                 j += 1
-            steps_done += n_windows * m
-            del fast, coarse
+            fast = coarse = steps = None   # no view of the block outlives it
     return XL
 
 
@@ -270,8 +279,8 @@ def _check_increment(dw, n_particles, noise_dim) -> np.ndarray:
 def _step_full(ens, model, delta, dw, scheme, kappa=DEFAULT_KAPPA):
     advance = _full_kernel(scheme, ens.eps, delta, kappa)
     dw = _check_increment(dw, ens.x.shape[0], model.noise_dim)
-    system = [ens.eps, ens.x[None], ens.v[None]]
-    _march(model, [(dw[None, None], None)], [system], None, advance=advance, delta=delta)
+    system = [ens.eps, ens.x[None], ens.v[None], delta, None]
+    _march(model, [(dw[None, None], None)], [system], None, advance=advance)
     return ParticleEnsembleFull(ens.t + delta, ens.eps, system[1][0], system[2][0])
 
 
@@ -371,18 +380,21 @@ def _coupled_sweep(
     """Synchronously coupled fast/coarse runs of one replica batch at every
     eps of ``eps_values``, eps_values[i] on the fast step deltas[i].
 
-    The eps values with the same fast step share one draw of the increments
-    and one limit path: they march in lockstep, each mass-eps system over the
-    same fast increments and the limit once per window.  The limit equation
-    has no eps in it, so its path is the one every eps would compute alone.
-    Returns (sup_diffs, paths) with sup_diffs of shape (len(eps_values),
-    len(replica_ids)); paths (first eps, first replica) when requested.
+    One Brownian path drives them all: the increments are drawn once, on the
+    union of the fast grids within each coarse window (``NoiseDriver.union``),
+    each eps steps over their sums on its own grid, and the limit, which has
+    no eps in it, steps once per window over their window sums.  Every eps
+    marches in lockstep, window by window, and is compared with that one
+    limit path.  Returns (sup_diffs, paths) with sup_diffs of shape
+    (len(eps_values), len(replica_ids)); paths (first eps, first replica)
+    when requested.
     """
     n_coarse = _ratio_int(T, Delta, "T/Delta")
-    groups = {}   # fast step -> (fast steps per window, indices of its eps values)
-    for i, (eps, delta) in enumerate(zip(eps_values, deltas)):
+    ms = []
+    for eps, delta in zip(eps_values, deltas):
         advance = _full_kernel(scheme, eps, delta, kappa)
-        groups.setdefault(delta, (_ratio_int(Delta, delta, "Delta/delta"), []))[1].append(i)
+        ms.append(_ratio_int(Delta, delta, "Delta/delta"))
+    noise, cuts = NoiseDriver.union(seed, Delta, deltas, ms)
     R = len(replica_ids)
     d, k = model.dim, model.noise_dim
 
@@ -398,25 +410,22 @@ def _coupled_sweep(
         paths = PathRecord(np.arange(n_coarse + 1) * Delta, *rec)
 
     sup = np.zeros((len(eps_values), R))
-    for delta, (m, members) in groups.items():
-        driver = NoiseDriver(seed, delta, m)
-        blocks = map(
-            lambda fast: (fast, driver.coarse_from_fast(fast)),
-            driver.blocks(replica_ids, n_particles, k, n_coarse),
-        )
+    blocks = map(
+        lambda fast: (fast, noise.coarse_from_fast(fast)),
+        noise.blocks(replica_ids, n_particles, k, n_coarse),
+    )
 
-        def on_window(j, systems, XL):
-            for i, (_, X, V) in zip(members, systems):
-                gap = np.max(np.sum((X - XL) ** 2, axis=-1), axis=-1)
-                np.maximum(sup[i], gap, out=sup[i])
-                if rec is not None and i == 0:
-                    rec[:, j + 1] = X[0], V[0], XL[0]
+    def on_window(j, systems, XL):
+        for i, (_, X, V, _, _) in enumerate(systems):
+            gap = np.max(np.sum((X - XL) ** 2, axis=-1), axis=-1)
+            np.maximum(sup[i], gap, out=sup[i])
+        if rec is not None:
+            rec[:, j + 1] = systems[0][1][0], systems[0][2][0], XL[0]
 
-        systems = [[eps_values[i], X0.copy(), V0.copy()] for i in members]
-        _march(
-            model, blocks, systems, X0.copy(), advance=advance,
-            delta=delta, Delta=Delta, on_window=on_window,
-        )
+    systems = [
+        [eps, X0.copy(), V0.copy(), delta, c] for eps, delta, c in zip(eps_values, deltas, cuts)
+    ]
+    _march(model, blocks, systems, X0.copy(), advance=advance, Delta=Delta, on_window=on_window)
     return sup, paths
 
 
@@ -567,10 +576,7 @@ def diagnostics_velocity(
         V = np.broadcast_to(v_init, (len(batch), n_particles, d)).copy()
         on_step(0, V)
         blocks = map(lambda fast: (fast, None), driver.blocks(batch, n_particles, k, n_steps))
-        _march(
-            model, blocks, [[eps, X, V]], None, advance=advance,
-            delta=delta, on_step=on_step,
-        )
+        _march(model, blocks, [[eps, X, V, delta, None]], None, advance=advance, on_step=on_step)
 
     sup4 = sup_ev ** 4
     mean_curve = z_sum / replicas

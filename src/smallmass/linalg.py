@@ -15,7 +15,8 @@ at a time, and at d = 1 all three are plain arithmetic.  The stack solvers
 stacks by diagonalization (Bartels & Stewart, CACM 15(9), 1972):
 G1 = V1 L1 V1^-1 and G2 = V2 L2 V2^-1, each factored once on the stack as
 passed (gamma(x) as (B, N, 1, d, d) and gamma(y) as (B, 1, n, d, d), so N + n
-eigen-decompositions per ensemble for N n solves), and
+eigen-decompositions per ensemble for N n solves), or taken from an
+``Eigenbasis`` factored once for several solves on the same matrices, and
 J = V1 [(V1^-1 Q V2^-T) / (l1_a + l2_b)] V2^T, with the real part taken when
 the eigenpairs are complex: O(d^3) per solve.  When an eigenvector matrix of
 either stack is singular or has ||V||_F ||V^-1||_F above _SPECTRAL_COND_MAX
@@ -187,32 +188,50 @@ def _eigenbasis(G: np.ndarray):
     return lam, V, W
 
 
-def _stacked_solve(G1: np.ndarray, G2: np.ndarray, Q: np.ndarray) -> np.ndarray:
+class Eigenbasis:
+    """The factors of a stack G (..., d, d) taken once for several stack solves
+    on the same matrices: ``factors`` is (lambda, V, V^-1) of G = V diag(lambda)
+    V^-1, or None where the solves take ``_solve``, at d = 1 or for an
+    ill-conditioned eigenbasis.  One object, not a tuple of arrays, because
+    ``perfbench``'s tracer counts the solves from every argument's shape."""
+
+    def __init__(self, G: np.ndarray):
+        self.factors = _eigenbasis(G) if G.shape[-1] > 1 else None
+
+
+def _stacked_solve(G1, G2, Q, one=None, two=None) -> np.ndarray:
     """The stack solver: for d > 1, J = V1 [(V1^-1 Q V2^-T) / (lambda1_a + lambda2_b)]
     V2^T with G1 and G2 diagonalized once each on the stacks as given, before
-    they broadcast against each other; ``_solve`` on the whole call when either
-    eigenbasis is ill-conditioned."""
-    if Q.shape[-1] == 1:
+    they broadcast against each other, or taken from their ``Eigenbasis``
+    ``one`` and ``two`` when given; ``_solve`` on the whole call at d = 1 or
+    when either eigenbasis is ill-conditioned."""
+    one = Eigenbasis(G1) if one is None else one
+    if one.factors is None:
         return _solve(G1, G2, Q)
-    one = _eigenbasis(G1)
-    two = one if G2 is G1 else _eigenbasis(G2)
-    if one is None or two is None:
+    two = (one if G2 is G1 else Eigenbasis(G2)) if two is None else two
+    if two.factors is None:
         return _solve(G1, G2, Q)
-    (lam1, V1, W1), (lam2, V2, W2) = one, two
+    # the factors laid out as G1 and G2, which may hold them with unit axes inserted
+    (lam1, V1, W1), (lam2, V2, W2) = (
+        (lam.reshape(G.shape[:-1]), V.reshape(G.shape), W.reshape(G.shape))
+        for G, (lam, V, W) in ((G1, one.factors), (G2, two.factors))
+    )
     Qh = W1 @ Q @ np.swapaxes(W2, -1, -2)
     Qh /= lam1[..., :, None] + lam2[..., None, :]
     J = V1 @ Qh @ np.swapaxes(V2, -1, -2)
     return J.real if np.iscomplexobj(J) else J
 
 
-def lyapunov_batch(gammas: np.ndarray, Qs: np.ndarray) -> np.ndarray:
-    """Solve gamma J + J gamma^T = Q for broadcastable stacks (..., d, d)."""
-    return _stacked_solve(gammas, gammas, Qs)
+def lyapunov_batch(gammas: np.ndarray, Qs: np.ndarray, basis=None) -> np.ndarray:
+    """Solve gamma J + J gamma^T = Q for broadcastable stacks (..., d, d);
+    ``basis``, when given, is ``Eigenbasis`` of the matrices of ``gammas``."""
+    return _stacked_solve(gammas, gammas, Qs, basis, basis)
 
 
-def sylvester_batch(G1: np.ndarray, G2: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Solve G1 J + J G2^T = Q for broadcastable stacks (..., d, d)."""
-    return _stacked_solve(G1, G2, Q)
+def sylvester_batch(G1: np.ndarray, G2: np.ndarray, Q: np.ndarray, basis1=None, basis2=None) -> np.ndarray:
+    """Solve G1 J + J G2^T = Q for broadcastable stacks (..., d, d); ``basis1``
+    and ``basis2``, when given, are ``Eigenbasis`` of the matrices of G1 and G2."""
+    return _stacked_solve(G1, G2, Q, basis1, basis2)
 
 
 def _equation(operands: dict, form, error: Exception):

@@ -264,6 +264,11 @@ def _interaction_friction(params, family, d):
     c = _param(params, "c")
     if c < 0.0:
         raise ParameterViolation(f"{family} requires c >= 0")
+    return _pairwise_closures_d1(a, b, c) if d == 1 else _pairwise_closures(a, b, c, d)
+
+
+def _pairwise_closures(a, b, c, d):
+    """The interaction friction closures at any d, on (B, m, n, d) differences."""
     idx = np.arange(d)
 
     def friction(X, S):
@@ -296,6 +301,43 @@ def _interaction_friction(params, family, d):
         out = np.zeros((B, m, n, d, d, d))
         out[..., idx, idx, :] = grad_y[:, :, :, None, :]
         return out
+
+    return friction, friction_dx, friction_dmu
+
+
+def _pairwise_closures_d1(a, b, c):
+    """``_pairwise_closures`` at d = 1 with the same bits, on (B, m, n)
+    differences updated in place: no ufunc loops over a trailing axis of
+    length 1, and two pairwise arrays at most."""
+
+    def diffs(X, S):
+        return X[:, :, None, 0] - S[:, None, :, 0]          # (B, m, n)
+
+    def squared_q(diff):
+        q2 = diff * diff
+        q2 += 1.0
+        return np.multiply(q2, q2, out=q2)                  # (1 + |x - y|^2)^2
+
+    def friction(X, S):
+        q = diffs(X, S)
+        np.multiply(q, q, out=q)
+        q += 1.0
+        psi = np.divide(c, q, out=q).mean(axis=2)
+        return (a + b * np.tanh(X) + psi[..., None])[..., None]
+
+    def friction_dx(X, S):
+        diff = diffs(X, S)
+        q2 = squared_q(diff)
+        grad_psi = (-2.0 * c) * np.divide(diff, q2, out=diff).mean(axis=2)
+        sech2 = 1.0 / np.cosh(X) ** 2
+        return (b * sech2 + grad_psi[..., None])[..., None, None]
+
+    def friction_dmu(X, S, Y):
+        diff = diffs(X, Y)
+        q2 = squared_q(diff)
+        diff *= 2.0 * c
+        diff /= q2
+        return diff[..., None, None, None]
 
     return friction, friction_dx, friction_dmu
 
@@ -471,24 +513,28 @@ def limit_drift_fields(model: SystemModel, X: np.ndarray, samples=None):
     ginv_f = np.einsum("bnij,bnj->bni", ginv, F)
     ginv_sigma = np.einsum("bnij,bnjk->bnik", ginv, sig)
 
+    # gamma(x) factored once, for J and J~ alike
+    basis = None if model.dx_is_zero and model.dmu_is_zero else linalg.Eigenbasis(g)
+
     if model.dx_is_zero:
         S = np.zeros((B, N, d))
     else:
         Q = np.einsum("bnik,bnjk->bnij", sig, sig)
-        J = linalg.lyapunov_batch(g, Q)
+        J = linalg.lyapunov_batch(g, Q, basis)
         S = _contract(ginv, model.friction_dx_field(X, samples), J)
 
     if model.dmu_is_zero:
         S_t = np.zeros((B, N, d))
     else:
         if samples is X:
-            g_y, sig_y = g, sig
+            g_y, sig_y, basis_y = g, sig, basis
         else:
             g_y = model.friction_field(samples, samples)
             _require_stable(g_y, "friction at measure samples")
             sig_y = model.noise_field(samples, samples)
+            basis_y = linalg.Eigenbasis(g_y)
         Q = np.einsum("bnik,bmjk->bnmij", sig, sig_y)
-        J_t = linalg.sylvester_batch(g[:, :, None], g_y[:, None], Q)   # (B, N, n, d, d)
+        J_t = linalg.sylvester_batch(g[:, :, None], g_y[:, None], Q, basis, basis_y)   # (B, N, n, d, d)
         D = model.friction_dmu_field(X, samples, samples)      # (B, N, n, d, d, d)
         S_t = _contract(ginv, D, J_t, samples=True)
 

@@ -157,11 +157,11 @@ class TestRunConvergence:
                 seed=0, delta_rule=DeltaRule(), Delta=0.01, threads=threads,
             )
 
-    @pytest.mark.parametrize("scheme, calls_per_window", [("exponential", 1), ("explicit", 3)])
-    def test_limit_runs_once_per_window_per_batch(self, monkeypatch, scheme, calls_per_window):
-        # the limit path has no eps in it: under the exponential rule every
-        # eps shares one fast step, so one limit path serves all three; the
-        # explicit rule gives each eps its own fast grid and its own path
+    @pytest.mark.parametrize("scheme", ["exponential", "explicit"])
+    def test_limit_runs_once_per_window_per_batch(self, monkeypatch, scheme):
+        # the limit path has no eps in it, and every eps rides one Brownian
+        # path: one fast step under the exponential rule, the union of three
+        # fast grids under the explicit one; one limit path serves all three
         calls = []
 
         def counted(model, X, *args):
@@ -175,7 +175,7 @@ class TestRunConvergence:
             model, [0.1, 0.05, 0.025], T=0.05, n_particles=3, replicas=4, seed=1,
             delta_rule=rule, Delta=0.01, validate=False,
         )
-        assert calls == [4] * (5 * calls_per_window)
+        assert calls == [4] * 5
 
     def test_sweep_memory_does_not_grow_with_T(self, monkeypatch):
         # increments stream in blocks of whole windows, so doubling T leaves

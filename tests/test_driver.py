@@ -1,8 +1,12 @@
+import functools
+import math
+import operator
+
 import numpy as np
 import pytest
 
 from smallmass import driver
-from smallmass.driver import NoiseDriver
+from smallmass.driver import NoiseDriver, grid_increments, union_grid
 from smallmass.errors import GridMismatch, ValidationError
 
 
@@ -118,6 +122,94 @@ class TestCoupling:
         fast = drv.fast_increments(0, 1, 1, 10)
         with pytest.raises(GridMismatch):
             drv.coarse_from_fast(fast)
+
+
+class TestUnionGrid:
+    # a non-nested pair: m = 3 and 4 fast steps to a coarse window of 0.01,
+    # the explicit rule's steps for eps = 0.2/3 and 0.05 at kappa = 20
+    MS = [3, 4]
+    DELTA = 0.01
+
+    def union(self, seed=6):
+        deltas = [self.DELTA / m for m in self.MS]
+        return NoiseDriver.union(seed, self.DELTA, deltas, self.MS)
+
+    @pytest.mark.parametrize("ms", [[3, 4], [2, 4, 10, 20], [7, 11, 13], [5]])
+    def test_gaps_of_each_step_sum_exactly_to_its_step(self, ms):
+        # integer gaps in units of 1 / lcm(ms): a step of grid m is lcm / m
+        gaps, cuts = union_grid(ms)
+        L = math.lcm(*ms)
+        assert sum(gaps) == L and min(gaps) > 0
+        for m, cut in zip(ms, cuts):
+            ends = list(cut[1:]) + [len(gaps)]
+            assert [sum(gaps[a:b]) for a, b in zip(cut, ends)] == [L // m] * m
+
+    @pytest.mark.parametrize("ms, size", [([3, 4], 6), ([2, 4, 10, 20], 20), ([7, 11, 13], 29)])
+    def test_a_window_draws_at_most_the_sum_of_the_steps(self, ms, size):
+        gaps, _ = union_grid(ms)
+        assert len(gaps) == size <= sum(ms)
+        drv, _ = NoiseDriver.union(1, 0.01, [0.01 / m for m in ms], ms)
+        blocks = list(drv.blocks([0, 1], 2, 1, 5))
+        assert sum(b.shape[1] for b in blocks) == 5 * size   # normals per stream
+
+    @pytest.mark.parametrize("ms", [[3, 4], [2, 4, 10, 20], [7, 11, 13]])
+    def test_grid_increments_are_left_to_right_sums_of_the_union(self, ms):
+        # steps of unequal lengths ([3, 4], [7, 11, 13]) and of equal ones (the
+        # grids nested in the finest, [2, 4, 10, 20])
+        drv, cuts = NoiseDriver.union(6, self.DELTA, [self.DELTA / m for m in ms], ms)
+        U = drv.m_substeps
+        union = drv.fast_increments_batch([0, 3], 2, 2, 4 * U)
+        for w in range(4):
+            window = union[:, w * U:(w + 1) * U]
+            for m, cut in zip(ms, cuts):
+                got = grid_increments(window, cut)
+                ends = list(cut[1:]) + [U]
+                want = np.stack([
+                    functools.reduce(operator.add, [window[:, u] for u in range(a, b)])
+                    for a, b in zip(cut, ends)
+                ], axis=1)
+                assert got.shape == (2, m, 2, 2) and np.array_equal(got, want)
+
+    def test_window_sums_are_the_coarse_increments(self):
+        drv, cuts = self.union()
+        U = drv.m_substeps
+        union = drv.fast_increments_batch([1], 3, 1, 6 * U)
+        coarse = drv.coarse_from_fast(union)
+        assert coarse.shape == (1, 6, 3, 1)
+        for w in range(6):
+            window = union[:, w * U:(w + 1) * U]
+            assert np.array_equal(coarse[:, w], window.sum(axis=1))
+            for cut in cuts:   # each grid's steps cover the same window
+                assert np.allclose(grid_increments(window, cut).sum(axis=1), coarse[:, w],
+                                   rtol=0, atol=1e-15)
+
+    def test_substep_variance_is_its_gap(self):
+        drv, cuts = self.union(seed=41)
+        gaps, _ = union_grid(self.MS)
+        U, n_windows = len(gaps), 4000
+        union = drv.fast_increments_batch([0], 1, 1, n_windows * U)[0, :, 0, 0]
+        for u, gap in enumerate(gaps):
+            xs = union[u::U]
+            var = gap / sum(gaps) * self.DELTA
+            assert abs(xs.var() - var) <= 4.0 * var * np.sqrt(2.0 / n_windows)
+
+    def test_partial_window_of_unequal_substeps_is_refused(self):
+        drv, _ = self.union()
+        with pytest.raises(GridMismatch):
+            drv.fast_increments_batch([0], 1, 1, drv.m_substeps + 1)
+
+    @pytest.mark.parametrize("ms", [[4], [4, 4], [2, 4]])
+    def test_a_union_that_is_one_grid_keeps_its_bits(self, ms):
+        # one grid, a shared step, or grids nested in the finest: the driver
+        # of the finest grid, scaled by its step as passed
+        deltas = [0.01 / m for m in ms]
+        drv, cuts = NoiseDriver.union(9, 0.01, deltas, ms)
+        alone = NoiseDriver(9, deltas[-1], 4)
+        assert drv.m_substeps == 4
+        assert np.array_equal(
+            drv.fast_increments_batch([0, 2], 2, 1, 8), alone.fast_increments_batch([0, 2], 2, 1, 8)
+        )
+        assert np.array_equal(cuts[-1], np.arange(4))
 
 
 class TestStatistics:

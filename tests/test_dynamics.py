@@ -409,6 +409,70 @@ class TestSimulateCoupled:
             assert res.sup_diff == pytest.approx(sup[rid], rel=1e-12, abs=1e-15)
 
 
+class TestOneBrownianPath:
+    # every eps of a sweep and the limit ride one draw on the union of the
+    # fast grids; m = 3 and 4 (eps = 0.2/3 and 0.05 at kappa = 20) do not nest
+    EPS = [0.2 / 3, 0.05]
+    DELTAS = [0.01 / 3, 0.0025]
+
+    def test_sweep_is_its_parts_on_one_draw(self):
+        model = model_library(ModelSpec("interaction", {"a": 2.0, "b": 0.5, "c": 1.0, "d": 1}))
+        T, Delta, N, seed, x0 = 0.05, 0.01, 3, 4, [[0.2], [-0.1], [0.4]]
+        sup, paths = _coupled_sweep(
+            model, self.EPS, self.DELTAS, T, Delta, N, [0], seed, x0, 0.0, record_paths=True,
+        )
+        drv, cuts = NoiseDriver.union(seed, Delta, self.DELTAS, [3, 4])
+        union = drv.fast_increments_batch([0], N, 1, 5 * drv.m_substeps)
+        coarse = drv.coarse_from_fast(union)
+        # the limit steps over the window sums of the union increments
+        XL = np.array(x0)[None]
+        limit = [XL[0]]
+        for w in range(5):
+            XL = dynamics._advance_limit_em(model, XL, Delta, coarse[:, w])
+            limit.append(XL[0])
+        assert np.array_equal(paths.x_limit, np.array(limit))
+        # each eps steps over the left-to-right sums of the union on its grid
+        U = drv.m_substeps
+        for i, (eps, delta) in enumerate(zip(self.EPS, self.DELTAS)):
+            X, V = np.array(x0)[None], np.zeros((1, N, 1))
+            worst = 0.0
+            for w in range(5):
+                steps = driver.grid_increments(union[:, w * U:(w + 1) * U], cuts[i])
+                for s in range(steps.shape[1]):
+                    X, V = _advance_full_em(model, X, V, delta, eps, steps[:, s])
+                worst = max(worst, float(np.max(np.sum((X[0] - limit[w + 1]) ** 2, axis=-1))))
+                if i == 0:
+                    assert np.array_equal(paths.x_full[w + 1], X[0])
+            assert sup[i, 0] == worst
+
+    def test_finest_of_nested_grids_keeps_the_bits_of_a_run_alone(self):
+        # m = 2, 4 and 20 nest in the finest grid, whose increments are then
+        # the draw itself: its eps and the limit path are the one-eps run's
+        model = constant_model()
+        ids = list(range(5))
+        (_, _, finest), _ = _coupled_sweep(
+            model, [0.1, 0.05, 0.01], [0.005, 0.0025, 0.0005], 0.2, 0.01, 2, ids, 8, 0.0, 0.0,
+        )
+        (alone,), _ = _coupled_sweep(model, [0.01], [0.0005], 0.2, 0.01, 2, ids, 8, 0.0, 0.0)
+        assert finest.tobytes() == alone.tobytes()
+
+    # a window of 3 replicas x 6 union substeps x 2 particles is 288 bytes
+    @pytest.mark.parametrize("block_bytes", [1, 3 * 288, 2**40])
+    def test_unequal_substeps_do_not_depend_on_blocks_or_batches(self, monkeypatch, block_bytes):
+        # blocks of one window, of three, and of the whole run; replicas in
+        # one batch or one at a time
+        model = constant_model()
+        want, _ = _coupled_sweep(model, self.EPS, self.DELTAS, 0.1, 0.01, 2, range(3), 5, 0.0, 0.0)
+        monkeypatch.setattr(driver, "BLOCK_BYTES", block_bytes)
+        whole, _ = _coupled_sweep(model, self.EPS, self.DELTAS, 0.1, 0.01, 2, range(3), 5, 0.0, 0.0)
+        apart = [
+            _coupled_sweep(model, self.EPS, self.DELTAS, 0.1, 0.01, 2, [r], 5, 0.0, 0.0)[0]
+            for r in range(3)
+        ]
+        assert whole.tobytes() == want.tobytes()
+        assert np.concatenate(apart, axis=1).tobytes() == want.tobytes()
+
+
 class TestReplicaBatches:
     def test_pairs_count_when_coefficients_read_the_measure(self):
         # 64 particles: 64 values per replica for the constant family, 64 x 64
@@ -488,17 +552,21 @@ class TestVelocityDiagnostics:
             reprs.add(repr(vars(diag)))
         assert len(reprs) == 1
 
-    @pytest.mark.parametrize("entry", ["sweep", "diagnostics"])
+    @pytest.mark.parametrize("entry", ["sweep", "union sweep", "diagnostics"])
     def test_streamed_runs_hold_one_block_at_a_time(self, monkeypatch, entry):
         # 64 particles, 2 replicas, 3000 fast steps in blocks of 1 MB: a
         # block is let go before the next is drawn, so the peak stays under
-        # 1.5 blocks (holding the previous block during the draw takes two)
+        # 1.5 blocks (holding the previous block during the draw takes two);
+        # the union of 15 and 10 steps a window has 20 substeps, 6000 in all
         monkeypatch.setattr(driver, "BLOCK_BYTES", 2**20)
         model = constant_model()
 
         def run(T):
             if entry == "sweep":
                 _coupled_sweep(model, [0.02], [0.001], T, 0.01, 64, range(2), 3, 0.0, 0.0)
+            elif entry == "union sweep":
+                _coupled_sweep(model, [0.03, 0.02], [0.01 / 15, 0.001], T, 0.01, 64,
+                               range(2), 3, 0.0, 0.0)
             else:
                 diagnostics_velocity(model, 0.02, T=T, delta=0.001, replicas=2,
                                      seed=3, n_particles=64)

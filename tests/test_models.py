@@ -458,3 +458,48 @@ class TestEnsembleFields:
         with pytest.raises(UnstableFriction):
             limit_drift_fields(broken, np.zeros((2, 3, 1)))
 
+
+    @pytest.mark.parametrize("samples", ["own", "given"])
+    def test_gamma_is_factored_once_per_call(self, monkeypatch, samples):
+        # J and J~ share gamma(x)'s eigenbasis: B * N matrices reach eig once,
+        # and given samples add their own B * n
+        factored = []
+        eig = np.linalg.eig
+
+        def counted(a):
+            factored.append(int(np.prod(np.shape(a)[:-2])))
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        B, N, n = 3, 5, 4
+        model = interaction(d=2, sigma=[[1.0, 0.3], [0.0, 0.8]])
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(B, N, 2))
+        if samples == "own":
+            limit_drift_fields(model, X)
+            assert factored == [B * N]
+        else:
+            limit_drift_fields(model, X, rng.normal(size=(B, n, 2)))
+            assert sorted(factored) == [B * n, B * N]
+
+
+class TestPairwiseClosuresD1:
+    # the d = 1 closures work on (B, m, n) arrays in place; they must give the
+    # bits of the general (B, m, n, d) form, which the carrillo-force family
+    # shares, for a measure that is the ensemble itself and for given samples
+    @pytest.mark.parametrize("samples", ["own", "given"])
+    def test_same_bits_as_the_general_form(self, samples):
+        from smallmass import models
+
+        a, b, c = 2.0, -0.6, 0.8
+        general = models._pairwise_closures(a, b, c, 1)
+        fast = models._pairwise_closures_d1(a, b, c)
+        rng = np.random.default_rng(29)
+        for B, m, n in ((16, 64, 64), (2, 3, 7), (1, 1, 1), (5, 9, 130)):
+            X = rng.normal(size=(B, m, 1))
+            S = X if samples == "own" else rng.normal(size=(B, n, 1))
+            for want, got in zip(general[:2], fast[:2]):
+                w, g = want(X, S), got(X, S)
+                assert w.shape == g.shape and w.tobytes() == g.tobytes()
+            w, g = general[2](X, S, S), fast[2](X, S, S)
+            assert w.shape == g.shape and w.tobytes() == g.tobytes()
