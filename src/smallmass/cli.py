@@ -26,7 +26,9 @@ from typing import Optional
 import numpy as np
 
 from . import convergence, dynamics, linalg, models
-from .convergence import DeltaRule, _fmt, constant_reduction_check, fit_rate, run_convergence
+from .convergence import (
+    DeltaRule, _fmt, _preflight, constant_reduction_check, fit_rate, run_convergence,
+)
 from .dynamics import ProbeConfig, simulate_coupled, validate_assumptions, write_path_csv
 from .errors import (
     NumericalFailure,
@@ -338,6 +340,7 @@ def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config, args.seed, args.out)
     eps = _resolve_single_epsilon(cfg)
     delta = cfg.delta_rule.resolve(eps, cfg.Delta)
+    _preflight(cfg.model, cfg.delta_rule)
     result = simulate_coupled(
         cfg.model, eps, cfg.T, delta, cfg.Delta, cfg.n_particles,
         replica_id=0, seed=cfg.seed, x0=cfg.x0, v0=cfg.v0,

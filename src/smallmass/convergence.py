@@ -34,6 +34,7 @@ from .dynamics import (
     _ratio_int,
     _replica_batches,
     _state_array,
+    _zeros,
     run_limit_path,
     validate_assumptions,
 )
@@ -60,15 +61,24 @@ class DeltaRule:
         if self.scheme == SCHEME_EXPLICIT and not 0.0 < self.kappa < np.inf:
             raise ValidationError(f"kappa = {self.kappa} must be positive and finite")
         if self.scheme == SCHEME_EXPONENTIAL and (
-            self.delta is None or self.delta <= 0.0
+            self.delta is None or not 0.0 < self.delta < np.inf
         ):
-            raise ValidationError("exponential delta_rule needs a positive delta")
+            raise ValidationError("exponential delta_rule needs a positive, finite delta")
 
     def resolve(self, eps: float, Delta: float) -> float:
         """Fast step for this eps, snapped so that Delta is an exact multiple."""
         raw = eps / self.kappa if self.scheme == SCHEME_EXPLICIT else self.delta
         m = _ratio_int(Delta, raw, f"Delta/delta at eps={eps}")
         return Delta / m
+
+
+def _preflight(model: SystemModel, delta_rule: DeltaRule):
+    """The checks a run makes before any step: the assumption probe, then, under
+    the explicit rule, StepTooLarge on a probed friction that one step would not
+    damp (``_check_explicit_damping``)."""
+    probed = validate_assumptions(model).friction
+    if delta_rule.scheme == SCHEME_EXPLICIT:
+        _check_explicit_damping(probed, delta_rule.kappa)
 
 
 @dataclass
@@ -123,9 +133,9 @@ def run_convergence(
     limit path, under either rule: the noise is drawn once, on the union of
     the fast grids (one grid under the exponential rule), and each eps steps
     over its sums on its own grid, so the per-eps estimates are correlated
-    through their common noise.  Under the explicit rule ``validate`` also
-    raises StepTooLarge on a probed friction that one step would not damp
-    (``_check_explicit_damping``), before any sweep.
+    through their common noise.  ``validate`` runs ``_preflight`` before any
+    sweep.  The (len(eps_list), replicas) result is made before the batches,
+    so a replica count it cannot hold fails at once with SizeLimitExceeded.
     """
     eps_values = _check_epsilons(eps_list)
     if replicas < 2:
@@ -133,20 +143,18 @@ def run_convergence(
     if threads < 1:
         raise ValidationError("threads must be >= 1")
     if validate:
-        probed = validate_assumptions(model).friction
-        if delta_rule.scheme == SCHEME_EXPLICIT:
-            _check_explicit_damping(probed, delta_rule.kappa)
+        _preflight(model, delta_rule)
     deltas = [delta_rule.resolve(eps, Delta) for eps in eps_values]
-    batches = _replica_batches(model, replicas, n_particles, threads)
+    sup = _zeros((len(eps_values), replicas), "replicas")
 
     def one_batch(ids):
-        return _coupled_sweep(
+        sup[:, ids.start:ids.stop] = _coupled_sweep(
             model, eps_values, deltas, T, Delta, n_particles, ids, seed,
             x0, v0, delta_rule.scheme, delta_rule.kappa,
         )[0]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        sup = np.concatenate(list(pool.map(one_batch, batches)), axis=1)
+        list(pool.map(one_batch, _replica_batches(model, replicas, n_particles, threads)))
     errors = [float(np.mean(row)) for row in sup]
     stderrs = [float(np.std(row, ddof=1) / np.sqrt(replicas)) for row in sup]
     ratios = [err / np.sqrt(eps) for err, eps in zip(errors, eps_values)]

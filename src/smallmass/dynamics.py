@@ -83,6 +83,14 @@ def _state_array(value, n_particles: int, dim: int, name: str) -> np.ndarray:
         raise SizeLimitExceeded(f"{name}: ({n_particles}, {dim}) is too large") from None
 
 
+def _zeros(shape, what: str) -> np.ndarray:
+    """``np.zeros(shape)``, or SizeLimitExceeded when it cannot be held."""
+    try:
+        return np.zeros(shape)
+    except (ValueError, MemoryError):   # beyond addressable, or beyond memory
+        raise SizeLimitExceeded(f"{what}: {shape} values are too many to hold") from None
+
+
 @dataclass
 class ParticleEnsembleFull:
     """State (x_i, v_i) of the second-order system at time t, mass eps."""
@@ -558,7 +566,7 @@ def diagnostics_velocity(
 
     z_sum = np.zeros(len(rec_steps))
     z_sq_sum = np.zeros(len(rec_steps))
-    sup_ev = np.zeros(replicas)
+    sup_ev = _zeros(replicas, "replicas")
 
     def on_step(s, V):
         sup_ev[ids] = np.maximum(sup_ev[ids], np.linalg.norm(eps * V, axis=-1).max(axis=-1))

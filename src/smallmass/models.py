@@ -35,7 +35,9 @@ product, so no (B, N, n, d, d, d) tensor but the derivative itself is made.
 Batch evaluation conventions (used by the integrators): states are arrays of
 shape ``(B, m, d)`` where ``B`` indexes independent ensembles (each with its
 own measure) and ``m`` indexes evaluation points; measure samples are
-``(B, n, d)``.
+``(B, n, d)``.  The interaction friction and its two derivatives are one
+closure set at every d, on the (B, m, n, d) differences x - y, and
+1 + |x - y|^2 has one helper, which the carrillo-force force shares.
 """
 
 from __future__ import annotations
@@ -264,80 +266,58 @@ def _interaction_friction(params, family, d):
     c = _param(params, "c")
     if c < 0.0:
         raise ParameterViolation(f"{family} requires c >= 0")
-    return _pairwise_closures_d1(a, b, c) if d == 1 else _pairwise_closures(a, b, c, d)
+    return _pairwise_closures(a, b, c, d)
+
+
+def _one_plus_squared(diff, out=None):
+    """1 + |z|^2 over the last axis of ``diff``, the components added left to
+    right: np.sum's bits while that axis is shorter than 8, where np.sum is a
+    left fold too.  ``out`` may be ``diff[..., 0]``, which is read first."""
+    q = np.multiply(diff[..., 0], diff[..., 0], out=out)
+    for l in range(1, diff.shape[-1]):
+        q += diff[..., l] * diff[..., l]
+    q += 1.0
+    return q
 
 
 def _pairwise_closures(a, b, c, d):
-    """The interaction friction closures at any d, on (B, m, n, d) differences."""
-    idx = np.arange(d)
+    """The interaction friction closures at every d, on the (B, m, n, d)
+    differences, updated in place, and the diagonal entries written through
+    strided views of the zero output."""
 
     def friction(X, S):
         B, m, _ = X.shape
         diff = X[:, :, None, :] - S[:, None, :, :]          # (B, m, n, d)
-        psi = (c / (1.0 + np.sum(diff * diff, axis=-1))).mean(axis=2)  # (B, m)
+        q = _one_plus_squared(diff, out=diff[..., 0])
+        psi = np.divide(c, q, out=q).mean(axis=2)           # (B, m)
         out = np.zeros((B, m, d, d))
-        out[..., idx, idx] = a + b * np.tanh(X) + psi[..., None]
+        out.reshape(B, m, d * d)[..., :: d + 1] = a + b * np.tanh(X) + psi[..., None]
         return out
 
     def friction_dx(X, S):
         B, m, _ = X.shape
         diff = X[:, :, None, :] - S[:, None, :, :]
-        q = 1.0 + np.sum(diff * diff, axis=-1)              # (B, m, n)
-        grad_psi = (-2.0 * c) * (diff / (q * q)[..., None]).mean(axis=2)  # (B, m, d)
-        sech2 = 1.0 / np.cosh(X) ** 2
+        q = _one_plus_squared(diff)
+        q2 = np.multiply(q, q, out=q)
+        grad_psi = (-2.0 * c) * np.divide(diff, q2[..., None], out=diff).mean(axis=2)
         out = np.zeros((B, m, d, d, d))
         # diagonal tanh profile: d gamma_ii / d x_i
-        out[..., idx, idx, idx] = b * sech2
+        out.reshape(B, m, d ** 3)[..., :: d * d + d + 1] = b * (1.0 / np.cosh(X) ** 2)
         # shared psi term: d gamma_ii / d x_l for every i, l
-        out[..., idx, idx, :] += grad_psi[:, :, None, :]
+        out.reshape(B, m, d * d, d)[:, :, :: d + 1] += grad_psi[:, :, None, :]
         return out
 
     def friction_dmu(X, S, Y):
         B, m, _ = X.shape
         n = Y.shape[1]
         diff = X[:, :, None, :] - Y[:, None, :, :]          # (B, m, n, d)
-        q = 1.0 + np.sum(diff * diff, axis=-1)
-        grad_y = 2.0 * c * diff / (q * q)[..., None]        # (B, m, n, d)
-        out = np.zeros((B, m, n, d, d, d))
-        out[..., idx, idx, :] = grad_y[:, :, :, None, :]
-        return out
-
-    return friction, friction_dx, friction_dmu
-
-
-def _pairwise_closures_d1(a, b, c):
-    """``_pairwise_closures`` at d = 1 with the same bits, on (B, m, n)
-    differences updated in place: no ufunc loops over a trailing axis of
-    length 1, and two pairwise arrays at most."""
-
-    def diffs(X, S):
-        return X[:, :, None, 0] - S[:, None, :, 0]          # (B, m, n)
-
-    def squared_q(diff):
-        q2 = diff * diff
-        q2 += 1.0
-        return np.multiply(q2, q2, out=q2)                  # (1 + |x - y|^2)^2
-
-    def friction(X, S):
-        q = diffs(X, S)
-        np.multiply(q, q, out=q)
-        q += 1.0
-        psi = np.divide(c, q, out=q).mean(axis=2)
-        return (a + b * np.tanh(X) + psi[..., None])[..., None]
-
-    def friction_dx(X, S):
-        diff = diffs(X, S)
-        q2 = squared_q(diff)
-        grad_psi = (-2.0 * c) * np.divide(diff, q2, out=diff).mean(axis=2)
-        sech2 = 1.0 / np.cosh(X) ** 2
-        return (b * sech2 + grad_psi[..., None])[..., None, None]
-
-    def friction_dmu(X, S, Y):
-        diff = diffs(X, Y)
-        q2 = squared_q(diff)
+        q = _one_plus_squared(diff)
         diff *= 2.0 * c
-        diff /= q2
-        return diff[..., None, None, None]
+        diff /= np.multiply(q, q, out=q)[..., None]         # the gradient in y
+        del q   # freed before the output is made
+        out = np.zeros((B, m, n, d, d, d))
+        out.reshape(B, m, n, d * d, d)[..., :: d + 1, :] = diff[..., None, :]
+        return out
 
     return friction, friction_dx, friction_dmu
 
@@ -387,8 +367,8 @@ def _build_carrillo_force(params) -> SystemModel:
     def force(X, S):
         # -grad V(x) - mean_y grad W(x - y), V quadratic, W(z) = c_w sqrt(1+|z|^2)
         diff = X[:, :, None, :] - S[:, None, :, :]
-        root = np.sqrt(1.0 + np.sum(diff * diff, axis=-1))
-        grad_w = c_w * (diff / root[..., None]).mean(axis=2)
+        root = np.sqrt(_one_plus_squared(diff))
+        grad_w = c_w * np.divide(diff, root[..., None], out=diff).mean(axis=2)
         return -kappa_v * X - grad_w
 
     return SystemModel(

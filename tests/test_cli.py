@@ -229,6 +229,16 @@ class TestSimulateCommand:
         cfg = write(tmp_path / "c.json", doc)
         assert dispatch(["simulate", cfg]) == 2
 
+    def test_stiff_friction_fails_early_without_paths(self, tmp_path, capsys):
+        # the pre-flight of converge: gamma0 = 50 at kappa = 20 multiplies v by
+        # -1.5 each explicit step, which once ran to NumericalBlowup (exit 2)
+        doc = base_config()
+        doc["model"]["params"]["gamma0"] = 50.0
+        doc["output_dir"] = str(tmp_path / "out")
+        assert dispatch(["simulate", write(tmp_path / "c.json", doc)]) == 1
+        assert "velocity factor" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "paths.csv").exists()
+
 
 class TestConvergeCommand:
     def converge_config(self, tmp_path, name, outdir):
@@ -308,6 +318,14 @@ class TestConvergeCommand:
         csv_lines = (tmp_path / "o" / "report.csv").read_text().strip().split("\n")
         assert csv_lines[0] == "epsilon,error,stderr,ratio_sqrt"
         assert len(csv_lines) == 4
+
+    def test_replica_count_beyond_memory_exits_1(self, tmp_path, capsys):
+        self.converge_config(tmp_path, "c.json", tmp_path / "o")
+        doc = json.loads((tmp_path / "c.json").read_text())
+        doc["simulation"]["replicas"] = 2**62
+        assert dispatch(["converge", write(tmp_path / "c.json", doc)]) == 1
+        assert "replicas" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_requires_epsilon_list(self, tmp_path):
         cfg = write(tmp_path / "c.json", base_config())

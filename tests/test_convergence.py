@@ -16,6 +16,7 @@ from smallmass.convergence import (
 from smallmass.errors import (
     DegenerateFit,
     InsufficientReplicas,
+    SizeLimitExceeded,
     StepTooLarge,
     ValidationError,
 )
@@ -87,6 +88,12 @@ class TestDeltaRule:
         with pytest.raises(ValidationError, match="kappa"):
             DeltaRule(scheme="explicit", kappa=kappa)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_exponential_delta_must_be_finite(self, delta):
+        # these once passed here and failed only in resolve, with GridMismatch
+        with pytest.raises(ValidationError, match="finite delta"):
+            DeltaRule(scheme="exponential", delta=delta)
+
 
 class TestRunConvergence:
     def test_zero_noise_zero_force_gives_zero_errors(self):
@@ -112,6 +119,19 @@ class TestRunConvergence:
             run_convergence(
                 constant_model(gamma=50.0), [0.1, 0.05], T=0.1, n_particles=1,
                 replicas=2, seed=0, delta_rule=DeltaRule(kappa=20.0), Delta=0.01,
+            )
+
+    def test_replica_count_beyond_memory_fails_before_batching(self, monkeypatch):
+        # the result is made first: 2**62 replicas once meant a list of 2**46
+        # batch ranges, built before anything failed
+        def refuse(*args, **kwargs):
+            raise AssertionError("batches built")
+
+        monkeypatch.setattr(convergence, "_replica_batches", refuse)
+        with pytest.raises(SizeLimitExceeded, match="replicas"):
+            run_convergence(
+                constant_model(), [0.1, 0.05], T=0.1, n_particles=1, replicas=2**62,
+                seed=0, delta_rule=DeltaRule(), Delta=0.01,
             )
 
     def test_insufficient_replicas(self):

@@ -28,6 +28,7 @@ from smallmass.errors import (
     GridMismatch,
     NonFinite,
     NumericalBlowup,
+    SizeLimitExceeded,
     StepTooLarge,
     ValidationError,
 )
@@ -210,6 +211,13 @@ class TestRunInputValidation:
             diagnostics_velocity(
                 constant_model(), 0.05, T=0.1, delta=0.0025, replicas=2, seed=0,
                 kappa=kappa,
+            )
+
+    def test_diagnostics_replica_count_beyond_memory(self):
+        # once numpy's bare ValueError("array is too big")
+        with pytest.raises(SizeLimitExceeded, match="replicas"):
+            diagnostics_velocity(
+                constant_model(), 0.05, T=0.1, delta=0.0025, replicas=2**62, seed=0,
             )
 
     @pytest.mark.parametrize("n_particles", [0, -1])

@@ -483,23 +483,79 @@ class TestEnsembleFields:
             assert sorted(factored) == [B * n, B * N]
 
 
-class TestPairwiseClosuresD1:
-    # the d = 1 closures work on (B, m, n) arrays in place; they must give the
-    # bits of the general (B, m, n, d) form, which the carrillo-force family
-    # shares, for a measure that is the ensemble itself and for given samples
+def _reference_closures(a, b, c, d):
+    """The interaction friction closures as plain formulas: np.sum over the
+    components, fresh temporaries and fancy-index writes."""
+    idx = np.arange(d)
+
+    def friction(X, S):
+        B, m, _ = X.shape
+        diff = X[:, :, None, :] - S[:, None, :, :]
+        psi = (c / (1.0 + np.sum(diff * diff, axis=-1))).mean(axis=2)
+        out = np.zeros((B, m, d, d))
+        out[..., idx, idx] = a + b * np.tanh(X) + psi[..., None]
+        return out
+
+    def friction_dx(X, S):
+        B, m, _ = X.shape
+        diff = X[:, :, None, :] - S[:, None, :, :]
+        q = 1.0 + np.sum(diff * diff, axis=-1)
+        grad_psi = (-2.0 * c) * (diff / (q * q)[..., None]).mean(axis=2)
+        sech2 = 1.0 / np.cosh(X) ** 2
+        out = np.zeros((B, m, d, d, d))
+        out[..., idx, idx, idx] = b * sech2
+        out[..., idx, idx, :] += grad_psi[:, :, None, :]
+        return out
+
+    def friction_dmu(X, S, Y):
+        B, m, _ = X.shape
+        n = Y.shape[1]
+        diff = X[:, :, None, :] - Y[:, None, :, :]
+        q = 1.0 + np.sum(diff * diff, axis=-1)
+        grad_y = 2.0 * c * diff / (q * q)[..., None]
+        out = np.zeros((B, m, n, d, d, d))
+        out[..., idx, idx, :] = grad_y[:, :, :, None, :]
+        return out
+
+    return friction, friction_dx, friction_dmu
+
+
+class TestPairwiseClosures:
+    # one closure set serves every d, with temporaries updated in place and
+    # strided diagonal writes; below 8 components np.sum is a left fold, so it
+    # must give the bits of the plain formulas, for a measure that is the
+    # ensemble itself and for given samples; n = 9000 spans more than one
+    # 8192-element block of the strided mean over the samples, and the Lions
+    # derivative is taken at as many of them as keep it within 2^21 values
     @pytest.mark.parametrize("samples", ["own", "given"])
-    def test_same_bits_as_the_general_form(self, samples):
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_same_bits_as_the_plain_formulas(self, d, samples):
         from smallmass import models
 
         a, b, c = 2.0, -0.6, 0.8
-        general = models._pairwise_closures(a, b, c, 1)
-        fast = models._pairwise_closures_d1(a, b, c)
-        rng = np.random.default_rng(29)
-        for B, m, n in ((16, 64, 64), (2, 3, 7), (1, 1, 1), (5, 9, 130)):
-            X = rng.normal(size=(B, m, 1))
-            S = X if samples == "own" else rng.normal(size=(B, n, 1))
-            for want, got in zip(general[:2], fast[:2]):
-                w, g = want(X, S), got(X, S)
+        want = _reference_closures(a, b, c, d)
+        got = models._pairwise_closures(a, b, c, d)
+        rng = np.random.default_rng(29 + d)
+        for B, m, n in ((16, 64, 64), (2, 3, 7), (1, 1, 1), (1, 2, 9000)):
+            X = rng.normal(size=(B, m, d))
+            S = X if samples == "own" else rng.normal(size=(B, n, d))
+            Y = S[:, : max(1, 2 ** 21 // (B * m * d ** 3))]   # d^3 values a pair
+            for args, w, g in zip(((X, S), (X, S), (X, S, Y)), want, got):
+                w, g = w(*args), g(*args)
                 assert w.shape == g.shape and w.tobytes() == g.tobytes()
-            w, g = general[2](X, S, S), fast[2](X, S, S)
-            assert w.shape == g.shape and w.tobytes() == g.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_carrillo_force_same_bits_as_the_plain_formula(self, d):
+        c_w, kappa_v = 0.7, 1.3
+        model = model_library(ModelSpec(
+            "carrillo-force", {"a": 2.0, "b": 0.5, "c": 1.0, "d": d, "c_w": c_w, "kappa_v": kappa_v}
+        ))
+        rng = np.random.default_rng(31 + d)
+        for B, m, n in ((16, 64, 64), (1, 1, 1), (1, 2, 9000)):
+            X = rng.normal(size=(B, m, d))
+            for S in (X, rng.normal(size=(B, n, d))):
+                diff = X[:, :, None, :] - S[:, None, :, :]
+                root = np.sqrt(1.0 + np.sum(diff * diff, axis=-1))
+                want = -kappa_v * X - c_w * (diff / root[..., None]).mean(axis=2)
+                got = model.force_field(X, S)
+                assert want.shape == got.shape and want.tobytes() == got.tobytes()
