@@ -169,6 +169,15 @@ class TestRunConvergence:
         assert a.errors == b.errors == c.errors
         assert a.stderrs == b.stderrs == c.stderrs
 
+    @pytest.mark.parametrize("seed", [1.5, True, float("nan"), "7"])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        # 1.5 and True once ran seed 1
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            run_convergence(
+                constant_model(), [0.1, 0.05], T=0.1, n_particles=1, replicas=2,
+                seed=seed, delta_rule=DeltaRule(), Delta=0.01, validate=False,
+            )
+
     @pytest.mark.parametrize("threads", [0, -2])
     def test_rejects_threads_below_one(self, threads):
         with pytest.raises(ValidationError, match="threads"):

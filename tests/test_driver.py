@@ -63,6 +63,18 @@ class TestKeyHash:
         with pytest.raises(ValidationError, match="seed"):
             NoiseDriver(-1, 0.01)
 
+    # 1.5 and True once ran as seed 1, NaN ended in a bare ValueError and "7"
+    # in a TypeError
+    @pytest.mark.parametrize("seed", [1.5, True, np.True_, float("nan"), "7", 2.0, np.float64(3.0)])
+    def test_non_integer_master_seed_is_rejected(self, seed):
+        with pytest.raises(ValidationError, match="master seed must be an integer"):
+            NoiseDriver(seed, 0.01)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.int8(7)])
+    def test_numpy_integer_master_seed_is_its_value(self, seed):
+        want = NoiseDriver(7, 0.01).fast_increments(1, 2, 1, 16)
+        assert np.array_equal(NoiseDriver(seed, 0.01).fast_increments(1, 2, 1, 16), want)
+
     @pytest.mark.parametrize("seed", [2**63 - 1, 2**64 + 5])
     def test_draws_are_the_seed_sequence_streams(self, seed):
         got = NoiseDriver(seed, 1.0).fast_increments_batch([2, 0], 3, 2, 9)
@@ -94,6 +106,56 @@ class TestStreaming:
         assert [b.shape[1] % 4 for b in blocks] == [0] * n_blocks
         whole = drv.fast_increments_batch([0, 3, 4], 2, 2, 40)
         assert np.array_equal(np.concatenate(blocks, axis=1), whole)
+
+    def test_no_state_is_saved_after_the_last_block(self, monkeypatch):
+        # 2 replicas x 3 particles x 2 components: 12 streams, 10 windows of 4
+        # steps in blocks of 3 windows, so 4 blocks and 3 saves per stream
+        calls = []
+        save = driver._save_state
+        monkeypatch.setattr(driver, "_save_state", lambda *a: calls.append(1) or save(*a))
+        monkeypatch.setattr(driver, "BLOCK_BYTES", 3 * 2 * 3 * 2 * 4 * 8)
+        drv = NoiseDriver(19, 0.005, 4)
+        blocks = list(drv.blocks([1, 6], 3, 2, 10))
+        assert len(blocks) == 4 and len(calls) == 3 * 12
+        whole = drv.fast_increments_batch([1, 6], 3, 2, 40)
+        assert np.array_equal(np.concatenate(blocks, axis=1), whole)
+
+    def test_a_run_of_one_block_saves_nothing(self, monkeypatch):
+        monkeypatch.setattr(driver, "_save_state", None)   # any save would fail
+        assert len(list(NoiseDriver(19, 0.005, 4).blocks([1, 6], 3, 2, 10))) == 1
+
+    # the union of the grids m = 3 and 4: 6 unequal substeps a window; 3
+    # replicas x 5 particles x 2 components are 30 streams, a window 1440
+    # bytes; blocks of one window, of four (the last one short) and of the
+    # whole run, each with the default scratch (every replica in one group),
+    # one of 3 rows (a particle width of 10 is not a multiple of 3), one of 20
+    # (groups of two replicas, then one) and one shorter than a stream's block
+    # (the streams drawn in pieces)
+    @pytest.mark.parametrize("block_bytes, n_blocks", [(1, 10), (4 * 1440, 3), (2**40, 1)])
+    @pytest.mark.parametrize("scratch_rows", [None, 3, 20, 0.75])
+    def test_unequal_substeps_stream_as_numpys_streams(
+        self, monkeypatch, block_bytes, n_blocks, scratch_rows
+    ):
+        ms, Delta, n_windows = (3, 4), 0.01, 10
+        monkeypatch.setattr(driver, "BLOCK_BYTES", block_bytes)
+        drv, _ = NoiseDriver.union(23, Delta, [Delta / m for m in ms], list(ms))
+        U = drv.m_substeps
+        steps = min(n_windows, -(-n_windows // n_blocks)) * U   # a full block's steps
+        if scratch_rows is not None:
+            monkeypatch.setattr(driver, "SCRATCH_BYTES", int(scratch_rows * steps * 8))
+        blocks = list(drv.blocks([0, 2, 7], 5, 2, n_windows))
+        assert len(blocks) == n_blocks
+        streamed = np.concatenate(blocks, axis=1)
+        assert np.array_equal(streamed, drv.fast_increments_batch([0, 2, 7], 5, 2, n_windows * U))
+        gaps, _ = union_grid(list(ms))
+        scale = np.sqrt(np.array([g / sum(gaps) for g in gaps]) * Delta)
+        for r_i, r in enumerate([0, 2, 7]):
+            for p in range(5):
+                for c in range(2):
+                    ss = np.random.SeedSequence(entropy=23, spawn_key=(r, p, c))
+                    normals = np.random.Generator(np.random.Philox(ss)).standard_normal(n_windows * U)
+                    want = (normals.reshape(n_windows, U) * scale).ravel()
+                    assert np.array_equal(streamed[r_i, :, p, c], want)
 
 
 class TestCoupling:
