@@ -7,7 +7,7 @@ a path dump), ``converge`` (strong-error sweep plus rate fit), and
 
 Configuration is a strict JSON document: unknown keys are fatal, numbers are
 re-emitted at 17 significant digits, and runs with the same config and seed
-produce byte-identical outputs at any thread count.
+produce byte-identical outputs; ``converge --threads`` (>= 1) has no effect.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical failure,
 3 I/O failure, 64 usage error.
@@ -424,7 +424,7 @@ def _build_parser() -> _Parser:
     p.add_argument("config")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="override output_dir")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted, >= 1; no effect")
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("reduce-check", help="constant-friction reduction cross-check")

@@ -7,18 +7,17 @@ against an independently coded overdamped Euler scheme in the constant
 friction case (where both corrections vanish identically and the two must
 agree to the last bit).
 
-The sweep makes one pass over the eps grid per replica batch: each batch
-(one task of a thread pool of the requested size) runs every eps on one draw
-of the noise, on the union of their fast grids, and one limit path.
-Batches are sized by work, by the rule the velocity diagnostics share
-(``dynamics._replica_batches``), and results are assembled in replica order;
-each replica depends on nothing but its own streams, so a seed's reports are
-byte-identical at any thread count, batch size or noise block size.
+The sweep makes one pass over the eps grid per replica batch, in replica
+order in the calling thread (the step loop holds the GIL, so a thread pool
+was slower): each batch runs every eps on one draw of the noise, on the union
+of their fast grids, and one limit path.  Batches are sized by work, by the
+rule the velocity diagnostics share (``dynamics._replica_batches``); each
+replica depends on nothing but its own streams, so a seed's reports are
+byte-identical at any batch size or noise block size.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -136,6 +135,7 @@ def run_convergence(
     through their common noise.  ``validate`` runs ``_preflight`` before any
     sweep.  The (len(eps_list), replicas) result is made before the batches,
     so a replica count it cannot hold fails at once with SizeLimitExceeded.
+    ``threads`` (>= 1) has no effect; it stays for the callers that pass it.
     """
     eps_values = _check_epsilons(eps_list)
     if replicas < 2:
@@ -146,15 +146,11 @@ def run_convergence(
         _preflight(model, delta_rule)
     deltas = [delta_rule.resolve(eps, Delta) for eps in eps_values]
     sup = _zeros((len(eps_values), replicas), "replicas")
-
-    def one_batch(ids):
+    for ids in _replica_batches(model, replicas, n_particles):
         sup[:, ids.start:ids.stop] = _coupled_sweep(
             model, eps_values, deltas, T, Delta, n_particles, ids, seed,
             x0, v0, delta_rule.scheme, delta_rule.kappa,
         )[0]
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(one_batch, _replica_batches(model, replicas, n_particles, threads)))
     errors = [float(np.mean(row)) for row in sup]
     stderrs = [float(np.std(row, ddof=1) / np.sqrt(replicas)) for row in sup]
     ratios = [err / np.sqrt(eps) for err, eps in zip(errors, eps_values)]

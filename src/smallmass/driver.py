@@ -2,12 +2,12 @@
 
 Each (replica, particle, component) triple owns an independent Philox stream:
 the stream of ``SeedSequence(entropy=master_seed, spawn_key=(r, p, c))``,
-so increment sequences are reproducible regardless of execution order or
-thread count.  Philox is counter-based, so a stream is fully given by its
-128-bit key and counter (Salmon et al., "Parallel random numbers: as easy as
-1, 2, 3", SC'11): the keys of a whole draw are derived at once by a
-vectorized transcription of SeedSequence's hash, and one generator draws the
-streams in turn, its state set to each stream's key and a zero counter.
+so increment sequences are reproducible regardless of execution order.
+Philox is counter-based, so a stream is fully given by its 128-bit key and
+counter (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11): the keys of a whole draw are derived at once by a vectorized
+transcription of SeedSequence's hash, and one generator draws the streams in
+turn, its state set to each stream's key and a zero counter.
 Coarse-grid increments are defined as the window sums of the fast-grid
 increments, which makes the fast/coarse coupling exact by construction.
 

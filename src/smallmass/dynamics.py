@@ -91,6 +91,13 @@ def _zeros(shape, what: str) -> np.ndarray:
         raise SizeLimitExceeded(f"{what}: {shape} values are too many to hold") from None
 
 
+def _start(init: np.ndarray, R: int, what: str) -> np.ndarray:
+    """``R`` copies of the (N, d) start state ``init``, every bit kept, by ``_zeros``."""
+    X = _zeros((R,) + init.shape, what)
+    X[...] = init
+    return X
+
+
 @dataclass
 class ParticleEnsembleFull:
     """State (x_i, v_i) of the second-order system at time t, mass eps."""
@@ -203,8 +210,8 @@ def _check_explicit_damping(gammas: np.ndarray, kappa: float):
         )
 
 
-def _replica_batches(model: SystemModel, replicas: int, n_particles: int, workers: int = 1):
-    """Consecutive replica ranges sized as above, at most ceil(replicas / workers).
+def _replica_batches(model: SystemModel, replicas: int, n_particles: int):
+    """Consecutive replica ranges sized as above.
 
     A replica's largest array holds n_particles * dim values, times
     n_particles when its coefficients read the ensemble's measure (pairwise
@@ -213,7 +220,6 @@ def _replica_batches(model: SystemModel, replicas: int, n_particles: int, worker
     if model.mode == MODE_EXTENSION or not model.dmu_is_zero:
         states *= n_particles
     size = max(BATCH_MIN_REPLICAS, -(-BATCH_STATES // states))
-    size = min(size, -(-replicas // workers))
     return [range(s, min(s + size, replicas)) for s in range(0, replicas, size)]
 
 
@@ -408,13 +414,11 @@ def _coupled_sweep(
 
     x_init = _state_array(x0, n_particles, d, "x0")
     v_init = _state_array(v0, n_particles, d, "v0")
-    X0 = np.broadcast_to(x_init, (R, n_particles, d))
-    V0 = np.broadcast_to(v_init, (R, n_particles, d))
 
     paths = rec = None
     if record_paths:
-        rec = np.empty((3, n_coarse + 1, n_particles, d))  # x_full, v_full, x_limit
-        rec[:, 0] = X0[0], V0[0], X0[0]
+        rec = _zeros((3, n_coarse + 1, n_particles, d), "paths")  # x_full, v_full, x_limit
+        rec[:, 0] = x_init, v_init, x_init
         paths = PathRecord(np.arange(n_coarse + 1) * Delta, *rec)
 
     sup = np.zeros((len(eps_values), R))
@@ -430,10 +434,10 @@ def _coupled_sweep(
         if rec is not None:
             rec[:, j + 1] = systems[0][1][0], systems[0][2][0], XL[0]
 
-    systems = [
-        [eps, X0.copy(), V0.copy(), delta, c] for eps, delta, c in zip(eps_values, deltas, cuts)
-    ]
-    _march(model, blocks, systems, X0.copy(), advance=advance, Delta=Delta, on_window=on_window)
+    systems = [[eps, _start(x_init, R, "x0"), _start(v_init, R, "v0"), delta, c]
+               for eps, delta, c in zip(eps_values, deltas, cuts)]
+    XL = _start(x_init, R, "x0")
+    _march(model, blocks, systems, XL, advance=advance, Delta=Delta, on_window=on_window)
     return sup, paths
 
 
@@ -478,7 +482,7 @@ def run_limit_path(
     n_coarse = _ratio_int(T, Delta, "T/Delta")
     d, k = model.dim, model.noise_dim
     x_init = _state_array(x0, n_particles, d, "x0")
-    out = np.empty((n_coarse + 1, n_particles, d))
+    out = _zeros((n_coarse + 1, n_particles, d), "limit path")
     out[0] = x_init
     driver = NoiseDriver(seed, Delta, 1)
     blocks = map(lambda dws: (None, dws), driver.blocks([replica_id], n_particles, k, n_coarse))
@@ -486,7 +490,7 @@ def run_limit_path(
     def on_window(j, systems, XL):
         out[j + 1] = XL[0]
 
-    _march(model, blocks, [], out[:1].copy(), Delta=Delta, on_window=on_window)
+    _march(model, blocks, [], _start(x_init, 1, "x0"), Delta=Delta, on_window=on_window)
     return out
 
 
@@ -580,8 +584,7 @@ def diagnostics_velocity(
     driver = NoiseDriver(seed, delta, 1)
     for batch in _replica_batches(model, replicas, n_particles):
         ids = slice(batch.start, batch.stop)
-        X = np.broadcast_to(x_init, (len(batch), n_particles, d)).copy()
-        V = np.broadcast_to(v_init, (len(batch), n_particles, d)).copy()
+        X, V = _start(x_init, len(batch), "x0"), _start(v_init, len(batch), "v0")
         on_step(0, V)
         blocks = map(lambda fast: (fast, None), driver.blocks(batch, n_particles, k, n_steps))
         _march(model, blocks, [[eps, X, V, delta, None]], None, advance=advance, on_step=on_step)

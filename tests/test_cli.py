@@ -327,6 +327,15 @@ class TestConvergeCommand:
         assert "replicas" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_particle_count_beyond_memory_exits_1(self, tmp_path, capsys):
+        # once a traceback from numpy's MemoryError
+        self.converge_config(tmp_path, "c.json", tmp_path / "o")
+        doc = json.loads((tmp_path / "c.json").read_text())
+        doc["simulation"]["N"] = 2**50
+        assert dispatch(["converge", write(tmp_path / "c.json", doc)]) == 1
+        assert "too many to hold" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_requires_epsilon_list(self, tmp_path):
         cfg = write(tmp_path / "c.json", base_config())
         assert dispatch(["converge", cfg]) == 1

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -133,6 +134,31 @@ class TestRunConvergence:
                 constant_model(), [0.1, 0.05], T=0.1, n_particles=1, replicas=2**62,
                 seed=0, delta_rule=DeltaRule(), Delta=0.01,
             )
+
+    def test_particle_count_beyond_memory_is_a_typed_error(self):
+        # 2**50 particles: once numpy's untyped MemoryError from the copy of
+        # the start state
+        with pytest.raises(SizeLimitExceeded, match="too many to hold"):
+            run_convergence(
+                constant_model(), [0.1, 0.05], T=0.1, n_particles=2**50, replicas=2,
+                seed=0, delta_rule=DeltaRule(), Delta=0.01,
+            )
+
+    def test_sweep_runs_in_the_calling_thread(self, monkeypatch):
+        # threads is accepted and has no effect: no batch runs in another thread
+        on_main = []
+
+        def recorded(*args, **kwargs):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            return sweep(*args, **kwargs)
+
+        sweep = convergence._coupled_sweep
+        monkeypatch.setattr(convergence, "_coupled_sweep", recorded)
+        run_convergence(
+            constant_model(), [0.1, 0.05], T=0.1, n_particles=1, replicas=40,
+            seed=0, delta_rule=DeltaRule(), Delta=0.01, threads=8,
+        )
+        assert on_main and all(on_main)
 
     def test_insufficient_replicas(self):
         with pytest.raises(InsufficientReplicas):

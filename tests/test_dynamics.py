@@ -295,6 +295,28 @@ class TestStartState:
         with pytest.raises(ValidationError, match="x0"):
             dynamics._state_array(value, 2, 2, "x0")
 
+    def test_copies_keep_every_bit(self):
+        x = dynamics._start(dynamics._state_array([-0.0, 5e-324], 3, 2, "x0"), 2, "x0")
+        assert x.shape == (2, 3, 2) and x.flags.writeable
+        assert np.signbit(x[..., 0]).all() and (x[..., 1] == 5e-324).all()
+
+    # 2**50 particles need 2**53 bytes a replica, which no host holds; once
+    # numpy's untyped MemoryError from the copy of the start state
+    @pytest.mark.parametrize("entry", ["simulate", "simulate-paths", "limit", "diagnostics"])
+    def test_particle_count_beyond_memory_is_a_typed_error(self, entry):
+        run, kwargs = {
+            "simulate": (simulate_coupled, dict(
+                eps=0.05, T=0.05, delta=0.0025, Delta=0.01, replica_id=0, seed=0)),
+            "simulate-paths": (simulate_coupled, dict(
+                eps=0.05, T=0.05, delta=0.0025, Delta=0.01, replica_id=0, seed=0,
+                record_paths=True)),
+            "limit": (run_limit_path, dict(T=0.05, Delta=0.01, replica_id=0, seed=0)),
+            "diagnostics": (diagnostics_velocity, dict(
+                eps=0.05, T=0.1, delta=0.0025, replicas=2, seed=0)),
+        }[entry]
+        with pytest.raises(SizeLimitExceeded, match="too many to hold"):
+            run(constant_model(), n_particles=2**50, **kwargs)
+
 
 class TestExplicitDamping:
     # the factor |1 - gamma/20| of one step: 0.9, 0.95, 1 (not shrinking), 1.5
@@ -488,11 +510,7 @@ class TestReplicaBatches:
         pairwise = model_library(ModelSpec("interaction", {"a": 2.0, "b": 0.5, "c": 1.0, "d": 1}))
         assert [len(b) for b in _replica_batches(constant_model(), 200, 64)] == [200]
         assert [len(b) for b in _replica_batches(pairwise, 50, 64)] == [16, 16, 16, 2]
-
-    def test_batches_cover_the_replicas_in_order_with_a_share_per_worker(self):
-        batches = _replica_batches(constant_model(), 1001, 1, workers=4)
-        assert [len(b) for b in batches] == [251, 251, 251, 248]
-        assert [r for b in batches for r in b] == list(range(1001))
+        assert [r for b in _replica_batches(pairwise, 50, 64) for r in b] == list(range(50))
 
 
 class TestVelocityDiagnostics:
