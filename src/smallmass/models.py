@@ -36,8 +36,10 @@ Batch evaluation conventions (used by the integrators): states are arrays of
 shape ``(B, m, d)`` where ``B`` indexes independent ensembles (each with its
 own measure) and ``m`` indexes evaluation points; measure samples are
 ``(B, n, d)``.  The interaction friction and its two derivatives are one
-closure set at every d, on the (B, m, n, d) differences x - y, and
-1 + |x - y|^2 has one helper, which the carrillo-force force shares.
+closure set at every d, on the (B, m, n, d) differences x - y; the
+differences and 1 + |x - y|^2 have one helper each, which the carrillo-force
+force shares.  A constant coefficient hands out one read-only view per batch
+shape.
 """
 
 from __future__ import annotations
@@ -240,11 +242,22 @@ def _linear_force(K):
 
 
 def _constant(matrix):
-    """A coefficient equal to ``matrix`` at every point and for every measure."""
+    """A coefficient equal to ``matrix`` at every point and for every measure.
+
+    The read-only (B, m) + matrix.shape view of ``matrix`` is built once per
+    (B, m) and handed out again while the shape repeats, as it does at every
+    step of a batch: one cache entry per closure, replaced when the shape
+    changes (a batch, then the point API's (1, 1), then a batch again).  A
+    ``noise_field`` call took 3.9-6.0 us with a view built per call and
+    0.4-0.8 us with the cached one (2 vCPUs, numpy 2.4.6)."""
+    cache = [np.broadcast_to(matrix, (0, 0) + matrix.shape)]
 
     def field(X, S):
         B, m, _ = X.shape
-        return np.broadcast_to(matrix, (B, m) + matrix.shape)
+        view = cache[0]
+        if view.shape[0] != B or view.shape[1] != m:
+            view = cache[0] = np.broadcast_to(matrix, (B, m) + matrix.shape)
+        return view
 
     return field
 
@@ -280,6 +293,17 @@ def _one_plus_squared(diff, out=None):
     return q
 
 
+def _differences(X, Y):
+    """The (B, m, n, d) differences x - y of the points X (B, m, d) and the
+    samples Y (B, n, d): x repeated along n, then y subtracted in place.  The
+    broadcast subtract X[:, :, None] - Y[:, None] runs an inner loop only d
+    long; this one runs n * d long, and subtraction is the same IEEE operation
+    either way, so the bits are those of the broadcast subtract."""
+    diff = np.repeat(X[:, :, None, :], Y.shape[1], axis=2)
+    diff -= Y[:, None, :, :]
+    return diff
+
+
 def _pairwise_closures(a, b, c, d):
     """The interaction friction closures at every d, on the (B, m, n, d)
     differences, updated in place, and the diagonal entries written through
@@ -287,7 +311,7 @@ def _pairwise_closures(a, b, c, d):
 
     def friction(X, S):
         B, m, _ = X.shape
-        diff = X[:, :, None, :] - S[:, None, :, :]          # (B, m, n, d)
+        diff = _differences(X, S)                           # (B, m, n, d)
         q = _one_plus_squared(diff, out=diff[..., 0])
         psi = np.divide(c, q, out=q).mean(axis=2)           # (B, m)
         out = np.zeros((B, m, d, d))
@@ -296,7 +320,7 @@ def _pairwise_closures(a, b, c, d):
 
     def friction_dx(X, S):
         B, m, _ = X.shape
-        diff = X[:, :, None, :] - S[:, None, :, :]
+        diff = _differences(X, S)
         q = _one_plus_squared(diff)
         q2 = np.multiply(q, q, out=q)
         grad_psi = (-2.0 * c) * np.divide(diff, q2[..., None], out=diff).mean(axis=2)
@@ -310,7 +334,7 @@ def _pairwise_closures(a, b, c, d):
     def friction_dmu(X, S, Y):
         B, m, _ = X.shape
         n = Y.shape[1]
-        diff = X[:, :, None, :] - Y[:, None, :, :]          # (B, m, n, d)
+        diff = _differences(X, Y)                           # (B, m, n, d)
         q = _one_plus_squared(diff)
         diff *= 2.0 * c
         diff /= np.multiply(q, q, out=q)[..., None]         # the gradient in y
@@ -366,7 +390,7 @@ def _build_carrillo_force(params) -> SystemModel:
 
     def force(X, S):
         # -grad V(x) - mean_y grad W(x - y), V quadratic, W(z) = c_w sqrt(1+|z|^2)
-        diff = X[:, :, None, :] - S[:, None, :, :]
+        diff = _differences(X, S)
         root = np.sqrt(_one_plus_squared(diff))
         grad_w = c_w * np.divide(diff, root[..., None], out=diff).mean(axis=2)
         return -kappa_v * X - grad_w

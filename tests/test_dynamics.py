@@ -8,12 +8,14 @@ import pytest
 from smallmass import driver, dynamics
 from smallmass.driver import NoiseDriver
 from smallmass.dynamics import (
+    BLOWUP_CAP,
     ParticleEnsembleFull,
     ParticleEnsembleLimit,
     ProbeConfig,
     _advance_full_em,
     _advance_full_exponential,
     _coupled_sweep,
+    _guard,
     _replica_batches,
     diagnostics_velocity,
     run_limit_path,
@@ -125,6 +127,32 @@ class TestFullSteppers:
         with pytest.raises(NumericalBlowup):
             for _ in range(10000):
                 ens = step_full_em(ens, cubic_model(), 0.05, np.zeros((1, 1)))
+
+
+class TestGuard:
+    # one reduction, np.abs(arr).max(), and one comparison that NaN fails
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.nextafter(BLOWUP_CAP, np.inf),
+                                     -2.0 * BLOWUP_CAP])
+    def test_raises(self, bad):
+        arr = np.array([[[0.5], [-3.0]], [[bad], [1.0]]])
+        with pytest.raises(NumericalBlowup, match="velocity reached magnitude"):
+            _guard(arr, "velocity")
+
+    def test_nan_among_finite_values_raises(self):
+        arr = np.linspace(-1.0, 1.0, 64).reshape(8, 8, 1)
+        arr[5, 3, 0] = np.nan
+        with pytest.raises(NumericalBlowup, match="nan"):
+            _guard(arr, "position")
+
+    @pytest.mark.parametrize("arr", [
+        np.array([[[BLOWUP_CAP]]]),
+        np.array([[[-BLOWUP_CAP], [0.0]]]),
+        np.zeros((0, 3, 1)),
+        np.zeros((2, 0, 2)),
+        np.array([[[-0.0]]]),
+    ])
+    def test_passes(self, arr):
+        _guard(arr, "velocity")
 
 
 class TestLimitStepper:
@@ -664,6 +692,38 @@ class TestVelocityDiagnostics:
         var = (z_sq_sum[j_star] - replicas * mean_curve[j_star] ** 2) / (replicas - 1)
         assert diag.sup_ev2 == float(mean_curve[j_star])
         assert diag.sup_ev2_stderr == float(np.sqrt(max(var, 0.0) / replicas))
+
+    def test_squared_sup_gives_the_bits_of_the_norm_sup(self, monkeypatch):
+        # 70 replicas of 3 particles at d = 3 in batches of 32: the sup of
+        # |eps v| over every step, rebuilt with np.linalg.norm from each
+        # batch's velocities, gives mean_sup_ev4 and its standard error bit
+        # for bit, though the diagnostics keep |eps v|^2 and take one sqrt
+        monkeypatch.setattr(dynamics, "BATCH_MIN_REPLICAS", 32)
+        monkeypatch.setattr(dynamics, "BATCH_STATES", 1)
+        eps, replicas = 0.05, 70
+        sups = []   # per _march call (one batch): the running sup of |eps v|
+        march = dynamics._march
+
+        def spy(model, blocks, systems, XL, *, on_step, **kwargs):
+            sup = np.linalg.norm(eps * systems[0][2], axis=-1).max(axis=-1)
+            sups.append(sup)
+
+            def capture(s, V):
+                np.maximum(sup, np.linalg.norm(eps * V, axis=-1).max(axis=-1), out=sup)
+                on_step(s, V)
+
+            return march(model, blocks, systems, XL, on_step=capture, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_march", spy)
+        diag = diagnostics_velocity(
+            constant_model(gamma=[[2.0, 0.3, 0.0], [-0.3, 1.5, 0.2], [0.0, 0.1, 2.5]], d=3),
+            eps, T=0.1, delta=0.0025, replicas=replicas, seed=5, n_particles=3,
+            x0=0.2, v0=[0.5, -1.0, 0.25],
+        )
+        assert [len(s) for s in sups] == [32, 32, 6]
+        sup4 = np.concatenate(sups) ** 4
+        assert diag.mean_sup_ev4 == float(np.mean(sup4))
+        assert diag.mean_sup_ev4_stderr == float(np.std(sup4, ddof=1) / np.sqrt(replicas))
 
     def test_exponential_terminal_distribution_matches_fine_em(self):
         # same model, same horizon: exponential stepper at delta = eps/10 vs

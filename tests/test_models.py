@@ -559,3 +559,49 @@ class TestPairwiseClosures:
                 want = -kappa_v * X - c_w * (diff / root[..., None]).mean(axis=2)
                 got = model.force_field(X, S)
                 assert want.shape == got.shape and want.tobytes() == got.tobytes()
+
+
+class TestConstantCoefficient:
+    # the view of a constant coefficient is built once per (B, m) shape and
+    # handed out again; a new shape replaces it, so alternating between a
+    # batch and the point API's (1, 1) still gives the right view each time
+    def test_alternating_shapes(self):
+        from smallmass import models
+
+        matrix = np.array([[1.0, 0.5], [-0.25, 2.0]])
+        field = models._constant(matrix)
+        for B, m in ((16, 3), (1, 1), (16, 3), (16, 3), (16, 5), (4, 5), (1, 1)):
+            got = field(np.zeros((B, m, 2)), None)
+            assert got.shape == (B, m, 2, 2)
+            assert np.array_equal(got, np.broadcast_to(matrix, (B, m, 2, 2)))
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0, 0, 0, 0] = 7.0
+        assert np.array_equal(matrix, [[1.0, 0.5], [-0.25, 2.0]])
+
+    def test_same_view_while_the_shape_repeats(self):
+        from smallmass import models
+
+        field = models._constant(np.eye(3))
+        X = np.zeros((8, 2, 3))
+        first = field(X, None)
+        assert field(X, None) is first
+        assert field(np.zeros((1, 1, 3)), None) is not first
+        assert field(X, None).shape == (8, 2, 3, 3)
+
+
+class TestDifferences:
+    # x repeated along n with y subtracted in place: the bits of the broadcast
+    # subtract, for samples that are not the points and n != m
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_same_bits_as_the_broadcast_subtract(self, d):
+        from smallmass import models
+
+        rng = np.random.default_rng(41 + d)
+        for B, m, n in ((3, 5, 7), (1, 1, 1), (2, 9, 4)):
+            X = rng.normal(size=(B, m, d)) * 10.0 ** rng.integers(-8, 8, size=(B, m, d))
+            Y = rng.normal(size=(B, n, d)) * 10.0 ** rng.integers(-8, 8, size=(B, n, d))
+            want = X[:, :, None, :] - Y[:, None, :, :]
+            got = models._differences(X, Y)
+            assert got.shape == (B, m, n, d) and got.tobytes() == want.tobytes()
+            assert got.flags.writeable and got.flags.c_contiguous
