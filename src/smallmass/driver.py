@@ -16,20 +16,23 @@ driver of their union (``NoiseDriver.union``) cuts each coarse window at every
 point of every grid, the gaps computed exactly from the integers m_i, and each
 grid's increments are the left-to-right sums of the union's over its steps
 (``grid_increments``).  So every grid and the coarse grid ride one Brownian
-path.  The union has at most sum(m_i) substeps per window, where the finest
-grid holding every point, Delta/lcm(m_i), can have far more (1001 against 29
-for m = 7, 11, 13).
+path.  Substep u has the variance gaps[u] * Delta / lcm(m_i); grids nested in
+the finest have every gap 1, so each substep is exactly Delta / max(m_i), the
+step of the finest grid alone.  The union has at most sum(m_i) substeps per
+window, where the finest grid holding every point, Delta/lcm(m_i), can have
+far more (1001 against 29 for m = 7, 11, 13).
 
-Each stream is drawn into a contiguous row of a small scratch array, and a
-few rows at a time are copied into the (R, steps, P*C) block transposed.  Long
-runs are drawn in blocks of whole coarse windows: each stream's Philox state
-is saved from one block to the next as one row of a uint64 array (only the
-words a normal draw changes are written), and consecutive pieces of a Philox
-stream are bit-identical to one draw of their total length, so the block size
-changes memory, never values.  A run's last block saves nothing.  Timed on
-2 vCPUs with numpy 2.4.6, a stream of 500 normals costs about 10 us to draw,
-1.3 us to load its state, 0.4 us to copy and, where it is saved, 3.5 to 6 us
-to save (mostly reading the generator's state); a 16 MB block of 4,096 such
+Each stream is drawn whole into a contiguous row of a small scratch array, a
+group of one replica's consecutive streams at a time, and each group is
+copied into the (R, steps, P*C) block transposed.  Long runs are drawn in
+blocks of whole coarse windows: each stream's Philox state is saved from one
+block to the next as one row of a uint64 array (only the words a normal draw
+changes are written), and consecutive pieces of a Philox stream are
+bit-identical to one draw of their total length, so the block size changes
+memory, never values.  A run's last block saves nothing.  Timed on 2 vCPUs
+with numpy 2.4.6, a stream of 500 normals costs about 10 us to draw, 1.3 us
+to load its state, 0.4 us to copy and, where it is saved, 3.5 to 6 us to
+save (mostly reading the generator's state); a 16 MB block of 4,096 such
 streams takes about 0.07 s, and 0.1 s when its states are saved.
 """
 
@@ -48,9 +51,10 @@ from .errors import GridMismatch, ValidationError
 # increments no longer set its peak memory.
 BLOCK_BYTES = 16 * 2**20
 
-# Bytes of the scratch array that streams are drawn into, one contiguous row
-# each, before a group of rows is copied into the block transposed; a stream
-# longer than the scratch is drawn and copied in pieces.
+# Bytes of the scratch array that one replica's streams are drawn into, one
+# whole stream a row, before the group of rows is copied into the block
+# transposed; a stream longer than this budget is drawn alone into a scratch
+# of its own length.
 SCRATCH_BYTES = 64 * 2**10
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): O'Neill's seed_seq
@@ -149,43 +153,33 @@ def _draw(states: np.ndarray, n_replicas: int, width: int, n_steps: int, save: b
     replica s // width; with ``save`` the rows are updated to where the draws
     leave the streams.
 
-    Consecutive streams are drawn into the rows of the scratch, a group at a
-    time: whole replicas when a replica's streams fit, else a run of one
-    replica's columns."""
+    Each stream is drawn whole into a row of the scratch, a group of up to
+    ``span`` consecutive streams of one replica at a time, and each group is
+    copied into the block transposed.  The scratch holds at most
+    ``SCRATCH_BYTES``, unless one stream is longer than that: it then holds
+    that one stream, at most the whole block for a single-stream replica."""
     out = np.empty((n_replicas, n_steps, width))
-    cols = max(1, min(n_steps, SCRATCH_BYTES // 8))
-    rows = max(1, SCRATCH_BYTES // 8 // cols)
-    span = max(1, min(rows, width))        # columns of a group
-    per = max(1, rows // max(width, 1))    # replicas of a group
-    scratch = np.empty((rows, cols))
+    span = max(1, min(width, SCRATCH_BYTES // (8 * max(n_steps, 1))))
+    scratch = np.empty((span, n_steps))
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     state = {"bit_generator": "Philox", "state": {}}
     inner = state["state"]
     saved = states.tolist()
-    for r0 in range(0, n_replicas, per):
-        r1 = min(r0 + per, n_replicas)
+    for r in range(n_replicas):
         for j0 in range(0, width, span):
             j1 = min(j0 + span, width)
-            group = scratch[:(r1 - r0) * (j1 - j0)]
-            # several pieces only when one stream outgrows the scratch; it is
-            # then alone in its group, so the generator keeps its state
-            for a in range(0, n_steps, cols):
-                piece = group[:, :min(cols, n_steps - a)]
-                last = a + cols >= n_steps
-                for s, normals in enumerate(piece, r0 * width + j0):
-                    if a == 0:
-                        row = saved[s]
-                        inner["counter"], inner["key"] = row[0:4], row[4:6]
-                        state["buffer"], state["buffer_pos"] = row[6:10], row[10]
-                        state["has_uint32"], state["uinteger"] = row[11], row[12]
-                        bitgen.state = state
-                    gen.standard_normal(out=normals)
-                    if save and last:
-                        _save_state(states[s], bitgen.state)
-                out[r0:r1, a:a + piece.shape[1], j0:j1] = (
-                    piece.reshape(r1 - r0, j1 - j0, -1).transpose(0, 2, 1)
-                )
+            group = scratch[:j1 - j0]
+            for s, normals in enumerate(group, r * width + j0):
+                row = saved[s]
+                inner["counter"], inner["key"] = row[0:4], row[4:6]
+                state["buffer"], state["buffer_pos"] = row[6:10], row[10]
+                state["has_uint32"], state["uinteger"] = row[11], row[12]
+                bitgen.state = state
+                gen.standard_normal(out=normals)
+                if save:
+                    _save_state(states[s], bitgen.state)
+            out[r, :, j0:j1] = group.T
     return out
 
 
@@ -245,34 +239,29 @@ class NoiseDriver:
         self._scale = np.sqrt(self.delta)
 
     @classmethod
-    def union(cls, master_seed: int, Delta: float, deltas, ms):
-        """(driver, cuts) for runs on the fast grids of steps ``deltas``, as
-        passed, with ms[i] steps of deltas[i] to a coarse window of step
-        ``Delta``: one driver on the union of the grids (``union_grid``), and
-        per grid the cuts that ``grid_increments`` sums its steps by.
+    def union(cls, master_seed: int, Delta: float, ms):
+        """(driver, cuts) for runs on the fast grids of ms[i] steps to a coarse
+        window of step ``Delta``: one driver on the union of the grids
+        (``union_grid``), and per grid the cuts that ``grid_increments`` sums
+        its steps by.
 
-        When the union is one of the grids (a single grid, or grids nested in
-        the finest), the driver is that grid's: steps of its delta as passed,
-        bit for bit the increments of a run on that grid alone.  Otherwise
-        substep u has the length gaps[u] / lcm(ms) * Delta, the ratio rounded
-        once, and increments of that variance; ``delta`` is then the mean substep,
-        and the driver draws whole windows only."""
+        Substep u has increments of variance gaps[u] * Delta / L, L = lcm(ms),
+        in Python floats (L may exceed int64); for nested grids that is
+        Delta / max(ms), bit for bit the step ``DeltaRule.resolve`` gives the
+        finest grid.  ``delta`` is the mean substep, and the driver draws
+        whole windows only."""
         gaps, cuts = union_grid(ms)
-        U = len(gaps)
-        if U in ms:
-            return cls(master_seed, deltas[ms.index(U)], U), cuts
-        driver = cls(master_seed, Delta / U, U)
         L = sum(gaps)
-        driver._scale = np.sqrt(np.array([g / L for g in gaps]) * Delta)[:, None]
+        driver = cls(master_seed, Delta / len(gaps), len(gaps))
+        driver._scale = np.sqrt([g * Delta / L for g in gaps])[:, None]
         return driver, cuts
 
     def fast_increments(
         self, replica: int, n_particles: int, n_components: int, n_steps: int
     ) -> np.ndarray:
         """Increments of shape (n_steps, n_particles, n_components), variance
-        delta; on a driver of unequal substeps (``union``), substep u of each
-        window has variance gaps[u] / lcm(ms) * Delta, and ``delta`` is only
-        their mean."""
+        delta; on a union driver (``union``), substep u of each window has
+        variance gaps[u] * Delta / lcm(ms), and ``delta`` is only their mean."""
         return self.fast_increments_batch(
             [replica], n_particles, n_components, n_steps
         )[0]
@@ -292,10 +281,10 @@ class NoiseDriver:
         sets it on a run's last block).
         """
         replicas = [int(r) for r in replicas]
-        windows = np.ndim(self._scale) > 0   # unequal substeps: scaled window by window
+        windows = np.ndim(self._scale) > 0   # a union driver: scaled window by window
         if windows and n_steps % self.m_substeps:
             raise GridMismatch(
-                f"{n_steps} fast steps are not whole windows of {self.m_substeps} unequal substeps"
+                f"{n_steps} fast steps are not whole windows of {self.m_substeps} union substeps"
             )
         if live:
             states = live[0]
@@ -338,7 +327,10 @@ class NoiseDriver:
         """Window sums along the step axis (axis -3): (..., n_coarse, P, C).
 
         This is the definition of the coarse increments; the synchronous
-        coupling between grids is therefore exact, not approximate.
+        coupling between grids is therefore exact, not approximate.  numpy's
+        sum is pairwise at P*C = 1 and m_substeps >= 8, not the left to right
+        of ``grid_increments``: the two may then differ in the last bit (up to
+        5.6e-17 at Delta = 0.01, m_substeps = 8 to 20).
         """
         n_steps = fast.shape[-3]
         if n_steps % self.m_substeps:

@@ -122,6 +122,15 @@ class TestRunConvergence:
                 replicas=2, seed=0, delta_rule=DeltaRule(kappa=20.0), Delta=0.01,
             )
 
+    def test_a_step_the_explicit_rule_snaps_to_is_taken(self):
+        # Delta / (eps / kappa) is 20 (1 + 5e-10): resolve snaps it to 20, a step
+        # 5e-10 above eps/kappa, which the step bound once refused
+        rep = run_convergence(
+            constant_model(), [0.1, 0.01 / (1 + 5e-10)], T=0.02, n_particles=1,
+            replicas=2, seed=0, delta_rule=DeltaRule(kappa=20.0), Delta=0.01,
+        )
+        assert len(rep.errors) == 2 and all(np.isfinite(rep.errors))
+
     def test_replica_count_beyond_memory_fails_before_batching(self, monkeypatch):
         # the result is made first: 2**62 replicas once meant a list of 2**46
         # batch ranges, built before anything failed

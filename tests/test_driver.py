@@ -107,6 +107,21 @@ class TestStreaming:
         whole = drv.fast_increments_batch([0, 3, 4], 2, 2, 40)
         assert np.array_equal(np.concatenate(blocks, axis=1), whole)
 
+    # one stream a replica, 5 replicas: a group is one stream, whatever the
+    # scratch (the default, or 3 rows of a block's stream)
+    @pytest.mark.parametrize("scratch_rows", [None, 3])
+    def test_single_stream_replicas_are_numpys_streams(self, monkeypatch, scratch_rows):
+        monkeypatch.setattr(driver, "BLOCK_BYTES", 5 * 8 * 8)   # blocks of 8 steps
+        if scratch_rows is not None:
+            monkeypatch.setattr(driver, "SCRATCH_BYTES", scratch_rows * 8 * 8)
+        blocks = list(NoiseDriver(13, 1.0, 4).blocks(range(5), 1, 1, 5))
+        assert len(blocks) == 3
+        streamed = np.concatenate(blocks, axis=1)
+        for r in range(5):
+            ss = np.random.SeedSequence(entropy=13, spawn_key=(r, 0, 0))
+            want = np.random.Generator(np.random.Philox(ss)).standard_normal(20)
+            assert np.array_equal(streamed[r, :, 0, 0], want)
+
     def test_no_state_is_saved_after_the_last_block(self, monkeypatch):
         # 2 replicas x 3 particles x 2 components: 12 streams, 10 windows of 4
         # steps in blocks of 3 windows, so 4 blocks and 3 saves per stream
@@ -127,10 +142,10 @@ class TestStreaming:
     # the union of the grids m = 3 and 4: 6 unequal substeps a window; 3
     # replicas x 5 particles x 2 components are 30 streams, a window 1440
     # bytes; blocks of one window, of four (the last one short) and of the
-    # whole run, each with the default scratch (every replica in one group),
-    # one of 3 rows (a particle width of 10 is not a multiple of 3), one of 20
-    # (groups of two replicas, then one) and one shorter than a stream's block
-    # (the streams drawn in pieces)
+    # whole run, each with the default scratch (a replica's 10 streams in one
+    # group), one of 3 rows (a replica's 10 streams are not a multiple of 3),
+    # one of 20 (still one group a replica, never more) and one shorter than
+    # a stream's block (each stream drawn alone into a scratch of its length)
     @pytest.mark.parametrize("block_bytes, n_blocks", [(1, 10), (4 * 1440, 3), (2**40, 1)])
     @pytest.mark.parametrize("scratch_rows", [None, 3, 20, 0.75])
     def test_unequal_substeps_stream_as_numpys_streams(
@@ -138,7 +153,7 @@ class TestStreaming:
     ):
         ms, Delta, n_windows = (3, 4), 0.01, 10
         monkeypatch.setattr(driver, "BLOCK_BYTES", block_bytes)
-        drv, _ = NoiseDriver.union(23, Delta, [Delta / m for m in ms], list(ms))
+        drv, _ = NoiseDriver.union(23, Delta, list(ms))
         U = drv.m_substeps
         steps = min(n_windows, -(-n_windows // n_blocks)) * U   # a full block's steps
         if scratch_rows is not None:
@@ -148,7 +163,7 @@ class TestStreaming:
         streamed = np.concatenate(blocks, axis=1)
         assert np.array_equal(streamed, drv.fast_increments_batch([0, 2, 7], 5, 2, n_windows * U))
         gaps, _ = union_grid(list(ms))
-        scale = np.sqrt(np.array([g / sum(gaps) for g in gaps]) * Delta)
+        scale = np.sqrt([g * Delta / sum(gaps) for g in gaps])
         for r_i, r in enumerate([0, 2, 7]):
             for p in range(5):
                 for c in range(2):
@@ -193,8 +208,7 @@ class TestUnionGrid:
     DELTA = 0.01
 
     def union(self, seed=6):
-        deltas = [self.DELTA / m for m in self.MS]
-        return NoiseDriver.union(seed, self.DELTA, deltas, self.MS)
+        return NoiseDriver.union(seed, self.DELTA, self.MS)
 
     @pytest.mark.parametrize("ms", [[3, 4], [2, 4, 10, 20], [7, 11, 13], [5]])
     def test_gaps_of_each_step_sum_exactly_to_its_step(self, ms):
@@ -210,7 +224,7 @@ class TestUnionGrid:
     def test_a_window_draws_at_most_the_sum_of_the_steps(self, ms, size):
         gaps, _ = union_grid(ms)
         assert len(gaps) == size <= sum(ms)
-        drv, _ = NoiseDriver.union(1, 0.01, [0.01 / m for m in ms], ms)
+        drv, _ = NoiseDriver.union(1, 0.01, ms)
         blocks = list(drv.blocks([0, 1], 2, 1, 5))
         assert sum(b.shape[1] for b in blocks) == 5 * size   # normals per stream
 
@@ -218,7 +232,7 @@ class TestUnionGrid:
     def test_grid_increments_are_left_to_right_sums_of_the_union(self, ms):
         # steps of unequal lengths ([3, 4], [7, 11, 13]) and of equal ones (the
         # grids nested in the finest, [2, 4, 10, 20])
-        drv, cuts = NoiseDriver.union(6, self.DELTA, [self.DELTA / m for m in ms], ms)
+        drv, cuts = NoiseDriver.union(6, self.DELTA, ms)
         U = drv.m_substeps
         union = drv.fast_increments_batch([0, 3], 2, 2, 4 * U)
         for w in range(4):
@@ -260,18 +274,20 @@ class TestUnionGrid:
         with pytest.raises(GridMismatch):
             drv.fast_increments_batch([0], 1, 1, drv.m_substeps + 1)
 
-    @pytest.mark.parametrize("ms", [[4], [4, 4], [2, 4]])
+    @pytest.mark.parametrize("ms", [[4], [4, 4], [2, 4], [2, 4, 10, 20]])
     def test_a_union_that_is_one_grid_keeps_its_bits(self, ms):
-        # one grid, a shared step, or grids nested in the finest: the driver
-        # of the finest grid, scaled by its step as passed
-        deltas = [0.01 / m for m in ms]
-        drv, cuts = NoiseDriver.union(9, 0.01, deltas, ms)
-        alone = NoiseDriver(9, deltas[-1], 4)
-        assert drv.m_substeps == 4
+        # one grid, a shared step, or grids nested in the finest: every gap is
+        # 1, so each substep is Delta / m, the step DeltaRule.resolve gives
+        # the finest grid, and the draw is that grid's alone, bit for bit
+        m = ms[-1]
+        drv, cuts = NoiseDriver.union(9, 0.01, ms)
+        alone = NoiseDriver(9, 0.01 / m, m)
+        assert drv.m_substeps == m
         assert np.array_equal(
-            drv.fast_increments_batch([0, 2], 2, 1, 8), alone.fast_increments_batch([0, 2], 2, 1, 8)
+            drv.fast_increments_batch([0, 2], 2, 1, 2 * m),
+            alone.fast_increments_batch([0, 2], 2, 1, 2 * m),
         )
-        assert np.array_equal(cuts[-1], np.arange(4))
+        assert np.array_equal(cuts[-1], np.arange(m))
 
 
 class TestStatistics:

@@ -89,6 +89,23 @@ class TestFullSteppers:
         with pytest.raises(StepTooLarge):
             step_full_em(ens, model, 0.1, np.zeros((1, 1)))
 
+    def test_step_just_above_the_explicit_bound_is_refused(self):
+        # eps/kappa = 0.005, exceeded by 1e-6 relative: above the tolerance
+        # that lets a snapped step through
+        ens = ParticleEnsembleFull(0.0, 0.1, np.zeros((1, 1)), np.zeros((1, 1)))
+        with pytest.raises(StepTooLarge):
+            step_full_em(ens, free_model(), 0.1 / 20.0 * (1 + 1e-6), np.zeros((1, 1)))
+
+    # NaN and inf once passed the mass check; a NaN or inf Delta in the limit
+    # step once ended in NumericalBlowup
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_mass_and_limit_step_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            ParticleEnsembleFull(0.0, bad, np.zeros((1, 1)), np.zeros((1, 1)))
+        ens = ParticleEnsembleLimit(0.0, np.zeros((1, 1)))
+        with pytest.raises(ValidationError, match="positive and finite"):
+            step_limit_em(ens, constant_model(), bad, np.zeros((1, 1)))
+
     def test_exponential_scalar_semigroup(self):
         g, eps = 4.0, 0.01
         model = free_model(gamma=g)
@@ -479,7 +496,7 @@ class TestOneBrownianPath:
         sup, paths = _coupled_sweep(
             model, self.EPS, self.DELTAS, T, Delta, N, [0], seed, x0, 0.0, record_paths=True,
         )
-        drv, cuts = NoiseDriver.union(seed, Delta, self.DELTAS, [3, 4])
+        drv, cuts = NoiseDriver.union(seed, Delta, [3, 4])
         union = drv.fast_increments_batch([0], N, 1, 5 * drv.m_substeps)
         coarse = drv.coarse_from_fast(union)
         # the limit steps over the window sums of the union increments
