@@ -7,13 +7,13 @@ against an independently coded overdamped Euler scheme in the constant
 friction case (where both corrections vanish identically and the two must
 agree to the last bit).
 
-The sweep makes one pass over the eps grid per replica batch, in replica
-order in the calling thread (the step loop holds the GIL, so a thread pool
-was slower): each batch runs every eps on one draw of the noise, on the union
-of their fast grids, and one limit path.  Batches are sized by work, by the
-rule the velocity diagnostics share (``dynamics._replica_batches``); each
-replica depends on nothing but its own streams, so a seed's reports are
-byte-identical at any batch size or noise block size.
+The sweep is a run of the one runner of batched runs
+(``dynamics._run_replicas``) over replicas 0 .. R-1, in replica order in the
+calling thread (the step loop holds the GIL, so a thread pool was slower):
+each replica batch runs every eps on one draw of the noise, on the union of
+their fast grids, and one limit path.  Each replica depends on nothing but
+its own streams, so a seed's reports are byte-identical at any batch size or
+noise block size.
 """
 
 from __future__ import annotations
@@ -29,11 +29,9 @@ from .dynamics import (
     SCHEME_EXPLICIT,
     SCHEME_EXPONENTIAL,
     _check_explicit_damping,
-    _coupled_sweep,
     _ratio_int,
-    _replica_batches,
+    _run_replicas,
     _state_array,
-    _zeros,
     run_limit_path,
     validate_assumptions,
 )
@@ -133,8 +131,9 @@ def run_convergence(
     the fast grids (one grid under the exponential rule), and each eps steps
     over its sums on its own grid, so the per-eps estimates are correlated
     through their common noise.  ``validate`` runs ``_preflight`` before any
-    sweep.  The (len(eps_list), replicas) result is made before the batches,
-    so a replica count it cannot hold fails at once with SizeLimitExceeded.
+    sweep.  The runner makes the (len(eps_list), replicas) result before any
+    batch, so a replica count it cannot hold fails at once with
+    SizeLimitExceeded.
     ``threads`` (>= 1) has no effect; it stays for the callers that pass it.
     """
     eps_values = _check_epsilons(eps_list)
@@ -145,12 +144,10 @@ def run_convergence(
     if validate:
         _preflight(model, delta_rule)
     deltas = [delta_rule.resolve(eps, Delta) for eps in eps_values]
-    sup = _zeros((len(eps_values), replicas), "replicas")
-    for ids in _replica_batches(model, replicas, n_particles):
-        sup[:, ids.start:ids.stop] = _coupled_sweep(
-            model, eps_values, deltas, T, Delta, n_particles, ids, seed,
-            x0, v0, delta_rule.scheme, delta_rule.kappa,
-        )[0]
+    sup = _run_replicas(
+        model, eps_values, deltas, T, Delta, n_particles, range(replicas), seed,
+        x0, v0, delta_rule.scheme, delta_rule.kappa,
+    )
     errors = [float(np.mean(row)) for row in sup]
     stderrs = [float(np.std(row, ddof=1) / np.sqrt(replicas)) for row in sup]
     ratios = [err / np.sqrt(eps) for err, eps in zip(errors, eps_values)]

@@ -24,14 +24,15 @@ far more (1001 against 29 for m = 7, 11, 13).
 
 Each stream is drawn whole into a contiguous row of a small scratch array, a
 group of one replica's consecutive streams at a time, and each group is
-copied into the (R, steps, P*C) block transposed.  Long runs are drawn in
+scaled to its variance as it is copied into the (R, steps, P*C) block
+transposed, one multiplication per value.  Long runs are drawn in
 blocks of whole coarse windows: each stream's Philox state is saved from one
 block to the next as one row of a uint64 array (only the words a normal draw
 changes are written), and consecutive pieces of a Philox stream are
 bit-identical to one draw of their total length, so the block size changes
 memory, never values.  A run's last block saves nothing.  Timed on 2 vCPUs
 with numpy 2.4.6, a stream of 500 normals costs about 10 us to draw, 1.3 us
-to load its state, 0.4 us to copy and, where it is saved, 3.5 to 6 us to
+to load its state, 0.4 us to copy and scale and, where it is saved, 3.5 to 6 us to
 save (mostly reading the generator's state); a 16 MB block of 4,096 such
 streams takes about 0.07 s, and 0.1 s when its states are saved.
 """
@@ -52,7 +53,7 @@ from .errors import GridMismatch, ValidationError
 BLOCK_BYTES = 16 * 2**20
 
 # Bytes of the scratch array that one replica's streams are drawn into, one
-# whole stream a row, before the group of rows is copied into the block
+# whole stream a row, before the group of rows is scaled into the block
 # transposed; a stream longer than this budget is drawn alone into a scratch
 # of its own length.
 SCRATCH_BYTES = 64 * 2**10
@@ -147,15 +148,15 @@ def _save_state(row: np.ndarray, state: dict) -> None:
     row[10] = state["buffer_pos"]
 
 
-def _draw(states: np.ndarray, n_replicas: int, width: int, n_steps: int, save: bool):
-    """Standard normals (n_replicas, n_steps, width) of the streams whose
-    Philox states are the rows of ``states``, stream s in column s % width of
-    replica s // width; with ``save`` the rows are updated to where the draws
-    leave the streams.
+def _draw(states: np.ndarray, n_replicas: int, width: int, n_steps: int, save: bool, scale):
+    """Normals (n_replicas, n_steps, width) times ``scale`` (a number, or a
+    column of one factor per step) of the streams whose Philox states are the
+    rows of ``states``, stream s in column s % width of replica s // width;
+    with ``save`` the rows are updated to where the draws leave the streams.
 
     Each stream is drawn whole into a row of the scratch, a group of up to
     ``span`` consecutive streams of one replica at a time, and each group is
-    copied into the block transposed.  The scratch holds at most
+    scaled as it is copied into the block transposed.  The scratch holds at most
     ``SCRATCH_BYTES``, unless one stream is longer than that: it then holds
     that one stream, at most the whole block for a single-stream replica."""
     out = np.empty((n_replicas, n_steps, width))
@@ -179,8 +180,20 @@ def _draw(states: np.ndarray, n_replicas: int, width: int, n_steps: int, save: b
                 gen.standard_normal(out=normals)
                 if save:
                     _save_state(states[s], bitgen.state)
-            out[r, :, j0:j1] = group.T
+            np.multiply(group.T, scale, out=out[r, :, j0:j1])
     return out
+
+
+def _step_count(m) -> int:
+    """``m``, fast steps to a coarse step, as an int; GridMismatch unless it is
+    a positive integer (an integral float passes)."""
+    try:
+        count = int(m)
+    except (TypeError, ValueError, OverflowError):   # None, NaN, an infinity
+        count = 0
+    if count < 1 or count != m:   # a string such as "2" is not equal to 2
+        raise GridMismatch(f"coarse step must be an integer multiple, got {m!r}")
+    return count
 
 
 def union_grid(ms):
@@ -188,9 +201,10 @@ def union_grid(ms):
     window of unit length, in exact integer arithmetic: (gaps, cuts).  Every
     point is a multiple of 1/L, L = lcm(ms); gaps[u] is the length of the
     union's substep u in units of 1/L, so the gaps sum to L; cuts[i] holds,
-    for each step of grid ms[i] in order, the union substep it begins at."""
+    for each step of grid ms[i] in order, the union substep it begins at.  No
+    grid is the coarse window alone: one gap, no cuts."""
     L = math.lcm(*ms)
-    points = sorted({j * (L // m) for m in ms for j in range(m)})
+    points = sorted({0, *(j * (L // m) for m in ms for j in range(m))})
     gaps = [b - a for a, b in zip(points, points[1:] + [L])]   # ints of any size
     where = {p: u for u, p in enumerate(points)}
     cuts = [np.array([where[j * (L // m)] for j in range(m)]) for m in ms]
@@ -229,11 +243,9 @@ class NoiseDriver:
             raise ValidationError(f"master seed must be >= 0, got {master_seed}")
         if delta <= 0.0 or not np.isfinite(delta):
             raise ValidationError(f"fast step must be positive, got {delta}")
-        if m_substeps < 1 or int(m_substeps) != m_substeps:
-            raise GridMismatch(f"coarse step must be an integer multiple, got {m_substeps}")
+        self.m_substeps = _step_count(m_substeps)
         self.master_seed = int(master_seed)
         self.delta = float(delta)
-        self.m_substeps = int(m_substeps)
         # standard deviation of an increment; per substep, (m_substeps, 1),
         # when a window's substeps are unequal
         self._scale = np.sqrt(self.delta)
@@ -242,19 +254,20 @@ class NoiseDriver:
     def union(cls, master_seed: int, Delta: float, ms):
         """(driver, cuts) for runs on the fast grids of ms[i] steps to a coarse
         window of step ``Delta``: one driver on the union of the grids
-        (``union_grid``), and per grid the cuts that ``grid_increments`` sums
-        its steps by.
+        (``union_grid``; no grid is one substep of ``Delta``), and per grid the
+        cuts that ``grid_increments`` sums its steps by, None for a grid whose
+        steps are the union's substeps.
 
         Substep u has increments of variance gaps[u] * Delta / L, L = lcm(ms),
         in Python floats (L may exceed int64); for nested grids that is
         Delta / max(ms), bit for bit the step ``DeltaRule.resolve`` gives the
         finest grid.  ``delta`` is the mean substep, and the driver draws
         whole windows only."""
-        gaps, cuts = union_grid(ms)
+        gaps, cuts = union_grid([_step_count(m) for m in ms])
         L = sum(gaps)
         driver = cls(master_seed, Delta / len(gaps), len(gaps))
         driver._scale = np.sqrt([g * Delta / L for g in gaps])[:, None]
-        return driver, cuts
+        return driver, [c if len(c) < len(gaps) else None for c in cuts]
 
     def fast_increments(
         self, replica: int, n_particles: int, n_components: int, n_steps: int
@@ -281,11 +294,12 @@ class NoiseDriver:
         sets it on a run's last block).
         """
         replicas = [int(r) for r in replicas]
-        windows = np.ndim(self._scale) > 0   # a union driver: scaled window by window
-        if windows and n_steps % self.m_substeps:
-            raise GridMismatch(
-                f"{n_steps} fast steps are not whole windows of {self.m_substeps} union substeps"
-            )
+        scale = self._scale
+        if np.ndim(scale):   # a union driver: one factor per substep of a window
+            if n_steps % self.m_substeps:
+                raise GridMismatch(f"{n_steps} fast steps are not whole windows "
+                                   f"of {self.m_substeps} union substeps")
+            scale = np.tile(scale, (n_steps // self.m_substeps, 1))
         if live:
             states = live[0]
         else:
@@ -299,11 +313,8 @@ class NoiseDriver:
             states[:, 10] = 4
             if live is not None:
                 live.append(states)
-        width = n_particles * n_components
-        out = _draw(states, len(replicas), width, n_steps, live is not None and not _last)
-        if windows:
-            out = out.reshape(len(replicas), -1, self.m_substeps, width)
-        out *= self._scale
+        out = _draw(states, len(replicas), n_particles * n_components, n_steps,
+                    live is not None and not _last, scale)
         return out.reshape(len(replicas), n_steps, n_particles, n_components)
 
     def blocks(self, replicas, n_particles: int, n_components: int, n_windows: int):
@@ -330,8 +341,11 @@ class NoiseDriver:
         coupling between grids is therefore exact, not approximate.  numpy's
         sum is pairwise at P*C = 1 and m_substeps >= 8, not the left to right
         of ``grid_increments``: the two may then differ in the last bit (up to
-        5.6e-17 at Delta = 0.01, m_substeps = 8 to 20).
+        5.6e-17 at Delta = 0.01, m_substeps = 8 to 20).  One substep a window
+        returns ``fast`` itself: numpy's sum would turn -0.0 into +0.0.
         """
+        if self.m_substeps == 1:
+            return fast
         n_steps = fast.shape[-3]
         if n_steps % self.m_substeps:
             raise GridMismatch(

@@ -11,14 +11,14 @@ the exact damping semigroup.  The exponential stepper stays stable for any
 
 The limit system is advanced on a coarse grid whose Brownian increments are
 the window sums of the fast ones, so both systems ride the same noise path
-and their difference estimates the strong error directly.  A sweep over
-several eps draws once, on the union of their fast grids, and each eps steps
-over the sums of that draw on its own grid: every eps and the one limit path
-ride one Brownian path.
+and their difference estimates the strong error directly.
 
-Every entry point (the one-step functions, coupled runs, limit paths and
-velocity diagnostics) steps through one loop, ``_march``, which also owns
-the blow-up guards; each caller's bookkeeping rides along as a callback.
+Every batched run (sweeps, coupled runs, limit paths, velocity diagnostics)
+is one runner, ``_run_replicas``: replica batches, each drawing its noise
+once, on the union of the eps fast grids, so every eps and the one limit
+path ride one Brownian path.  It and the one-step functions step through one
+loop, ``_march``, which owns the blow-up guards; each entry point's
+bookkeeping rides along as a callback.
 
 Batched kernels carry state as (R, N, d) arrays: replica, particle,
 component.  The empirical measure entering the friction is the ensemble of
@@ -27,6 +27,7 @@ the replica itself, frozen at the step start.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -140,9 +141,8 @@ def _guard(arr: np.ndarray, what: str):
     """Raise NumericalBlowup when ``arr`` holds a NaN, an infinity or a value
     above BLOWUP_CAP in magnitude; a value equal to the cap, or an empty
     array, passes.  One ndarray reduction, ``np.abs(arr).max()``, which
-    propagates NaN, and one comparison that NaN fails: 2.5-3.5 us a guard on
-    (200, 1, 1), against 4.1-6.8 us through ``np.max`` and ``np.isfinite``
-    (2 vCPUs, numpy 2.4.6)."""
+    propagates NaN, and one comparison that NaN fails, since a guard runs
+    after every step."""
     peak = float(np.abs(arr).max()) if arr.size else 0.0
     if not peak <= BLOWUP_CAP:
         raise NumericalBlowup(f"{what} reached magnitude {peak:.3e} (cap {BLOWUP_CAP:.0e})")
@@ -241,16 +241,17 @@ def _march(
 ):
     """Step through ``blocks``, pairs (fast, coarse) of increments for
     consecutive runs of whole windows, fast (R, w * m, N, k) with m fast
-    substeps per window and coarse (R, w, N, k); either may be None, leaving
-    that system out, and a block without coarse increments is one window.
-    Per window, each mass-eps system of ``systems`` (a list of
-    [eps, X, V, delta, cuts], X and V updated in place) is advanced with
-    ``advance`` by steps of its own ``delta``: over the window's fast
-    increments, or, with ``cuts`` of fewer than m steps, over their sums on
-    its coarser grid (``driver.grid_increments``); then the limit XL once
-    over its coarse increment.  Guards V after every fast step and X, XL
-    after every window; calls ``on_step(s, V)`` after step s (from 1) of each
+    substeps per window and coarse (R, w, N, k); coarse None leaves the limit
+    out and makes the block one window.  Per window, each mass-eps system of
+    ``systems`` (a list of [eps, X, V, delta, cuts], X and V updated in
+    place) is advanced with ``advance`` by steps of its own ``delta``: over
+    the window's fast increments, or, with ``cuts``, over their sums on its
+    coarser grid (``driver.grid_increments``); then the limit XL once over
+    its coarse increment.  Guards V after every fast step and X, XL after
+    every window; calls ``on_step(s, V)`` after step s (from 1) of each
     system and ``on_window(j, systems, XL)`` after window j.  Returns XL.
+    The one runner (``_run_replicas``) marches each replica batch of every
+    batched run through it; the one-step functions march one increment.
 
     A block is let go before the next one is drawn, so a streamed run holds
     one block at a time, provided ``blocks`` keeps no reference to what it
@@ -262,12 +263,12 @@ def _march(
     with np.errstate(over="ignore", invalid="ignore"):
         for fast, coarse in blocks:
             n_windows = coarse.shape[1] if coarse is not None else 1
-            m = fast.shape[1] // n_windows if fast is not None else 0
+            m = fast.shape[1] // n_windows
             for w in range(n_windows):
                 for i, system in enumerate(systems):
                     eps, X, V, delta, cuts = system
                     steps = fast[:, w * m:(w + 1) * m]
-                    if cuts is not None and len(cuts) < m:
+                    if cuts is not None:
                         steps = grid_increments(steps, cuts)
                     for s in range(steps.shape[1]):
                         X, V = advance(model, X, V, delta, eps, steps[:, s])
@@ -352,7 +353,7 @@ def step_limit_em(
     if not 0.0 < Delta < np.inf:
         raise ValidationError(f"Delta = {Delta} must be positive and finite")
     dw = _check_increment(dw, ens.x.shape[0], model.noise_dim)
-    X = _march(model, [(None, dw[None, None])], [], ens.x[None], Delta=Delta)
+    X = _march(model, [(dw[None, None],) * 2], [], ens.x[None], Delta=Delta)
     return ParticleEnsembleLimit(ens.t + Delta, X[0])
 
 
@@ -385,69 +386,60 @@ def _ratio_int(big: float, small: float, what: str) -> int:
     return m
 
 
-def _coupled_sweep(
-    model: SystemModel,
-    eps_values,
-    deltas,
-    T: float,
-    Delta: float,
-    n_particles: int,
-    replica_ids,
-    seed: int,
-    x0,
-    v0,
-    scheme: str = SCHEME_EXPLICIT,
-    kappa: float = DEFAULT_KAPPA,
-    record_paths: bool = False,
-):
-    """Synchronously coupled fast/coarse runs of one replica batch at every
-    eps of ``eps_values``, eps_values[i] on the fast step deltas[i].
+def _run_replicas(
+    model: SystemModel, eps_values, deltas, T: float, Delta: float, n_particles: int,
+    replicas, seed: int, x0, v0, scheme: str = SCHEME_EXPLICIT,
+    kappa: float = DEFAULT_KAPPA, *, limit: bool = True, on_step=None, on_window=None,
+) -> np.ndarray:
+    """The one runner of batched runs: for each replica id of ``replicas``, the
+    mass-eps system at each eps_values[i] on the fast step deltas[i] and, with
+    ``limit``, the limit system on the coarse step ``Delta``, from (x0, v0) to
+    T on one Brownian path.
 
-    One Brownian path drives them all: the increments are drawn once, on the
-    union of the fast grids within each coarse window (``NoiseDriver.union``),
-    each eps steps over their sums on its own grid, and the limit, which has
-    no eps in it, steps once per window over their window sums.  Every eps
-    marches in lockstep, window by window, and is compared with that one
-    limit path.  Returns (sup_diffs, paths) with sup_diffs of shape
-    (len(eps_values), len(replica_ids)); paths (first eps, first replica)
-    when requested.
+    Checks the steps, grids and start states and makes the result,
+    (len(eps_values), len(replicas)) zeros, before any batch.  Each batch of
+    ``_replica_batches`` draws once, on the union of the fast grids
+    (``NoiseDriver.union``; no grid is one substep of ``Delta``).  With
+    ``limit`` the result holds per eps and replica the sup over the coarse
+    grid of the worst-particle squared distance to the limit; without it (one
+    eps, ``Delta`` its fast step) it is the callbacks' to fill.
+    ``on_step(rows, s, V)`` and ``on_window(rows, j, systems, XL)`` are
+    ``_march``'s callbacks with the batch's rows of the result first, called
+    on the start state too, at step 0 and window -1.
     """
-    n_coarse = _ratio_int(T, Delta, "T/Delta")
-    ms = []
+    advance = None
     for eps, delta in zip(eps_values, deltas):
         advance = _full_kernel(scheme, eps, delta, kappa)
-        ms.append(_ratio_int(Delta, delta, "Delta/delta"))
+    n_windows = _ratio_int(T, Delta, "T/Delta")
+    ms = [_ratio_int(Delta, delta, "Delta/delta") for delta in deltas]
+    x_init = _state_array(x0, n_particles, model.dim, "x0")
+    v_init = _state_array(v0, n_particles, model.dim, "v0")
+    result = _zeros((len(eps_values), len(replicas)), "replicas")
     noise, cuts = NoiseDriver.union(seed, Delta, ms)
-    R = len(replica_ids)
-    d, k = model.dim, model.noise_dim
 
-    x_init = _state_array(x0, n_particles, d, "x0")
-    v_init = _state_array(v0, n_particles, d, "v0")
+    for batch in _replica_batches(model, len(replicas), n_particles):
+        rows = result[:, batch.start:batch.stop]   # a view; a range would index a copy
+        R = len(batch)
+        systems = [[eps, _start(x_init, R, "x0"), _start(v_init, R, "v0"), delta, c]
+                   for eps, delta, c in zip(eps_values, deltas, cuts)]
+        XL = _start(x_init, R, "x0") if limit else None
+        draws = noise.blocks(replicas[batch.start:batch.stop], n_particles,
+                             model.noise_dim, n_windows)
+        blocks = map(lambda fast: (fast, noise.coarse_from_fast(fast) if limit else None), draws)
 
-    paths = rec = None
-    if record_paths:
-        rec = _zeros((3, n_coarse + 1, n_particles, d), "paths")  # x_full, v_full, x_limit
-        rec[:, 0] = x_init, v_init, x_init
-        paths = PathRecord(np.arange(n_coarse + 1) * Delta, *rec)
+        def window(j, systems, XL):
+            for row, system in zip(rows, systems if limit else ()):
+                np.maximum(row, np.max(np.sum((system[1] - XL) ** 2, axis=-1), axis=-1), out=row)
+            if on_window is not None:
+                on_window(rows, j, systems, XL)
 
-    sup = np.zeros((len(eps_values), R))
-    blocks = map(
-        lambda fast: (fast, noise.coarse_from_fast(fast)),
-        noise.blocks(replica_ids, n_particles, k, n_coarse),
-    )
-
-    def on_window(j, systems, XL):
-        for i, (_, X, V, _, _) in enumerate(systems):
-            gap = np.max(np.sum((X - XL) ** 2, axis=-1), axis=-1)
-            np.maximum(sup[i], gap, out=sup[i])
-        if rec is not None:
-            rec[:, j + 1] = systems[0][1][0], systems[0][2][0], XL[0]
-
-    systems = [[eps, _start(x_init, R, "x0"), _start(v_init, R, "v0"), delta, c]
-               for eps, delta, c in zip(eps_values, deltas, cuts)]
-    XL = _start(x_init, R, "x0")
-    _march(model, blocks, systems, XL, advance=advance, Delta=Delta, on_window=on_window)
-    return sup, paths
+        step = None if on_step is None else functools.partial(on_step, rows)
+        for system in systems if step else ():
+            step(0, system[2])
+        window(-1, systems, XL)
+        _march(model, blocks, systems, XL, advance=advance, Delta=Delta,
+               on_step=step, on_window=window)
+    return result
 
 
 def simulate_coupled(
@@ -469,12 +461,22 @@ def simulate_coupled(
 
     The second-order system advances on the fast grid, the limit system on
     the coarse grid driven by the window sums of the same increments; returns
-    the sup over coarse grid points of the worst-particle squared distance.
+    the sup over coarse grid points of the worst-particle squared distance,
+    and with ``record_paths`` both trajectories on the coarse grid.
     """
-    sup, paths = _coupled_sweep(
-        model, [eps], [delta], T, Delta, n_particles, [replica_id], seed,
-        x0, v0, scheme, kappa, record_paths,
+    rec = None
+
+    def record(rows, j, systems, XL):
+        nonlocal rec
+        if rec is None:   # on the start state, which the runner has checked
+            rec = _zeros((3, round(T / Delta) + 1) + XL.shape[1:], "paths")
+        rec[:, j + 1] = systems[0][1][0], systems[0][2][0], XL[0]   # x_full, v_full, x_limit
+
+    sup = _run_replicas(
+        model, [eps], [delta], T, Delta, n_particles, [replica_id], seed, x0, v0,
+        scheme, kappa, on_window=record if record_paths else None,
     )
+    paths = None if rec is None else PathRecord(np.arange(rec.shape[1]) * Delta, *rec)
     return CoupledResult(float(sup[0, 0]), paths)
 
 
@@ -487,20 +489,19 @@ def run_limit_path(
     seed: int,
     x0=0.0,
 ) -> np.ndarray:
-    """Limit-system trajectory on its own grid: (n_coarse + 1, N, d)."""
-    n_coarse = _ratio_int(T, Delta, "T/Delta")
-    d, k = model.dim, model.noise_dim
-    x_init = _state_array(x0, n_particles, d, "x0")
-    out = _zeros((n_coarse + 1, n_particles, d), "limit path")
-    out[0] = x_init
-    driver = NoiseDriver(seed, Delta, 1)
-    blocks = map(lambda dws: (None, dws), driver.blocks([replica_id], n_particles, k, n_coarse))
+    """Limit-system trajectory on its own grid: (n_coarse + 1, N, d), a run
+    of no mass-eps system, whose noise is one substep of ``Delta`` a window."""
+    path = None
 
-    def on_window(j, systems, XL):
-        out[j + 1] = XL[0]
+    def record(rows, j, systems, XL):
+        nonlocal path
+        if path is None:   # on the start state, which the runner has checked
+            path = _zeros((round(T / Delta) + 1,) + XL.shape[1:], "limit path")
+        path[j + 1] = XL[0]
 
-    _march(model, blocks, [], _start(x_init, 1, "x0"), Delta=Delta, on_window=on_window)
-    return out
+    _run_replicas(model, [], [], T, Delta, n_particles, [replica_id], seed, x0, 0.0,
+                  on_window=record)
+    return path
 
 
 def write_path_csv(fileobj, paths: PathRecord, replica_id: int):
@@ -560,11 +561,12 @@ def diagnostics_velocity(
 ) -> VelocityDiagnostics:
     """Estimate the two velocity moment functionals of the mass-eps system.
 
-    Replicas march in the sweep's work-sized batches (``_replica_batches``).
-    Each batch's per-time records are folded into two running sums per record
-    time, strictly left to right in replica order, ((c + z_0) + z_1) + ..., so
-    no batch size moves a byte, and the record memory is 2 x n_rec values,
-    whatever the replica count or batch size.
+    A run of the one runner (``_run_replicas``) on one grid, ``Delta =
+    delta``, with the limit off.  Each batch's per-time records are folded
+    into two running sums per record time, strictly left to right in replica
+    order, ((c + z_0) + z_1) + ..., so no batch size moves a byte, and the
+    record memory is 2 x n_rec values, whatever the replica count or batch
+    size.
 
     The sup behind ``mean_sup_ev4`` is kept squared, |eps v|^2 summed as
     ``np.linalg.norm`` sums it, updated in place, and its square root is
@@ -575,22 +577,16 @@ def diagnostics_velocity(
         raise ValidationError("diagnostics need at least two replicas")
     if n_record < 1:
         raise ValidationError("n_record must be >= 1")
-    advance = _full_kernel(scheme, eps, delta, kappa)
+    _full_kernel(scheme, eps, delta, kappa)   # the step before T/delta, as in the runner
     n_steps = _ratio_int(T, delta, "T/delta")
     rec_every = max(1, n_steps // n_record)
     rec_steps = range(0, n_steps + 1, rec_every)
-    d, k = model.dim, model.noise_dim
-    x_init = _state_array(x0, n_particles, d, "x0")
-    v_init = _state_array(v0, n_particles, d, "v0")
+    z_sum, z_sq_sum = np.zeros((2, len(rec_steps)))
 
-    z_sum = np.zeros(len(rec_steps))
-    z_sq_sum = np.zeros(len(rec_steps))
-    sup_sq = _zeros(replicas, "replicas")   # running sup of |eps v|^2 per replica
-
-    def on_step(s, V):
+    def on_step(rows, s, V):   # rows[0]: the running sup of |eps v|^2 per replica
         ev = eps * V
         sq = np.add.reduce(ev * ev, axis=-1)   # np.linalg.norm's sum, before its sqrt
-        np.maximum(sup_sq[ids], sq.max(axis=-1), out=sup_sq[ids])
+        np.maximum(rows[0], sq.max(axis=-1), out=rows[0])
         if s % rec_every == 0:
             j = s // rec_every
             z = eps * np.mean(np.sum(V * V, axis=-1), axis=-1)
@@ -598,27 +594,20 @@ def diagnostics_velocity(
             z_sum[j] = np.add.accumulate(np.concatenate(([z_sum[j]], z)))[-1]
             z_sq_sum[j] = np.add.accumulate(np.concatenate(([z_sq_sum[j]], z * z)))[-1]
 
-    driver = NoiseDriver(seed, delta, 1)
-    for batch in _replica_batches(model, replicas, n_particles):
-        ids = slice(batch.start, batch.stop)
-        X, V = _start(x_init, len(batch), "x0"), _start(v_init, len(batch), "v0")
-        on_step(0, V)
-        blocks = map(lambda fast: (fast, None), driver.blocks(batch, n_particles, k, n_steps))
-        _march(model, blocks, [[eps, X, V, delta, None]], None, advance=advance, on_step=on_step)
-
+    sup_sq = _run_replicas(
+        model, [eps], [delta], T, delta, n_particles, range(replicas), seed, x0, v0,
+        scheme, kappa, limit=False, on_step=on_step,
+    )[0]
     sup4 = np.sqrt(sup_sq) ** 4
     mean_curve = z_sum / replicas
     j_star = int(np.argmax(mean_curve))
     var = (z_sq_sum[j_star] - replicas * mean_curve[j_star] ** 2) / (replicas - 1)
-    stderr = float(np.sqrt(max(var, 0.0) / replicas))
-    m4 = float(np.mean(sup4))
-    m4_se = float(np.std(sup4, ddof=1) / np.sqrt(replicas))
     return VelocityDiagnostics(
         sup_ev2=float(mean_curve[j_star]),
-        sup_ev2_stderr=stderr,
+        sup_ev2_stderr=float(np.sqrt(max(var, 0.0) / replicas)),
         sup_ev2_time=float(rec_steps[j_star] * delta),
-        mean_sup_ev4=m4,
-        mean_sup_ev4_stderr=m4_se,
+        mean_sup_ev4=float(np.mean(sup4)),
+        mean_sup_ev4_stderr=float(np.std(sup4, ddof=1) / np.sqrt(replicas)),
         replicas=replicas,
     )
 

@@ -247,9 +247,8 @@ def _constant(matrix):
     The read-only (B, m) + matrix.shape view of ``matrix`` is built once per
     (B, m) and handed out again while the shape repeats, as it does at every
     step of a batch: one cache entry per closure, replaced when the shape
-    changes (a batch, then the point API's (1, 1), then a batch again).  A
-    ``noise_field`` call took 3.9-6.0 us with a view built per call and
-    0.4-0.8 us with the cached one (2 vCPUs, numpy 2.4.6)."""
+    changes (a batch, then the point API's (1, 1), then a batch again), so a
+    step pays for no view of a constant coefficient."""
     cache = [np.broadcast_to(matrix, (0, 0) + matrix.shape)]
 
     def field(X, S):

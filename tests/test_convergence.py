@@ -115,7 +115,7 @@ class TestRunConvergence:
         def refuse(*args, **kwargs):
             raise AssertionError("sweep started")
 
-        monkeypatch.setattr(convergence, "_coupled_sweep", refuse)
+        monkeypatch.setattr(convergence, "_run_replicas", refuse)
         with pytest.raises(StepTooLarge, match="velocity factor"):
             run_convergence(
                 constant_model(gamma=50.0), [0.1, 0.05], T=0.1, n_particles=1,
@@ -137,7 +137,7 @@ class TestRunConvergence:
         def refuse(*args, **kwargs):
             raise AssertionError("batches built")
 
-        monkeypatch.setattr(convergence, "_replica_batches", refuse)
+        monkeypatch.setattr(dynamics, "_replica_batches", refuse)
         with pytest.raises(SizeLimitExceeded, match="replicas"):
             run_convergence(
                 constant_model(), [0.1, 0.05], T=0.1, n_particles=1, replicas=2**62,
@@ -159,10 +159,10 @@ class TestRunConvergence:
 
         def recorded(*args, **kwargs):
             on_main.append(threading.current_thread() is threading.main_thread())
-            return sweep(*args, **kwargs)
+            return march(*args, **kwargs)
 
-        sweep = convergence._coupled_sweep
-        monkeypatch.setattr(convergence, "_coupled_sweep", recorded)
+        march = dynamics._march   # the runner marches each batch through it
+        monkeypatch.setattr(dynamics, "_march", recorded)
         run_convergence(
             constant_model(), [0.1, 0.05], T=0.1, n_particles=1, replicas=40,
             seed=0, delta_rule=DeltaRule(), Delta=0.01, threads=8,

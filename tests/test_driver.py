@@ -194,6 +194,13 @@ class TestCoupling:
             window = fast[20 * j:20 * (j + 1)]
             assert np.array_equal(coarse[j], window.sum(axis=0))
 
+    def test_window_of_one_substep_is_the_substep(self):
+        # the increments themselves: numpy's sum would turn -0.0 into +0.0
+        drv = NoiseDriver(5, 0.005, 1)
+        fast = np.array([[[-0.0]], [[0.5]]])
+        coarse = drv.coarse_from_fast(fast)
+        assert coarse is fast and np.signbit(coarse[0, 0, 0])
+
     def test_rejects_partial_window(self):
         drv = NoiseDriver(5, 0.005, 4)
         fast = drv.fast_increments(0, 1, 1, 10)
@@ -231,8 +238,10 @@ class TestUnionGrid:
     @pytest.mark.parametrize("ms", [[3, 4], [2, 4, 10, 20], [7, 11, 13]])
     def test_grid_increments_are_left_to_right_sums_of_the_union(self, ms):
         # steps of unequal lengths ([3, 4], [7, 11, 13]) and of equal ones (the
-        # grids nested in the finest, [2, 4, 10, 20])
-        drv, cuts = NoiseDriver.union(6, self.DELTA, ms)
+        # grids nested in the finest, [2, 4, 10, 20]); the cuts of union_grid,
+        # since the driver hands none to the finest grid of nested ones
+        drv, _ = NoiseDriver.union(6, self.DELTA, ms)
+        _, cuts = union_grid(ms)
         U = drv.m_substeps
         union = drv.fast_increments_batch([0, 3], 2, 2, 4 * U)
         for w in range(4):
@@ -278,7 +287,8 @@ class TestUnionGrid:
     def test_a_union_that_is_one_grid_keeps_its_bits(self, ms):
         # one grid, a shared step, or grids nested in the finest: every gap is
         # 1, so each substep is Delta / m, the step DeltaRule.resolve gives
-        # the finest grid, and the draw is that grid's alone, bit for bit
+        # the finest grid, and the draw is that grid's alone, bit for bit; so
+        # the finest grid's steps are the draw itself and it carries no cuts
         m = ms[-1]
         drv, cuts = NoiseDriver.union(9, 0.01, ms)
         alone = NoiseDriver(9, 0.01 / m, m)
@@ -287,7 +297,26 @@ class TestUnionGrid:
             drv.fast_increments_batch([0, 2], 2, 1, 2 * m),
             alone.fast_increments_batch([0, 2], 2, 1, 2 * m),
         )
-        assert np.array_equal(cuts[-1], np.arange(m))
+        assert cuts[-1] is None
+        assert all(np.array_equal(c, np.arange(0, m, m // k)) for k, c in zip(ms, cuts)
+                   if k < m)
+
+    def test_no_grid_is_the_coarse_grid_alone(self):
+        # one substep of Delta a window and no cuts: the draw of a plain
+        # driver on the coarse step, bit for bit
+        assert union_grid([]) == ([1], [])
+        drv, cuts = NoiseDriver.union(9, 0.01, [])
+        assert (drv.m_substeps, drv.delta, cuts) == (1, 0.01, [])
+        assert np.array_equal(
+            drv.fast_increments_batch([0, 2], 3, 2, 7),
+            NoiseDriver(9, 0.01, 1).fast_increments_batch([0, 2], 3, 2, 7),
+        )
+
+    @pytest.mark.parametrize("ms", [[0], [3, 0], [-2], [2.5], [float("nan")], ["4"]])
+    def test_a_grid_that_is_not_a_positive_step_count_is_refused(self, ms):
+        # [0] once ended in a ZeroDivisionError
+        with pytest.raises(GridMismatch, match="integer multiple"):
+            NoiseDriver.union(0, 0.1, ms)
 
 
 class TestStatistics:
@@ -304,3 +333,13 @@ class TestStatistics:
             NoiseDriver(0, -1.0)
         with pytest.raises(GridMismatch):
             NoiseDriver(0, 0.1, 0)
+
+    # an infinity, NaN and a string once leaked OverflowError, ValueError and
+    # TypeError; 0 and 2.5 were already GridMismatch
+    @pytest.mark.parametrize("m", [0, 2.5, -3, float("inf"), float("nan"), "2", None])
+    def test_step_count_that_is_not_a_positive_integer(self, m):
+        with pytest.raises(GridMismatch, match="integer multiple"):
+            NoiseDriver(0, 0.1, m)
+
+    def test_integral_step_count_is_taken(self):
+        assert NoiseDriver(0, 0.1, 4.0).m_substeps == 4

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from smallmass import driver, dynamics
+from smallmass.convergence import DeltaRule, run_convergence
 from smallmass.driver import NoiseDriver
 from smallmass.dynamics import (
     BLOWUP_CAP,
@@ -14,9 +15,9 @@ from smallmass.dynamics import (
     ProbeConfig,
     _advance_full_em,
     _advance_full_exponential,
-    _coupled_sweep,
     _guard,
     _replica_batches,
+    _run_replicas,
     diagnostics_velocity,
     run_limit_path,
     simulate_coupled,
@@ -282,6 +283,15 @@ class TestRunInputValidation:
             )
 
     @pytest.mark.parametrize("n_particles", [0, -1])
+    def test_run_convergence_rejects_empty_ensemble(self, n_particles):
+        # 0 once ended in a ZeroDivisionError while sizing the replica batches
+        with pytest.raises(ValidationError, match="n_particles"):
+            run_convergence(
+                constant_model(), [0.1, 0.05], T=0.05, n_particles=n_particles,
+                replicas=2, seed=0, delta_rule=DeltaRule(), Delta=0.01,
+            )
+
+    @pytest.mark.parametrize("n_particles", [0, -1])
     def test_run_limit_path_rejects_empty_ensemble(self, n_particles):
         with pytest.raises(ValidationError, match="n_particles"):
             run_limit_path(
@@ -421,13 +431,35 @@ class TestSimulateCoupled:
         b = run_limit_path(model, T=0.5, Delta=0.01, n_particles=4, replica_id=1, seed=9)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("family, params", [
+        ("interaction", {"a": 2.0, "b": 0.5, "c": 1.0, "d": 2,
+                         "sigma": [[1.0, 0.3], [-0.2, 0.8]]}),
+        ("carrillo-force", {"a": 2.0, "b": -0.5, "c": 0.8, "d": 1}),
+    ])
+    def test_limit_path_is_step_limit_em_on_the_coarse_draw(self, family, params):
+        # measure-dependent coefficients, 3 particles: the limit path is
+        # step_limit_em iterated over a plain driver's increments on the
+        # coarse step, bit for bit
+        model = model_library(ModelSpec(family, params))
+        T, Delta, N, replica, seed = 0.1, 0.01, 3, 2, 17
+        x0 = np.linspace(-0.5, 0.7, N * model.dim).reshape(N, model.dim)
+        got = run_limit_path(model, T, Delta, N, replica, seed, x0)
+        dws = NoiseDriver(seed, Delta, 1).fast_increments(replica, N, model.noise_dim, 10)
+        ens = ParticleEnsembleLimit(0.0, x0)
+        want = [ens.x]
+        for dw in dws:
+            ens = step_limit_em(ens, model, Delta, dw)
+            want.append(ens.x)
+        assert got.shape == (11, N, model.dim)
+        assert got.tobytes() == np.array(want).tobytes()
+
     def test_sup_diff_decreases_with_eps_for_fixed_noise(self):
         # same master seed, same replica keys, same fast grid for both eps:
         # the same Brownian path drives both runs
         model = constant_model()
         delta = 0.01 / 20.0
         replicas = list(range(100))
-        (sup_big, sup_small), _ = _coupled_sweep(
+        sup_big, sup_small = _run_replicas(
             model, [0.1, 0.01], [delta, delta], 1.0, 0.01, 1, replicas, 2024, 0.0, 0.0,
         )
         frac = np.mean(sup_small <= sup_big)
@@ -449,10 +481,10 @@ class TestSimulateCoupled:
         )
         eps, delta = 0.002, 0.002 / 20.0
         ids = list(range(60))
-        (with_s,), _ = _coupled_sweep(
+        (with_s,) = _run_replicas(
             corrected, [eps], [delta], 1.0, 0.01, 1, ids, 777, 0.5, 0.0,
         )
-        (without_s,), _ = _coupled_sweep(
+        (without_s,) = _run_replicas(
             dropped, [eps], [delta], 1.0, 0.01, 1, ids, 777, 0.5, 0.0,
         )
         assert np.mean(without_s) >= 1.5 * np.mean(with_s)
@@ -473,7 +505,7 @@ class TestSimulateCoupled:
 
     def test_batch_matches_single_replica(self):
         model = constant_model()
-        (sup,), _ = _coupled_sweep(
+        (sup,) = _run_replicas(
             model, [0.1], [0.005], 0.25, 0.025, 2, [0, 1, 2], 11, 0.0, 0.0,
         )
         for rid in range(3):
@@ -493,9 +525,15 @@ class TestOneBrownianPath:
     def test_sweep_is_its_parts_on_one_draw(self):
         model = model_library(ModelSpec("interaction", {"a": 2.0, "b": 0.5, "c": 1.0, "d": 1}))
         T, Delta, N, seed, x0 = 0.05, 0.01, 3, 4, [[0.2], [-0.1], [0.4]]
-        sup, paths = _coupled_sweep(
-            model, self.EPS, self.DELTAS, T, Delta, N, [0], seed, x0, 0.0, record_paths=True,
+        seen = []   # per window from the start: X of the first eps, and XL
+
+        def record(rows, j, systems, XL):
+            seen.append((systems[0][1][0].copy(), XL[0].copy()))
+
+        sup = _run_replicas(
+            model, self.EPS, self.DELTAS, T, Delta, N, [0], seed, x0, 0.0, on_window=record,
         )
+        x_full, x_limit = (np.array(path) for path in zip(*seen))
         drv, cuts = NoiseDriver.union(seed, Delta, [3, 4])
         union = drv.fast_increments_batch([0], N, 1, 5 * drv.m_substeps)
         coarse = drv.coarse_from_fast(union)
@@ -505,7 +543,7 @@ class TestOneBrownianPath:
         for w in range(5):
             XL = dynamics._advance_limit_em(model, XL, Delta, coarse[:, w])
             limit.append(XL[0])
-        assert np.array_equal(paths.x_limit, np.array(limit))
+        assert np.array_equal(x_limit, np.array(limit))
         # each eps steps over the left-to-right sums of the union on its grid
         U = drv.m_substeps
         for i, (eps, delta) in enumerate(zip(self.EPS, self.DELTAS)):
@@ -517,7 +555,7 @@ class TestOneBrownianPath:
                     X, V = _advance_full_em(model, X, V, delta, eps, steps[:, s])
                 worst = max(worst, float(np.max(np.sum((X[0] - limit[w + 1]) ** 2, axis=-1))))
                 if i == 0:
-                    assert np.array_equal(paths.x_full[w + 1], X[0])
+                    assert np.array_equal(x_full[w + 1], X[0])
             assert sup[i, 0] == worst
 
     def test_finest_of_nested_grids_keeps_the_bits_of_a_run_alone(self):
@@ -525,10 +563,10 @@ class TestOneBrownianPath:
         # the draw itself: its eps and the limit path are the one-eps run's
         model = constant_model()
         ids = list(range(5))
-        (_, _, finest), _ = _coupled_sweep(
+        _, _, finest = _run_replicas(
             model, [0.1, 0.05, 0.01], [0.005, 0.0025, 0.0005], 0.2, 0.01, 2, ids, 8, 0.0, 0.0,
         )
-        (alone,), _ = _coupled_sweep(model, [0.01], [0.0005], 0.2, 0.01, 2, ids, 8, 0.0, 0.0)
+        (alone,) = _run_replicas(model, [0.01], [0.0005], 0.2, 0.01, 2, ids, 8, 0.0, 0.0)
         assert finest.tobytes() == alone.tobytes()
 
     # a window of 3 replicas x 6 union substeps x 2 particles is 288 bytes
@@ -537,11 +575,11 @@ class TestOneBrownianPath:
         # blocks of one window, of three, and of the whole run; replicas in
         # one batch or one at a time
         model = constant_model()
-        want, _ = _coupled_sweep(model, self.EPS, self.DELTAS, 0.1, 0.01, 2, range(3), 5, 0.0, 0.0)
+        want = _run_replicas(model, self.EPS, self.DELTAS, 0.1, 0.01, 2, range(3), 5, 0.0, 0.0)
         monkeypatch.setattr(driver, "BLOCK_BYTES", block_bytes)
-        whole, _ = _coupled_sweep(model, self.EPS, self.DELTAS, 0.1, 0.01, 2, range(3), 5, 0.0, 0.0)
+        whole = _run_replicas(model, self.EPS, self.DELTAS, 0.1, 0.01, 2, range(3), 5, 0.0, 0.0)
         apart = [
-            _coupled_sweep(model, self.EPS, self.DELTAS, 0.1, 0.01, 2, [r], 5, 0.0, 0.0)[0]
+            _run_replicas(model, self.EPS, self.DELTAS, 0.1, 0.01, 2, [r], 5, 0.0, 0.0)
             for r in range(3)
         ]
         assert whole.tobytes() == want.tobytes()
@@ -634,10 +672,10 @@ class TestVelocityDiagnostics:
 
         def run(T):
             if entry == "sweep":
-                _coupled_sweep(model, [0.02], [0.001], T, 0.01, 64, range(2), 3, 0.0, 0.0)
+                _run_replicas(model, [0.02], [0.001], T, 0.01, 64, range(2), 3, 0.0, 0.0)
             elif entry == "union sweep":
-                _coupled_sweep(model, [0.03, 0.02], [0.01 / 15, 0.001], T, 0.01, 64,
-                               range(2), 3, 0.0, 0.0)
+                _run_replicas(model, [0.03, 0.02], [0.01 / 15, 0.001], T, 0.01, 64,
+                              range(2), 3, 0.0, 0.0)
             else:
                 diagnostics_velocity(model, 0.02, T=T, delta=0.001, replicas=2,
                                      seed=3, n_particles=64)
