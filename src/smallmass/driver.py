@@ -40,6 +40,7 @@ streams takes about 0.07 s, and 0.1 s when its states are saved.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -241,8 +242,8 @@ class NoiseDriver:
             raise ValidationError(f"master seed must be an integer, got {master_seed!r}")
         if master_seed < 0:
             raise ValidationError(f"master seed must be >= 0, got {master_seed}")
-        if delta <= 0.0 or not np.isfinite(delta):
-            raise ValidationError(f"fast step must be positive, got {delta}")
+        if not (isinstance(delta, numbers.Real) and 0.0 < delta < np.inf):
+            raise ValidationError(f"fast step must be positive and finite, got {delta!r}")
         self.m_substeps = _step_count(m_substeps)
         self.master_seed = int(master_seed)
         self.delta = float(delta)

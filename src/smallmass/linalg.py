@@ -10,27 +10,31 @@ Everything here is written for the d <= MAX_DIM = 64 regime.
 
 The kernels take a stack of matrices (..., d, d): ``expm``,
 ``min_sym_eig_batch`` and ``inv_batch`` give the same bits as its matrices one
-at a time, and at d = 1 all three are plain arithmetic.  The stack solvers
-``lyapunov_batch``/``sylvester_batch`` solve the one equation on broadcastable
-stacks by diagonalization (Bartels & Stewart, CACM 15(9), 1972):
+at a time, and all three are plain arithmetic on diagonal stacks, which
+include every d = 1 stack; ``_diagonal`` alone makes that choice.  The stack
+solvers ``lyapunov_batch``/``sylvester_batch`` solve the one equation on
+broadcastable stacks by diagonalization (Bartels & Stewart, CACM 15(9), 1972):
 G1 = V1 L1 V1^-1 and G2 = V2 L2 V2^-1, each factored once on the stack as
 passed (gamma(x) as (B, N, 1, d, d) and gamma(y) as (B, 1, n, d, d), so N + n
 eigen-decompositions per ensemble for N n solves), or taken from an
 ``Eigenbasis`` factored once for several solves on the same matrices, and
 J = V1 [(V1^-1 Q V2^-T) / (l1_a + l2_b)] V2^T, with the real part taken when
-the eigenpairs are complex: O(d^3) per solve.  When an eigenvector matrix of
-either stack is singular or has ||V||_F ||V^-1||_F above _SPECTRAL_COND_MAX
-(a defective or nearly defective G, such as [[2, 1], [0, 2]]), the whole call
-falls back to the vectorized d^2 x d^2 Kronecker system G1 (x) I + I (x) G2
-solved by LAPACK (O(d^6) per solve); at d = 1 both are Q / (G1 + G2).  Stack
-kernels do no checks; ``expm`` alone checks the shape and finiteness of every
-matrix.  The point functions accept square matrices and check them:
-``min_sym_eig``; the point solvers ``solve_lyapunov``/``solve_sylvester``,
-which stay on the Kronecker system and reject a numerically singular operator
-by its singular values; and the quadrature oracles, which evaluate the one
-semigroup integral int_0^inf e^{-G1 y} Q e^{-G2^T y} dy with each panel's
-Gauss nodes as one stack of exponentials.  Solvers and oracles take
-d <= MAX_DIM.
+the eigenpairs are complex: O(d^3) per solve.  A diagonal stack has the exact
+factors (diag, I, I) and takes no eigen-decomposition, so two diagonal sides
+give J = Q / (g1_a + g2_b): the bits LAPACK's eigenvectors give, which are
+exactly I on a diagonal matrix, up to the sign of an exact zero in J where Q
+holds a -0.0.  When an eigenvector matrix of either stack is singular or has
+||V||_F ||V^-1||_F above _SPECTRAL_COND_MAX (a defective or nearly defective
+G, such as [[2, 1], [0, 2]]), the whole call falls back to the vectorized
+d^2 x d^2 Kronecker system G1 (x) I + I (x) G2 solved by LAPACK (O(d^6) per
+solve).  Stack kernels do no checks; ``expm`` alone checks the shape and
+finiteness of every matrix.  The point functions accept square matrices and
+check them: ``min_sym_eig``; the point solvers
+``solve_lyapunov``/``solve_sylvester``, which stay on the Kronecker system and
+reject a numerically singular operator by its singular values; and the
+quadrature oracles, which evaluate the one semigroup integral
+int_0^inf e^{-G1 y} Q e^{-G2^T y} dy with each panel's Gauss nodes as one
+stack of exponentials.  Solvers and oracles take d <= MAX_DIM.
 
 All functions are pure; none keeps state.
 """
@@ -89,6 +93,27 @@ def _as_square(M, name: str = "matrix") -> np.ndarray:
     return _as_stack(A, name)
 
 
+def _diagonal(A: np.ndarray):
+    """The diagonals (..., d) of a stack (..., d, d) whose off-diagonal entries
+    are all zero, or None: the one test that sends a stack down the entrywise
+    branch of every kernel.  At d = 1 a view with no scan; above, one count of
+    the nonzero entries (NaN counts) against that of the diagonals."""
+    if A.shape[-1] == 1:
+        return A[..., 0]
+    diag = np.diagonal(A, axis1=-2, axis2=-1)
+    return diag if np.count_nonzero(A) == np.count_nonzero(diag) else None
+
+
+def _from_diagonal(v: np.ndarray) -> np.ndarray:
+    """The stack (..., d, d) with diagonals v (..., d) and off-diagonal entry
+    (i, j) = v_i * 0, as LAPACK's inverse of a diagonal matrix writes it: -0 in
+    a negative row, NaN in an infinite one.  At d = 1 a view of v."""
+    if v.shape[-1] == 1:
+        return v[..., None]
+    with np.errstate(invalid="ignore"):
+        return v[..., :, None] * np.eye(v.shape[-1])
+
+
 def expm(M) -> np.ndarray:
     """Matrix exponential of one matrix or of a stack (..., d, d), by scaling
     and squaring around a truncated series.
@@ -96,49 +121,64 @@ def expm(M) -> np.ndarray:
     Each matrix is scaled below norm 1/4 by its own power of two, a 16-term
     Taylor polynomial is evaluated in Horner form on the whole stack, and each
     matrix is squared back up its own number of times, so a stack gives the
-    same bits as its matrices one at a time.
+    same bits as its matrices one at a time.  A diagonal stack runs the same
+    loop on its diagonals with entrywise products: every sum in a product of
+    diagonal matrices has one term that is not an exact zero, so the bits are
+    the matrix products' wherever the result is finite.  At d = 1 it is np.exp.
     """
     A = _as_stack(M, "M")
     d = A.shape[-1]
     if d == 1:
         return np.exp(A)
-    flat = A.reshape(-1, d, d)
+    diag = _diagonal(A)
+    if diag is None:
+        flat, ident, product = A.reshape(-1, d, d), np.eye(d), np.matmul
+    else:   # each matrix as the column of its diagonal
+        flat, ident, product = diag.reshape(-1, d, 1), 1.0, np.multiply
     norm = np.abs(flat).sum(axis=-1).max(axis=-1)
     squarings = np.ceil(np.log2(np.maximum(norm, _TAYLOR_RADIUS) / _TAYLOR_RADIUS)).astype(int)
     flat = flat / (2.0 ** squarings)[:, None, None]
-    ident = np.eye(d)
     E = np.broadcast_to(ident, flat.shape).copy()
     for j in range(_TAYLOR_TERMS, 0, -1):
-        E = ident + (flat @ E) / j
-    for k in range(squarings.max(initial=0)):
-        more = squarings > k
-        E[more] = E[more] @ E[more]
-    return E.reshape(A.shape)
+        E = ident + product(flat, E) / j
+    with np.errstate(over="ignore"):   # an overflow reads inf, as in BLAS
+        for k in range(squarings.max(initial=0)):
+            more = squarings > k
+            E[more] = product(E[more], E[more])
+    return E.reshape(A.shape) if diag is None else _from_diagonal(E.reshape(A.shape[:-1]))
 
 
 def min_sym_eig_batch(Ms: np.ndarray) -> np.ndarray:
     """Smallest symmetric-part eigenvalue of each matrix of a stack (..., d, d); no checks.
 
-    At d = 1 the eigenvalue is the symmetric part's one entry, which is what
-    LAPACK returns for a 1 x 1 matrix."""
+    On diagonal stacks, which include every d = 1 stack, it is the smallest
+    diagonal entry of the symmetric part: exact, and LAPACK's bits wherever
+    LAPACK does not rescale the matrix (entries between about 1e-146 and
+    1e146, and finite)."""
+    diag = _diagonal(Ms)
+    if diag is not None:
+        lam = 0.5 * (diag + diag)
+        return lam[..., 0] if lam.shape[-1] == 1 else lam.min(axis=-1)
     sym = 0.5 * (Ms + np.swapaxes(Ms, -1, -2))
-    if sym.shape[-1] == 1:
-        return sym[..., 0, 0]
     return np.linalg.eigvalsh(sym)[..., 0]
 
 
 def inv_batch(G: np.ndarray) -> np.ndarray:
     """Inverse of each matrix of a stack (..., d, d); no checks.
 
-    At d = 1 it is 1 / G, the bits LAPACK gives for a 1 x 1 matrix: a zero
-    entry raises LinAlgError and a subnormal one reads inf without a warning,
-    as there."""
-    if G.shape[-1] > 1:
+    On diagonal stacks, which include every d = 1 stack, it is 1 / diag laid
+    out by ``_from_diagonal``, the bits LAPACK gives wherever 1 / diag is
+    finite: a zero entry raises LinAlgError, as there.  A subnormal entry reads
+    inf without a warning; above d = 1, LAPACK then also spreads NaN over the
+    rows above it, as it does for a NaN entry, and here the NaN stays in its
+    own row."""
+    diag = _diagonal(G)
+    if diag is None:
         return np.linalg.inv(G)
-    if not G.all():
+    if not diag.all():
         raise np.linalg.LinAlgError("Singular matrix")
     with np.errstate(over="ignore"):
-        return 1.0 / G
+        return _from_diagonal(1.0 / diag)
 
 
 def min_sym_eig(M) -> float:
@@ -191,34 +231,40 @@ def _eigenbasis(G: np.ndarray):
 class Eigenbasis:
     """The factors of a stack G (..., d, d) taken once for several stack solves
     on the same matrices: ``factors`` is (lambda, V, V^-1) of G = V diag(lambda)
-    V^-1, or None where the solves take ``_solve``, at d = 1 or for an
-    ill-conditioned eigenbasis.  One object, not a tuple of arrays, because
-    ``perfbench``'s tracer counts the solves from every argument's shape."""
+    V^-1; on diagonal stacks, which include every d = 1 stack, it is
+    (diag, None, None), the exact factors (diag, I, I) with no products to
+    take; None where the solves take ``_solve``, for an ill-conditioned
+    eigenbasis.  One object, not a tuple of arrays, because ``perfbench``'s
+    tracer counts the solves from every argument's shape."""
 
     def __init__(self, G: np.ndarray):
-        self.factors = _eigenbasis(G) if G.shape[-1] > 1 else None
+        diag = _diagonal(G)
+        self.factors = _eigenbasis(G) if diag is None else (diag, None, None)
 
 
 def _stacked_solve(G1, G2, Q, one=None, two=None) -> np.ndarray:
-    """The stack solver: for d > 1, J = V1 [(V1^-1 Q V2^-T) / (lambda1_a + lambda2_b)]
-    V2^T with G1 and G2 diagonalized once each on the stacks as given, before
-    they broadcast against each other, or taken from their ``Eigenbasis``
-    ``one`` and ``two`` when given; ``_solve`` on the whole call at d = 1 or
-    when either eigenbasis is ill-conditioned."""
+    """The stack solver: J = V1 [(V1^-1 Q V2^-T) / (lambda1_a + lambda2_b)] V2^T
+    with G1 and G2 diagonalized once each on the stacks as given, before they
+    broadcast against each other, or taken from their ``Eigenbasis`` ``one``
+    and ``two`` when given; a diagonal side's eigenvectors are I, and its
+    products are skipped, so two diagonal sides give Q / (g1_a + g2_b).
+    ``_solve`` on the whole call when either eigenbasis is ill-conditioned."""
     one = Eigenbasis(G1) if one is None else one
     if one.factors is None:
         return _solve(G1, G2, Q)
     two = (one if G2 is G1 else Eigenbasis(G2)) if two is None else two
     if two.factors is None:
         return _solve(G1, G2, Q)
-    # the factors laid out as G1 and G2, which may hold them with unit axes inserted
-    (lam1, V1, W1), (lam2, V2, W2) = (
-        (lam.reshape(G.shape[:-1]), V.reshape(G.shape), W.reshape(G.shape))
-        for G, (lam, V, W) in ((G1, one.factors), (G2, two.factors))
-    )
-    Qh = W1 @ Q @ np.swapaxes(W2, -1, -2)
-    Qh /= lam1[..., :, None] + lam2[..., None, :]
-    J = V1 @ Qh @ np.swapaxes(V2, -1, -2)
+    (lam1, V1, W1), (lam2, V2, W2) = one.factors, two.factors
+    # each factor laid out as its G, which may hold it with unit axes inserted
+    Qh = Q if W1 is None else W1.reshape(G1.shape) @ Q
+    if W2 is not None:
+        Qh = Qh @ np.swapaxes(W2.reshape(G2.shape), -1, -2)
+    J = Qh / (lam1.reshape(G1.shape[:-1])[..., :, None] + lam2.reshape(G2.shape[:-1])[..., None, :])
+    if V1 is not None:
+        J = V1.reshape(G1.shape) @ J
+    if V2 is not None:
+        J = J @ np.swapaxes(V2.reshape(G2.shape), -1, -2)
     return J.real if np.iscomplexobj(J) else J
 
 

@@ -328,11 +328,11 @@ class TestStatistics:
         se = delta * np.sqrt(2.0 / xs.size)
         assert abs(var - delta) <= 4.0 * se
 
-    def test_invalid_construction(self):
-        with pytest.raises(ValidationError):
-            NoiseDriver(0, -1.0)
-        with pytest.raises(GridMismatch):
-            NoiseDriver(0, 0.1, 0)
+    # a string, None and a list once leaked TypeError from the comparison
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, float("inf"), float("nan"), "0.1", None, [0.1]])
+    def test_invalid_construction(self, delta):
+        with pytest.raises(ValidationError, match="fast step"):
+            NoiseDriver(0, delta, 1)
 
     # an infinity, NaN and a string once leaked OverflowError, ValueError and
     # TypeError; 0 and 2.5 were already GridMismatch

@@ -27,6 +27,23 @@ def random_psd(rng, d):
     return B @ B.T
 
 
+def diagonal(v):
+    """The stack with diagonals v (..., d) and -0.0 off the diagonal, as
+    -g * scales makes them of a diagonal g."""
+    D = np.full(v.shape + v.shape[-1:], -0.0)
+    idx = np.arange(v.shape[-1])
+    D[..., idx, idx] = v
+    return D
+
+
+def on_the_dense_path(kernel, M):
+    """``kernel`` on the stack M (n, d, d) with one non-diagonal matrix
+    appended, which sends the whole stack down the dense path; M's part."""
+    d = M.shape[-1]
+    dense = np.eye(d) + 0.5 * np.eye(d, k=1)
+    return kernel(np.concatenate([M, dense[None]]))[:-1]
+
+
 def lyap_residual(g, J, Q):
     return np.linalg.norm(g @ J + J @ g.T - Q) / max(np.linalg.norm(Q), 1.0)
 
@@ -108,6 +125,19 @@ class TestStacks:
             for idx in np.ndindex(*M.shape[:2]):
                 assert np.array_equal(E[idx], linalg.expm(M[idx]))
                 assert lam[idx] == linalg.min_sym_eig(M[idx])
+        # diagonal stacks over the same norms, both signs, a repeated entry in
+        # every other matrix and -0.0 off the diagonal: the entrywise branch
+        # gives the dense path's bits
+        for d in (2, 3, 5):
+            v = rng.uniform(0.1, 1.0, size=(12, d)) * rng.choice([-1.0, 1.0], size=(12, d))
+            v *= (np.geomspace(0.01, 40.0, 12) / np.abs(v).max(axis=-1))[:, None]
+            v[::2, 1] = v[::2, 0]
+            M = diagonal(v)
+            assert linalg._diagonal(M) is not None
+            for kernel in (linalg.expm, linalg.inv_batch, linalg.min_sym_eig_batch):
+                assert kernel(M).tobytes() == on_the_dense_path(kernel, M).tobytes()
+                for idx in range(len(M)):
+                    assert kernel(M[idx][None]).tobytes() == kernel(M)[idx][None].tobytes()
 
     @pytest.mark.parametrize(
         "kernel, lapack",
@@ -130,9 +160,26 @@ class TestStacks:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         for v in vals[::37]:
             assert kernel(np.array([[v]])).tobytes() == lapack(np.array([[v]])).tobytes()
+        # diagonal stacks of the same entries, -0.0 off the diagonal, where the
+        # results are finite.  Above d = 1 LAPACK's inverse spreads the NaN of
+        # a subnormal or NaN entry's row over the rows above it, and its
+        # eigvalsh rescales a matrix with an entry outside about 1e-146..1e146,
+        # which moves the eigenvalues in the last bit, and gives garbage on a
+        # non-finite one; the smallest diagonal entry stays exact.
+        if kernel is linalg.inv_batch:
+            vals = vals[np.abs(vals) >= np.finfo(float).tiny]
+        else:
+            vals = vals[(np.abs(vals) >= 1e-140) & (np.abs(vals) <= 1e140)]
+        for d in (2, 3, 5):
+            v = rng.permutation(vals)[: len(vals) // d * d].reshape(-1, d)
+            got, want = kernel(diagonal(v)), lapack(diagonal(v))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_d1_inverse_of_zero_is_singular_as_in_lapack(self):
-        for G in (np.array([[[0.0]]]), np.array([[[2.0]], [[-0.0]]])):
+        # and so is a diagonal matrix with a zero (or -0.0) entry at any d
+        for G in (np.array([[[0.0]]]), np.array([[[2.0]], [[-0.0]]]),
+                  diagonal(np.array([[2.0, 0.0]])), diagonal(np.array([[1.0, 3.0, -0.0], [1.0, 2.0, 3.0]])),
+                  diagonal(np.array([[0.0, 1.0, 2.0, 3.0, 4.0]]))):
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.inv(G)
             with pytest.raises(np.linalg.LinAlgError):
@@ -394,6 +441,12 @@ class TestSpectralStackSolve:
             g = G1[:, :, 0]
             Qs = Q[:, :, 0] @ np.swapaxes(Q[:, :, 0], -1, -2)
             assert self.relative_gap(linalg.lyapunov_batch(g, Qs), linalg._solve(g, g, Qs)) <= 1e-12
+        # a mixed pair: a diagonal side takes its exact factors (diag, I, I)
+        # against the other side's eigenbasis, either way round
+        G1 = diagonal(np.diagonal(G1, axis1=-2, axis2=-1))
+        assert linalg._diagonal(G1) is not None and linalg._diagonal(G2) is None
+        for A, B in ((G1, G2), (G2, G1)):
+            assert self.relative_gap(linalg.sylvester_batch(A, B, Q), linalg._solve(A, B, Q)) <= 1e-13
 
     def test_defective_friction_takes_the_kronecker_bits(self):
         rng = np.random.default_rng(53)
@@ -427,7 +480,36 @@ class TestSpectralStackSolve:
         assert factored == [B * N]                   # gamma is factored once
 
     def test_d1_keeps_the_scalar_formula(self, monkeypatch):
+        # diagonal stacks, which include every d = 1 stack, solve as
+        # Q / (g1_a + g2_b) without eig, in the bits of the eigen path (LAPACK
+        # returns V = I for a diagonal matrix), which a non-diagonal matrix
+        # appended to each side forces
+        rng = np.random.default_rng(61)
+        cases = []
+        for d in (1, 2, 3, 5):
+            G1, G2, Q = self.stacks(rng, d, N=6, n=5)
+            if d > 1:
+                # diagonal but for the last matrix of each side, a symmetric
+                # one, which keeps the eigen path real (numpy's complex
+                # division multiplies by a reciprocal)
+                D1, D2 = (diagonal(np.diagonal(G, axis1=-2, axis2=-1)) for G in (G1, G2))
+                D2[..., 1, 1] = D2[..., 0, 0]     # a repeated entry
+                D1[:, -1] = G1[:, -1] + np.swapaxes(G1[:, -1], -1, -2)
+                D2[:, :, -1] = G2[:, :, -1] + np.swapaxes(G2[:, :, -1], -1, -2)
+                assert linalg._diagonal(D1) is None and linalg._diagonal(D2) is None
+                J_dense = linalg.sylvester_batch(D1, D2, Q)[:, :-1, :-1]
+                L_dense = linalg.lyapunov_batch(D1[:, :, 0], Q[:, :, 0])[:, :-1]
+                G1, G2, Q = D1[:, :-1], D2[:, :, :-1], Q[:, :-1, :-1]
+                assert J_dense.tobytes() == linalg.sylvester_batch(G1, G2, Q).tobytes()
+                assert L_dense.tobytes() == linalg.lyapunov_batch(G1[:, :, 0], Q[:, :, 0]).tobytes()
+            cases.append((G1, G2, Q))
         monkeypatch.setattr(np.linalg, "eig", None)
-        G1, G2, Q = self.stacks(np.random.default_rng(61), 1)
+        for G1, G2, Q in cases:
+            g1, g2 = (np.diagonal(G, axis1=-2, axis2=-1) for G in (G1, G2))
+            want = Q / (g1[..., :, None] + g2[..., None, :])
+            assert linalg.sylvester_batch(G1, G2, Q).tobytes() == want.tobytes()
+            want = Q[:, :, 0] / (g1[:, :, 0, :, None] + g1[:, :, 0, None, :])
+            assert linalg.lyapunov_batch(G1[:, :, 0], Q[:, :, 0]).tobytes() == want.tobytes()
+        G1, G2, Q = cases[0]
         assert linalg.sylvester_batch(G1, G2, Q).tobytes() == (Q / (G1 + G2)).tobytes()
         assert linalg.lyapunov_batch(G1, Q).tobytes() == (Q / (G1 + G1)).tobytes()

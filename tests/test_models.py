@@ -462,7 +462,9 @@ class TestEnsembleFields:
     @pytest.mark.parametrize("samples", ["own", "given"])
     def test_gamma_is_factored_once_per_call(self, monkeypatch, samples):
         # J and J~ share gamma(x)'s eigenbasis: B * N matrices reach eig once,
-        # and given samples add their own B * n
+        # and given samples add their own B * n.  A constant skew part makes
+        # gamma non-diagonal; the diagonal interaction friction itself has
+        # exact factors and reaches eig zero times.
         factored = []
         eig = np.linalg.eig
 
@@ -472,15 +474,21 @@ class TestEnsembleFields:
 
         monkeypatch.setattr(np.linalg, "eig", counted)
         B, N, n = 3, 5, 4
-        model = interaction(d=2, sigma=[[1.0, 0.3], [0.0, 0.8]])
+        diagonal = interaction(d=2, sigma=[[1.0, 0.3], [0.0, 0.8]])
+        skew = np.array([[0.0, 0.4], [-0.4, 0.0]])
+        dense = SystemModel(
+            2, 2, diagonal.force_field, diagonal.noise_field,
+            lambda X, S: diagonal.friction_field(X, S) + skew,
+            diagonal.friction_dx_field, diagonal.friction_dmu_field,
+        )
         rng = np.random.default_rng(17)
         X = rng.normal(size=(B, N, 2))
-        if samples == "own":
-            limit_drift_fields(model, X)
-            assert factored == [B * N]
-        else:
-            limit_drift_fields(model, X, rng.normal(size=(B, n, 2)))
-            assert sorted(factored) == [B * n, B * N]
+        samples = None if samples == "own" else rng.normal(size=(B, n, 2))
+        limit_drift_fields(dense, X, samples)
+        assert sorted(factored) == ([B * N] if samples is None else [B * n, B * N])
+        factored.clear()
+        limit_drift_fields(diagonal, X, samples)
+        assert factored == []
 
 
 def _reference_closures(a, b, c, d):
