@@ -577,17 +577,18 @@ def diagnostics_velocity(
         raise ValidationError("diagnostics need at least two replicas")
     if n_record < 1:
         raise ValidationError("n_record must be >= 1")
-    _full_kernel(scheme, eps, delta, kappa)   # the step before T/delta, as in the runner
-    n_steps = _ratio_int(T, delta, "T/delta")
-    rec_every = max(1, n_steps // n_record)
-    rec_steps = range(0, n_steps + 1, rec_every)
-    z_sum, z_sq_sum = np.zeros((2, len(rec_steps)))
+    rec_every, z_sum, z_sq_sum = 1, None, None   # step 0 is a record step whatever the grid
 
     def on_step(rows, s, V):   # rows[0]: the running sup of |eps v|^2 per replica
+        nonlocal rec_every, z_sum, z_sq_sum
         ev = eps * V
         sq = np.add.reduce(ev * ev, axis=-1)   # np.linalg.norm's sum, before its sqrt
         np.maximum(rows[0], sq.max(axis=-1), out=rows[0])
         if s % rec_every == 0:
+            if z_sum is None:   # on the start state, whose T/delta the runner has checked
+                n_steps = round(T / delta)
+                rec_every = max(1, n_steps // n_record)
+                z_sum, z_sq_sum = np.zeros((2, n_steps // rec_every + 1))
             j = s // rec_every
             z = eps * np.mean(np.sum(V * V, axis=-1), axis=-1)
             # add.accumulate is a strict left fold, unlike the pairwise sum
@@ -605,7 +606,7 @@ def diagnostics_velocity(
     return VelocityDiagnostics(
         sup_ev2=float(mean_curve[j_star]),
         sup_ev2_stderr=float(np.sqrt(max(var, 0.0) / replicas)),
-        sup_ev2_time=float(rec_steps[j_star] * delta),
+        sup_ev2_time=float(j_star * rec_every * delta),
         mean_sup_ev4=float(np.mean(sup4)),
         mean_sup_ev4_stderr=float(np.std(sup4, ddof=1) / np.sqrt(replicas)),
         replicas=replicas,

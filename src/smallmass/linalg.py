@@ -11,15 +11,15 @@ Everything here is written for the d <= MAX_DIM = 64 regime.
 The kernels take a stack of matrices (..., d, d): ``expm``,
 ``min_sym_eig_batch`` and ``inv_batch`` give the same bits as its matrices one
 at a time, and all three are plain arithmetic on diagonal stacks, which
-include every d = 1 stack; ``_diagonal`` alone makes that choice.  The stack
-solvers ``lyapunov_batch``/``sylvester_batch`` solve the one equation on
-broadcastable stacks by diagonalization (Bartels & Stewart, CACM 15(9), 1972):
-G1 = V1 L1 V1^-1 and G2 = V2 L2 V2^-1, each factored once on the stack as
-passed (gamma(x) as (B, N, 1, d, d) and gamma(y) as (B, 1, n, d, d), so N + n
-eigen-decompositions per ensemble for N n solves), or taken from an
-``Eigenbasis`` factored once for several solves on the same matrices, and
-J = V1 [(V1^-1 Q V2^-T) / (l1_a + l2_b)] V2^T, with the real part taken when
-the eigenpairs are complex: O(d^3) per solve.  A diagonal stack has the exact
+include every d = 1 stack; ``_diagonal`` alone makes that choice.  One
+solve, ``_stacked_solve``, serves ``lyapunov_batch``/``sylvester_batch`` on
+broadcastable stacks and ``solve_lyapunov``/``solve_sylvester`` on a stack of
+one.  It diagonalizes (Bartels & Stewart, CACM 15(9), 1972) G1 = V1 L1 V1^-1
+and G2 = V2 L2 V2^-1, each once on the stack as passed (gamma(x) as
+(B, N, 1, d, d) and gamma(y) as (B, 1, n, d, d): N + n eigen-decompositions
+for N n solves) or from an ``Eigenbasis`` factored once for several solves,
+and J = V1 [(V1^-1 Q V2^-T) / (l1_a + l2_b)] V2^T, its real part when the
+eigenpairs are complex: O(d^3) per solve.  A diagonal stack has the exact
 factors (diag, I, I) and takes no eigen-decomposition, so two diagonal sides
 give J = Q / (g1_a + g2_b): the bits LAPACK's eigenvectors give, which are
 exactly I on a diagonal matrix, up to the sign of an exact zero in J where Q
@@ -29,12 +29,11 @@ G, such as [[2, 1], [0, 2]]), the whole call falls back to the vectorized
 d^2 x d^2 Kronecker system G1 (x) I + I (x) G2 solved by LAPACK (O(d^6) per
 solve).  Stack kernels do no checks; ``expm`` alone checks the shape and
 finiteness of every matrix.  The point functions accept square matrices and
-check them: ``min_sym_eig``; the point solvers
-``solve_lyapunov``/``solve_sylvester``, which stay on the Kronecker system and
-reject a numerically singular operator by its singular values; and the
-quadrature oracles, which evaluate the one semigroup integral
-int_0^inf e^{-G1 y} Q e^{-G2^T y} dy with each panel's Gauss nodes as one
-stack of exponentials.  Solvers and oracles take d <= MAX_DIM.
+check them: ``min_sym_eig``; the point solvers, which also refuse or flag an
+ill-conditioned equation; and the quadrature oracles, which evaluate the one
+semigroup integral int_0^inf e^{-G1 y} Q e^{-G2^T y} dy with each panel's
+Gauss nodes as one stack of exponentials.  Solvers and oracles take
+d <= MAX_DIM.
 
 All functions are pure; none keeps state.
 """
@@ -65,9 +64,9 @@ MAX_DIM = 64
 
 _TAYLOR_TERMS = 16
 _TAYLOR_RADIUS = 0.25
-# Point solvers: SingularSystem below this smallest/largest singular-value
-# ratio of the Kronecker operator, IllConditionedWarning above this condition
-# number.
+# Point solvers: SingularSystem below this ratio of the decay rate 2c to
+# ||G1|| + ||G2||, IllConditionedWarning above this bound on the condition
+# number of G1 (x) I + I (x) G2 (``_point_solve``).
 _PIVOT_RTOL = 1e-14
 _PIVOT_RATIO_WARN = 1e12
 # Stack solver: largest eigenvector condition number ||V||_F ||V^-1||_F of G1
@@ -188,11 +187,10 @@ def min_sym_eig(M) -> float:
 
 # --- the one equation: G1 J + J G2^T = Q ---------------------------------------
 #
-# ``_solve`` assembles the Kronecker operator for broadcastable stacks and
-# hands it to LAPACK's batched solver (plain division for d = 1); the point
-# solvers and the stack solvers' fallback use it.  ``_stacked_solve`` is the
-# spectral solve behind the stack solvers.  Neither checks anything; callers
-# have checked stability already.
+# ``_stacked_solve`` is the spectral solve behind every solver.  ``_solve``,
+# its fallback for defective frictions, assembles the Kronecker operator for
+# broadcastable stacks and hands it to LAPACK's batched solver.  Neither checks
+# anything; callers have checked stability already.
 
 def _operator(G1: np.ndarray, G2: np.ndarray) -> np.ndarray:
     """G1 (x) I + I (x) G2: the d^2 x d^2 matrix that maps the rows of J, laid
@@ -207,8 +205,6 @@ def _operator(G1: np.ndarray, G2: np.ndarray) -> np.ndarray:
 
 def _solve(G1: np.ndarray, G2: np.ndarray, Q: np.ndarray) -> np.ndarray:
     d = Q.shape[-1]
-    if d == 1:
-        return Q / (G1 + G2)
     J = np.linalg.solve(_operator(G1, G2), Q.reshape(*Q.shape[:-2], d * d, 1))
     return J.reshape(*J.shape[:-2], d, d)
 
@@ -288,7 +284,7 @@ def _equation(operands: dict, form, error: Exception):
     mats = [_as_square(m, name) for name, m in operands.items()]
     if any(m.shape != mats[0].shape for m in mats):
         raise ValidationError("operands must share one dimension")
-    if mats[0].shape[-1] > MAX_DIM:   # before a d^2 x d^2 operator is built
+    if mats[0].shape[-1] > MAX_DIM:   # before any solve
         raise SizeLimitExceeded(f"dimension {mats[0].shape[-1]} is above {MAX_DIM}")
     G1, G2, Q = form(*mats)
     c = min(min_sym_eig(G1), min_sym_eig(G2))
@@ -313,22 +309,20 @@ def _symmetrized(J: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return 0.5 * (J + J.T) if symmetric else J
 
 
-def _point_solve(G1: np.ndarray, G2: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """``_solve`` on one equation, after rejecting or flagging its operator by the
-    spread of its singular values."""
-    sv = np.linalg.svd(_operator(G1, G2), compute_uv=False)
-    if sv[-1] < _PIVOT_RTOL * sv[0]:
-        raise SingularSystem(
-            f"smallest singular value {sv[-1]:.3e} below {_PIVOT_RTOL:.0e} "
-            f"times the largest {sv[0]:.3e}"
-        )
-    if sv[0] > _PIVOT_RATIO_WARN * sv[-1]:
-        warnings.warn(
-            f"condition number {sv[0] / sv[-1]:.3e} exceeds {_PIVOT_RATIO_WARN:.0e}",
-            IllConditionedWarning,
-            stacklevel=3,
-        )
-    return _solve(G1, G2, Q)
+def _point_solve(G1: np.ndarray, G2: np.ndarray, Q: np.ndarray, c: float) -> np.ndarray:
+    """``_stacked_solve`` on a stack of one, the equation refused or flagged by
+    a bound on the condition number of G1 (x) I + I (x) G2, exact for normal G1
+    and G2: the operator is at most ||G1|| + ||G2||, its inverse at most 1/(2c)
+    as ||e^{-G y}|| <= e^{-c y}.  Adding 0.0 makes an exact zero print unsigned."""
+    scale = np.linalg.norm(G1, 2) + np.linalg.norm(G2, 2)
+    if 2.0 * c < _PIVOT_RTOL * scale:
+        raise SingularSystem(f"decay rate 2c = {2.0 * c:.3e} below {_PIVOT_RTOL:.0e} "
+                             f"times ||G1|| + ||G2|| = {scale:.3e}")
+    if scale > _PIVOT_RATIO_WARN * 2.0 * c:
+        warnings.warn(f"condition number bound {scale / (2.0 * c):.3e} exceeds "
+                      f"{_PIVOT_RATIO_WARN:.0e}", IllConditionedWarning, stacklevel=3)
+    G = G1[None]
+    return _stacked_solve(G, G if G2 is G1 else G2[None], Q[None])[0] + 0.0
 
 
 def solve_lyapunov(gamma, Q) -> np.ndarray:
@@ -337,8 +331,8 @@ def solve_lyapunov(gamma, Q) -> np.ndarray:
     Requires the symmetric part of gamma to be positive definite; the result
     is symmetrized when Q is symmetric.
     """
-    G1, G2, Qm, _ = _lyapunov(gamma, Q)
-    return _symmetrized(_point_solve(G1, G2, Qm), Qm)
+    G1, G2, Qm, c = _lyapunov(gamma, Q)
+    return _symmetrized(_point_solve(G1, G2, Qm, c), Qm)
 
 
 def solve_sylvester(A, B, C) -> np.ndarray:
@@ -347,8 +341,7 @@ def solve_sylvester(A, B, C) -> np.ndarray:
     The spectra of A and B must be separated by the imaginary axis: the
     symmetric parts of -A and B must both be positive definite.
     """
-    G1, G2, Qm, _ = _sylvester(A, B, C, "a unique solution")
-    return _point_solve(G1, G2, Qm)
+    return _point_solve(*_sylvester(A, B, C, "a unique solution"))
 
 
 @lru_cache(maxsize=8)

@@ -432,8 +432,10 @@ def model_library(spec: ModelSpec) -> SystemModel:
 
 
 def _require_stable(gammas: np.ndarray, what: str = "friction"):
+    if not np.isfinite(gammas).all():   # before the eigen-scan, at every d and shape
+        raise UnstableFriction(f"{what} has a NaN or infinite entry")
     worst = float(linalg.min_sym_eig_batch(gammas).min())
-    if not worst > linalg.STABILITY_EPS:   # NaN friction fails here too
+    if not worst > linalg.STABILITY_EPS:
         raise UnstableFriction(
             f"symmetric part of {what} has eigenvalue {worst:.3e} <= {linalg.STABILITY_EPS:.0e}"
         )

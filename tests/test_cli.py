@@ -193,6 +193,20 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and "above 64" in err
 
+    def test_largest_non_normal_problem_takes_the_spectral_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # no d^2 x d^2 operator at d = 64: the stack solve on a stack of one
+        monkeypatch.setattr(linalg, "_operator", None)
+        d = linalg.MAX_DIM
+        A = np.random.default_rng(0).normal(size=(d, d))
+        gamma = A + (0.5 - min(linalg.min_sym_eig(A), 0.0)) * np.eye(d)
+        assert not np.allclose(gamma @ gamma.T, gamma.T @ gamma)
+        problem = write(tmp_path / "p.json", {"gamma": gamma.tolist(), "Q": np.eye(d).tolist()})
+        assert dispatch(["solve", problem]) == 0
+        J = np.array(json.loads(capsys.readouterr().out)["J"])
+        assert np.linalg.norm(gamma @ J + J @ gamma.T - np.eye(d)) <= 1e-10 * np.sqrt(d)
+
     def test_tolerance_below_the_float_range_is_numerical_error(self, tmp_path, capsys):
         problem = write(tmp_path / "p.json", {"gamma": [[2.0]], "Q": [[1.0]]})
         assert dispatch(["solve", problem, "--oracle", "--tol", "1e-320"]) == 2

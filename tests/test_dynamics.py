@@ -609,6 +609,19 @@ class TestVelocityDiagnostics:
         assert diag.mean_sup_ev4 == pytest.approx((eps * v0) ** 4, abs=1e-14)
         assert diag.mean_sup_ev4_stderr == pytest.approx(0.0, abs=1e-16)
 
+    def test_the_runner_alone_checks_the_step_and_the_grid(self, monkeypatch):
+        # the record grid is sized on the start state, after the runner's checks
+        calls = []
+
+        def counted(check):
+            return lambda *args: calls.append(check.__name__) or check(*args)
+
+        for name in ("_full_kernel", "_ratio_int"):
+            monkeypatch.setattr(dynamics, name, counted(getattr(dynamics, name)))
+        diag = diagnostics_velocity(constant_model(), 0.05, T=0.1, delta=0.0025, replicas=4, seed=0)
+        assert sorted(calls) == ["_full_kernel", "_ratio_int", "_ratio_int"]   # T/Delta, Delta/delta
+        assert diag.sup_ev2_time in np.arange(11) * 4 * 0.0025   # 40 steps, every 4th recorded
+
     def test_ou_stationary_variance_at_terminal_time(self):
         # eps E|v_T|^2 ~= sigma^2/(2 gamma) = 0.25 within 3 SE, 500 replicas
         model = constant_model(gamma=2.0, K=1.0, sigma=1.0)

@@ -186,16 +186,17 @@ def test_validate_output_above_d1(tmp_path, capsys, name):
     assert capsys.readouterr().out == expected
 
 
+# The point solvers run the stack solve on a stack of one.
 GOLDEN_SOLVE = {
     "lyapunov-d3": (
         {
             "gamma": [[2.0, 0.5, -0.3], [0.1, 1.5, 0.4], [-0.2, 0.3, 1.8]],
             "Q": [[1.0, 0.2, 0.1], [0.2, 0.8, -0.1], [0.1, -0.1, 0.6]],
         },
-        '{"J": [[0.26145614298835296, -0.0061510269630027491, 0.066122574984014457], '
-        "[-0.0061510269630027491, 0.2888586320617193, -0.081682113490696429], "
-        "[0.066122574984014457, -0.081682113490696429, 0.18762730502445102]], "
-        '"oracle_gap": 7.5435546698088274e-10}\n',
+        '{"J": [[0.26145614298835274, -0.0061510269630024855, 0.066122574984014304], '
+        "[-0.0061510269630024855, 0.28885863206171902, -0.081682113490696262], "
+        "[0.066122574984014304, -0.081682113490696262, 0.18762730502445088]], "
+        '"oracle_gap": 7.5435518942512658e-10}\n',
     ),
     # d = 1 takes the one division formula, Q / (G1 + G2)
     "lyapunov-d1": (
@@ -208,9 +209,9 @@ GOLDEN_SOLVE = {
     ),
     "lyapunov-d2": (
         {"gamma": [[1.5, 0.4], [-0.2, 2.0]], "Q": [[1.0, 0.3], [0.3, 0.5]]},
-        '{"J": [[0.30983302411873842, 0.088126159554730979], '
-        "[0.088126159554730979, 0.13381261595547309]], "
-        '"oracle_gap": 5.2552956431028974e-10}\n',
+        '{"J": [[0.30983302411873836, 0.08812615955473091], '
+        "[0.08812615955473091, 0.13381261595547306]], "
+        '"oracle_gap": 5.2552950879913851e-10}\n',
     ),
     "sylvester-d2": (
         {
@@ -218,9 +219,9 @@ GOLDEN_SOLVE = {
             "B": [[1.1, -0.4], [0.2, 1.6]],
             "C": [[0.4, -0.7], [0.9, 0.2]],
         },
-        '{"Y": [[-0.20493485493951927, 0.1559749992226126], '
-        "[-0.40820610093597437, -0.11303212164557358]], "
-        '"oracle_gap": 4.8560604148928377e-10}\n',
+        '{"Y": [[-0.20493485493951932, 0.15597499922261263], '
+        "[-0.40820610093597448, -0.11303212164557362]], "
+        '"oracle_gap": 4.8560608312264719e-10}\n',
     ),
     "sylvester-d3": (
         {
@@ -228,10 +229,10 @@ GOLDEN_SOLVE = {
             "B": [[1.0, 0.3, -0.2], [0.0, 2.5, 0.1], [0.4, -0.1, 1.7]],
             "C": [[0.5, -1.0, 0.2], [0.3, 0.0, 0.7], [-0.6, 0.1, 1.1]],
         },
-        '{"Y": [[-0.15905748779906773, 0.22868252258125021, -0.094116910557465752], '
-        "[-0.037048069050473816, -0.023085509170869219, -0.23388204811171195], "
-        "[0.33054880894705174, -0.057317479065363691, -0.3577828211585517]], "
-        '"oracle_gap": 8.3330120581592837e-11}\n',
+        '{"Y": [[-0.1590574877990677, 0.22868252258125019, -0.094116910557465738], '
+        "[-0.03704806905047376, -0.023085509170869212, -0.23388204811171193], "
+        "[0.33054880894705158, -0.057317479065363726, -0.35778282115855159]], "
+        '"oracle_gap": 8.3329954048139143e-11}\n',
     ),
 }
 
@@ -316,7 +317,7 @@ def test_diagnostics_exponential_record_grid_off_the_end():
     )
 
 
-def test_diagnostics_explicit_three_summation_chunks():
+def test_diagnostics_explicit_300_replicas_one_batch():
     # 300 replicas, one batch at the default batch size: the per-time sums
     # fold the 300 records in replica order, as they do for any batching
     diag = diagnostics_velocity(constant_ou(), 0.05, T=0.2, delta=0.0025, replicas=300, seed=7)
@@ -327,7 +328,7 @@ def test_diagnostics_explicit_three_summation_chunks():
     )
 
 
-def test_diagnostics_exponential_d2_three_summation_chunks():
+def test_diagnostics_exponential_d2_300_replicas_one_batch():
     # 300 replicas of 2 particles at d = 2, also one batch at the default size
     model = model_library(ModelSpec("interaction", INTERACTION_D2_EXPONENTIAL["model"]["params"]))
     diag = diagnostics_velocity(

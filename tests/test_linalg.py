@@ -209,7 +209,8 @@ class TestStacks:
 
 class TestPointSolverConditioning:
     # gamma = diag(1e-11, s) passes the stability floor, but its Kronecker
-    # operator has singular values 2e-11, s + 1e-11 (twice) and 2 s
+    # operator has condition number 2 s / 2e-11, which the check's bound
+    # (||G1|| + ||G2||) / 2c gives exactly for a normal gamma
     def test_lyapunov_singular_raises(self):
         with pytest.raises(SingularSystem):
             linalg.solve_lyapunov(np.diag([1e-11, 1e4]), np.eye(2))
@@ -229,6 +230,39 @@ class TestPointSolverConditioning:
         with pytest.warns(IllConditionedWarning):
             Y = linalg.solve_sylvester(-g, g, -np.eye(2))
         assert np.allclose(Y, np.diag([0.5e11, 0.005]), rtol=1e-12)
+
+    @staticmethod
+    def rotated(*eigenvalues):
+        """R diag(eigenvalues) R^T: symmetric, with no zero off the diagonal."""
+        t = 0.3
+        R = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        return R @ np.diag(eigenvalues) @ R.T
+
+    def test_rotated_singular_raises(self):
+        g = self.rotated(1e-11, 1e4)
+        assert linalg._diagonal(g[None]) is None
+        with pytest.raises(SingularSystem):
+            linalg.solve_lyapunov(g, np.eye(2))
+
+    def test_rotated_ill_conditioned_warns(self):
+        g = self.rotated(1e-11, 100.0)
+        with pytest.warns(IllConditionedWarning):
+            J = linalg.solve_lyapunov(g, np.eye(2))
+        # a condition number of 1e13 leaves J about three digits
+        assert np.allclose(J, self.rotated(0.5e11, 0.005), rtol=1e-2)
+
+    def test_defective_friction_solves_silently_on_the_fallback(self, monkeypatch):
+        built = []
+        operator = linalg._operator
+        monkeypatch.setattr(linalg, "_operator", lambda G1, G2: built.append(G1) or operator(G1, G2))
+        g = np.array([[1.0, 1.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            J = linalg.solve_lyapunov(g, np.eye(2))
+            Y = linalg.solve_sylvester(-g, g.T, -np.eye(2))
+        assert len(built) == 2
+        assert np.allclose(J, [[0.75, -0.25], [-0.25, 0.5]], atol=1e-12)
+        assert np.allclose(Y, J, atol=1e-12)
 
     def test_well_conditioned_is_silent(self):
         with warnings.catch_warnings():
@@ -416,8 +450,8 @@ class TestBatchedSolvers:
 
 
 class TestSpectralStackSolve:
-    # the stack solvers diagonalize G1 and G2; the Kronecker solve that the
-    # point solvers keep is their reference
+    # the stack solve diagonalizes G1 and G2; its Kronecker fallback for
+    # defective frictions is the reference
     @staticmethod
     def stacks(rng, d, B=2, N=5, n=4):
         G1 = np.stack([random_stable(rng, d) for _ in range(B * N)]).reshape(B, N, 1, d, d)

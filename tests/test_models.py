@@ -458,6 +458,25 @@ class TestEnsembleFields:
         with pytest.raises(UnstableFriction):
             limit_drift_fields(broken, np.zeros((2, 3, 1)))
 
+    @pytest.mark.parametrize(
+        "gamma",
+        [[[np.inf]], [[np.inf, 0.0], [0.0, 2.0]], [[2.0, np.inf], [0.0, 2.0]]],
+        ids=["d1", "d2-diagonal", "d2-dense"],
+    )
+    def test_infinite_friction_raises(self, gamma):
+        # one rule at every d, on diagonal and dense stacks alike
+        gamma = np.array(gamma)
+        d = len(gamma)
+        broken = SystemModel(
+            dim=d,
+            noise_dim=d,
+            force=lambda X, S: -X,
+            noise=lambda X, S: np.broadcast_to(np.eye(d), X.shape + (d,)),
+            friction=lambda X, S: np.broadcast_to(gamma, X.shape + (d,)),
+        )
+        with pytest.raises(UnstableFriction):
+            limit_drift_fields(broken, np.zeros((2, 3, d)))
+
 
     @pytest.mark.parametrize("samples", ["own", "given"])
     def test_gamma_is_factored_once_per_call(self, monkeypatch, samples):
