@@ -21,8 +21,9 @@ loop, ``_march``, which owns the blow-up guards; each entry point's
 bookkeeping rides along as a callback.
 
 Batched kernels carry state as (R, N, d) arrays: replica, particle,
-component.  The empirical measure entering the friction is the ensemble of
-the replica itself, frozen at the step start.
+component, and take every d x d product through ``linalg.matvec`` or
+``linalg.matmat``, plain arithmetic on diagonal coefficients.  The empirical
+measure entering the friction is the replica's own ensemble at the step start.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
     ValidationError,
     ValidationFailure,
 )
-from .linalg import expm, inv_batch, min_sym_eig_batch
+from .linalg import expm, inv_batch, matmat, matvec, min_sym_eig_batch
 from .measures import EmpiricalMeasure, wasserstein2_assignment
 from .models import MODE_EXTENSION, SystemModel, _reals, limit_drift_fields
 
@@ -155,13 +156,7 @@ def _advance_full_em(model, X, V, delta, eps, dw):
     F = model.force_field(X, X)
     g = model.friction_field(X, X)
     sig = model.noise_field(X, X)
-    X_new = X + V * delta
-    V_new = (
-        V
-        + (F - np.einsum("bnij,bnj->bni", g, V)) * (delta / eps)
-        + np.einsum("bnik,bnk->bni", sig, dw) / eps
-    )
-    return X_new, V_new
+    return X + V * delta, V + (F - matvec(g, V)) * (delta / eps) + matvec(sig, dw) / eps
 
 
 def _advance_full_exponential(model, X, V, delta, eps, dw):
@@ -170,22 +165,14 @@ def _advance_full_exponential(model, X, V, delta, eps, dw):
     sig = model.noise_field(X, X)
     scales = np.array([delta / eps, delta / (2.0 * eps)]).reshape(2, 1, 1, 1, 1)
     E, E_half = expm(-g * scales)
-    ginv = inv_batch(g)
-    ident = np.broadcast_to(np.eye(g.shape[-1]), g.shape)
-    drift_gain = np.einsum("bnij,bnjk->bnik", ginv, ident - E)
-    V_new = (
-        np.einsum("bnij,bnj->bni", E, V)
-        + np.einsum("bnij,bnj->bni", drift_gain, F)
-        + np.einsum("bnij,bnjk,bnk->bni", E_half, sig, dw) / eps
-    )
-    X_new = X + 0.5 * delta * (V + V_new)
-    return X_new, V_new
+    drift_gain = matmat(inv_batch(g), np.eye(g.shape[-1]) - E)
+    V_new = matvec(E, V) + matvec(drift_gain, F) + matvec(E_half, sig, dw) / eps
+    return X + 0.5 * delta * (V + V_new), V_new
 
 
 def _advance_limit_em(model, X, Delta, dw):
     ginv_f, S, S_t, ginv_sigma = limit_drift_fields(model, X)
-    drift = ginv_f + S + S_t
-    return X + drift * Delta + np.einsum("bnik,bnk->bni", ginv_sigma, dw)
+    return X + (ginv_f + S + S_t) * Delta + matvec(ginv_sigma, dw)
 
 
 _FULL_SCHEMES = {

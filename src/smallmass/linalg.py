@@ -10,8 +10,8 @@ Everything here is written for the d <= MAX_DIM = 64 regime.
 
 The kernels take a stack of matrices (..., d, d): ``expm``,
 ``min_sym_eig_batch`` and ``inv_batch`` give the same bits as its matrices one
-at a time, and all three are plain arithmetic on diagonal stacks, which
-include every d = 1 stack; ``_diagonal`` alone makes that choice.  One
+at a time; they and ``matvec``/``matmat`` (an einsum's bits) are arithmetic on
+diagonal stacks, every d = 1 one included; ``_diagonal`` alone chooses.  One
 solve, ``_stacked_solve``, serves ``lyapunov_batch``/``sylvester_batch`` on
 broadcastable stacks and ``solve_lyapunov``/``solve_sylvester`` on a stack of
 one.  It diagonalizes (Bartels & Stewart, CACM 15(9), 1972) G1 = V1 L1 V1^-1
@@ -74,6 +74,8 @@ _PIVOT_RATIO_WARN = 1e12
 # solve.  The spectral solve's error grows about like 1e-16 times this number,
 # so the two agree to about 1e-13 relative.
 _SPECTRAL_COND_MAX = 1e3
+_ZERO = np.zeros(())   # faster to add than the float 0.0
+_CHAINS = {2: "...ij,...j->...i", 3: "...ij,...jk,...k->...i"}
 
 
 def _as_stack(M, name: str) -> np.ndarray:
@@ -93,10 +95,12 @@ def _as_square(M, name: str = "matrix") -> np.ndarray:
 
 
 def _diagonal(A: np.ndarray):
-    """The diagonals (..., d) of a stack (..., d, d) whose off-diagonal entries
-    are all zero, or None: the one test that sends a stack down the entrywise
-    branch of every kernel.  At d = 1 a view with no scan; above, one count of
-    the nonzero entries (NaN counts) against that of the diagonals."""
+    """The diagonals (..., d) of a square stack (..., d, d) whose off-diagonal
+    entries are all zero, else None: the one test that sends a stack down the
+    entrywise branch of every kernel and product.  At d = 1 a view with no scan;
+    above, one count of the nonzero entries (NaN counts) against the diagonals'."""
+    if A.shape[-2] != A.shape[-1]:
+        return None
     if A.shape[-1] == 1:
         return A[..., 0]
     diag = np.diagonal(A, axis1=-2, axis2=-1)
@@ -111,6 +115,33 @@ def _from_diagonal(v: np.ndarray) -> np.ndarray:
         return v[..., None]
     with np.errstate(invalid="ignore"):
         return v[..., :, None] * np.eye(v.shape[-1])
+
+
+def matvec(*operands) -> np.ndarray:
+    """A_1 ... A_p x over the last axes of broadcastable stacks: the einsum
+    _CHAINS[p + 1] or, when every A_t is diagonal, the product of the
+    diagonals and x left to right, as the einsum multiplies its terms, with
+    its bits wherever the operands are finite."""
+    product = None
+    for A in operands[:-1]:
+        diag = _diagonal(A)
+        if diag is None:
+            return np.einsum(_CHAINS[len(operands)], *operands)
+        product = diag if product is None else product * diag
+    product = product * operands[-1]
+    product += _ZERO   # an einsum sums from +0.0: a lone -0.0 term reads +0.0
+    return product
+
+
+def matmat(A, B) -> np.ndarray:
+    """A B over the last two axes of broadcastable stacks: "...ij,...jk->...ik",
+    or the rows of B times the diagonal of a diagonal A, as ``matvec``."""
+    diag = _diagonal(A)
+    if diag is None:
+        return np.einsum("...ij,...jk->...ik", A, B)
+    product = diag[..., :, None] * B
+    product += _ZERO   # as in matvec
+    return product
 
 
 def expm(M) -> np.ndarray:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smallmass import driver, dynamics
+from smallmass import driver, dynamics, linalg, models
 from smallmass.convergence import DeltaRule, run_convergence
 from smallmass.driver import NoiseDriver
 from smallmass.dynamics import (
@@ -998,3 +998,25 @@ class TestValidateAssumptions:
         report = validate_assumptions(model, ProbeConfig(seed=4))
         assert report.max_dmu_norm == 0.0
         assert report.lipschitz["friction"] > 0.0
+
+
+class TestNoEinsumAtD1:
+    # a d = 1 sweep of the constant family takes every product of the step
+    # and of the limit drift entrywise: np.einsum raises in the three modules
+    # that step
+    @pytest.mark.parametrize("rule", [DeltaRule(), DeltaRule("exponential", delta=0.002)],
+                             ids=["explicit", "exponential"])
+    def test_constant_sweep_calls_no_einsum(self, monkeypatch, rule):
+        class NoEinsum:
+            def __getattr__(self, name):
+                if name == "einsum":
+                    raise AssertionError("np.einsum called")
+                return getattr(np, name)
+
+        for module in (dynamics, models, linalg):
+            monkeypatch.setattr(module, "np", NoEinsum())
+        report = run_convergence(
+            constant_model(), [0.1, 0.05], T=0.1, n_particles=2, replicas=3, seed=5,
+            delta_rule=rule, Delta=0.01, validate=False,
+        )
+        assert all(np.isfinite(report.errors)) and min(report.errors) > 0.0

@@ -207,6 +207,121 @@ class TestStacks:
             linalg.lyapunov_by_quadrature(g, g, 1e-8)
 
 
+def same_bits(got, want):
+    """Equal shapes and values, and equal signs of zero."""
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def with_zeros(rng, shape):
+    """Normal entries of both signs, about a quarter of them 0.0 or -0.0, so
+    that entrywise products read -0.0 where the einsums read +0.0."""
+    x = rng.normal(size=shape)
+    zero = rng.random(shape) < 0.25
+    x[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+    return x
+
+
+def swap(M):
+    return np.swapaxes(M, -1, -2)
+
+
+# Each product that the step and the limit drift route through the helpers:
+# (the helper call, the einsum it replaced), on operands with a batch and a
+# point axis (B, N): A a friction-like matrix, M a dense one, S a noise
+# matrix (d, k) and Sy the noise at n samples, K a force matrix, x and w
+# vectors of length d and k.  The force takes K as the models' constant
+# coefficients hand it out, a contiguous (B, N, d, d) copy.
+PRODUCTS = {
+    "gamma v": (lambda o: linalg.matvec(o["A"], o["x"]),
+                lambda o: np.einsum("bnij,bnj->bni", o["A"], o["x"])),
+    "sigma dw": (lambda o: linalg.matvec(o["S"], o["w"]),
+                 lambda o: np.einsum("bnik,bnk->bni", o["S"], o["w"])),
+    "drift gain": (lambda o: linalg.matmat(o["A"], o["M"]),
+                   lambda o: np.einsum("bnij,bnjk->bnik", o["A"], o["M"])),
+    "E_half sigma dw": (lambda o: linalg.matvec(o["A"], o["S"], o["w"]),
+                        lambda o: np.einsum("bnij,bnjk,bnk->bni", o["A"], o["S"], o["w"])),
+    "-K x": (lambda o: -linalg.matvec(np.broadcast_to(o["K"], o["A"].shape).copy(), o["x"]),
+             lambda o: -np.einsum("ij,bmj->bmi", o["K"], o["x"])),
+    "ginv sigma": (lambda o: linalg.matmat(o["A"], o["S"]),
+                   lambda o: np.einsum("bnij,bnjk->bnik", o["A"], o["S"])),
+    "sigma sigma^T": (lambda o: linalg.matmat(o["S"], swap(o["S"])),
+                      lambda o: np.einsum("bnik,bnjk->bnij", o["S"], o["S"])),
+    "sigma(x) sigma(y)^T": (lambda o: linalg.matmat(o["S"][:, :, None], swap(o["Sy"])[:, None]),
+                            lambda o: np.einsum("bnik,bmjk->bnmij", o["S"], o["Sy"])),
+    "-ginv T": (lambda o: -linalg.matvec(o["A"], o["x"]),
+                lambda o: -np.einsum("bnip,bnp->bni", o["A"], o["x"])),
+}
+# with a sample axis, the product that was a matmul: its bits on diagonal A
+G_J = (lambda o: linalg.matmat(o["A"][:, :, None], o["J"]), lambda o: o["A"][:, :, None] @ o["J"])
+
+
+def operands(rng, d, kind, k=None, B=3, N=4, n=5):
+    """Operands of PRODUCTS at dimension d: diagonal A, S, Sy and K for
+    ``kind`` "diagonal", broadcast constant views for "constant" (d = 1), and
+    dense ones for "dense"; S and Sy are (d, k), and dense, when k is given."""
+    k = d if k is None else k
+
+    def matrix(shape, cols=d):
+        if kind == "diagonal" and cols == d:
+            return diagonal(with_zeros(rng, shape + (d,)))
+        if kind == "constant":
+            return np.broadcast_to(with_zeros(rng, (d, cols)), shape + (d, cols))
+        return rng.normal(size=shape + (d, cols))   # no zero off the diagonal
+
+    K = matrix(())
+    return {"A": matrix((B, N)), "M": with_zeros(rng, (B, N, d, d)), "S": matrix((B, N), k),
+            "Sy": matrix((B, n), k), "K": K, "x": with_zeros(rng, (B, N, d)),
+            "w": with_zeros(rng, (B, N, k)), "J": with_zeros(rng, (B, N, n, d, d))}
+
+
+class TestProducts:
+    # matvec and matmat give the bits of the einsum each one replaced, signed
+    # zeros included: entrywise on diagonal operands, the einsum otherwise
+
+    @pytest.mark.parametrize("name", list(PRODUCTS) + ["g J"])
+    @pytest.mark.parametrize("d, kind", [(1, "diagonal"), (1, "constant"), (2, "diagonal"),
+                                         (3, "diagonal"), (4, "diagonal")])
+    def test_diagonal_operands_are_entrywise_with_the_einsum_bits(self, monkeypatch, name, d, kind):
+        rng = np.random.default_rng([d, len(name)])
+        helper, replaced = G_J if name == "g J" else PRODUCTS[name]
+        for _ in range(20):
+            o = operands(rng, d, kind)
+            want = replaced(o)
+            with monkeypatch.context() as m:
+                m.setattr(np, "einsum", None)   # the entrywise branch calls no einsum
+                got = helper(o)
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("name", list(PRODUCTS))
+    @pytest.mark.parametrize("d, k", [(2, None), (3, None), (4, None), (1, 2), (2, 1), (2, 3)],
+                             ids=["dense-d2", "dense-d3", "dense-d4", "d1-k2", "d2-k1", "d2-k3"])
+    def test_dense_and_non_square_operands_take_the_einsum(self, monkeypatch, name, d, k):
+        # a non-square sigma beside a diagonal A takes the einsum wherever it
+        # is a matrix operand: sigma dw, E_half sigma dw and the sigma sigma^T
+        rng = np.random.default_rng([d, k or 0, len(name)])
+        o = operands(rng, d, "dense" if k is None else "diagonal", k)
+        helper, replaced = PRODUCTS[name]
+        einsum, calls = np.einsum, []
+
+        def counted(*args):
+            calls.append(args[0])
+            return einsum(*args)
+
+        want = replaced(o)
+        monkeypatch.setattr(np, "einsum", counted)
+        got = helper(o)
+        assert same_bits(got, want)
+        takes_sigma = name in ("sigma dw", "E_half sigma dw", "sigma sigma^T", "sigma(x) sigma(y)^T")
+        if k is None or takes_sigma:
+            assert len(calls) == 1
+
+    def test_diagonal_is_none_for_non_square_stacks(self):
+        # a (2, 1) or (1, 2) matrix has no diagonal to multiply by
+        for shape in ((3, 2, 1), (3, 1, 2), (2, 3)):
+            assert linalg._diagonal(np.ones(shape)) is None
+
+
 class TestPointSolverConditioning:
     # gamma = diag(1e-11, s) passes the stability floor, but its Kronecker
     # operator has condition number 2 s / 2e-11, which the check's bound

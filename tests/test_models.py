@@ -510,6 +510,77 @@ class TestEnsembleFields:
         assert factored == []
 
 
+class TestLimitDriftInputs:
+    # empty or mismatched points and samples are refused before any
+    # coefficient is evaluated, not as a RuntimeWarning, an UnstableFriction
+    # or a bare ValueError from deep in a kernel
+    @pytest.mark.parametrize(
+        "d, X_shape, samples_shape",
+        [
+            (1, (2, 3, 1), (2, 0, 1)),
+            (1, (1, 0, 1), None),
+            (1, (0, 2, 1), None),
+            (1, (2, 3, 1), (3, 4, 1)),
+            (2, (2, 3, 2), (2, 4, 1)),
+            (1, (2, 3, 2), None),
+        ],
+        ids=["no-samples", "no-points", "no-ensembles", "samples-of-another-batch",
+             "samples-of-another-dimension", "points-of-another-dimension"],
+    )
+    def test_refused_before_any_friction_call(self, monkeypatch, d, X_shape, samples_shape):
+        model = interaction(d=d)
+
+        def refuse(X, S):
+            raise AssertionError("friction evaluated")
+
+        monkeypatch.setattr(model, "friction_field", refuse)
+        samples = None if samples_shape is None else np.zeros(samples_shape)
+        with pytest.raises(ValidationError):
+            limit_drift_fields(model, np.zeros(X_shape), samples)
+
+
+class TestPointDriftsAlone:
+    # drift_S and drift_S_tilde each compute their own correction only, with
+    # the bits of their row of limit_drift_fields
+    def setup_method(self):
+        self.model = interaction(d=2, sigma=[[1.0, 0.3], [0.0, 0.8]])
+        rng = np.random.default_rng(23)
+        self.x = rng.normal(size=2)
+        self.mu = EmpiricalMeasure(rng.normal(size=(16, 2)))
+
+    def counted(self, monkeypatch):
+        calls = {"lyapunov_batch": 0, "sylvester_batch": 0, "friction_dmu_field": 0}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        count(linalg, "lyapunov_batch")
+        count(linalg, "sylvester_batch")
+        count(self.model, "friction_dmu_field")
+        return calls
+
+    def test_drift_S_solves_no_sylvester_and_takes_no_measure_derivative(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        drift_S(self.model, self.x, self.mu)
+        assert calls == {"lyapunov_batch": 1, "sylvester_batch": 0, "friction_dmu_field": 0}
+
+    def test_drift_S_tilde_solves_no_lyapunov(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        drift_S_tilde(self.model, self.x, self.mu)
+        assert calls == {"lyapunov_batch": 0, "sylvester_batch": 1, "friction_dmu_field": 1}
+
+    def test_rows_of_limit_drift_fields(self):
+        _, S, S_t, _ = limit_drift_fields(self.model, self.x[None, None], self.mu.samples[None])
+        assert drift_S(self.model, self.x, self.mu).tobytes() == S[0, 0].tobytes()
+        assert drift_S_tilde(self.model, self.x, self.mu).tobytes() == S_t[0, 0].tobytes()
+
+
 def _reference_closures(a, b, c, d):
     """The interaction friction closures as plain formulas: np.sum over the
     components, fresh temporaries and fancy-index writes."""
