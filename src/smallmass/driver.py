@@ -9,7 +9,8 @@ SC'11): the keys of a whole draw are derived at once by a vectorized
 transcription of SeedSequence's hash, and one generator draws the streams in
 turn, its state set to each stream's key and a zero counter.
 Coarse-grid increments are defined as the window sums of the fast-grid
-increments, which makes the fast/coarse coupling exact by construction.
+increments, added left to right as every grid's are (``grid_increments``),
+which makes the fast/coarse coupling exact by construction.
 
 Runs on several fast grids of one coarse step, Delta/m_i, share one draw: the
 driver of their union (``NoiseDriver.union``) cuts each coarse window at every
@@ -336,14 +337,12 @@ class NoiseDriver:
             )
 
     def coarse_from_fast(self, fast: np.ndarray) -> np.ndarray:
-        """Window sums along the step axis (axis -3): (..., n_coarse, P, C).
-
-        This is the definition of the coarse increments; the synchronous
-        coupling between grids is therefore exact, not approximate.  numpy's
-        sum is pairwise at P*C = 1 and m_substeps >= 8, not the left to right
-        of ``grid_increments``: the two may then differ in the last bit (up to
-        5.6e-17 at Delta = 0.01, m_substeps = 8 to 20).  One substep a window
-        returns ``fast`` itself: numpy's sum would turn -0.0 into +0.0.
+        """Window sums along the step axis (axis -3): (..., n_coarse, P, C),
+        each added left to right by ``grid_increments``, so bit for bit the
+        increments that the limit steps over in a run.  No run calls it, since
+        the limit sums its windows as one more grid of the draw; it stays for
+        callers and for perfbench's tracer.  One substep a window returns
+        ``fast`` itself.
         """
         if self.m_substeps == 1:
             return fast
@@ -352,6 +351,6 @@ class NoiseDriver:
             raise GridMismatch(
                 f"{n_steps} fast steps do not tile into windows of {self.m_substeps}"
             )
-        n_coarse = n_steps // self.m_substeps
-        shape = fast.shape[:-3] + (n_coarse, self.m_substeps) + fast.shape[-2:]
-        return fast.reshape(shape).sum(axis=-3)
+        windows = fast.reshape((-1, self.m_substeps) + fast.shape[-2:])
+        coarse = grid_increments(windows, np.zeros(1, dtype=int))
+        return coarse.reshape(fast.shape[:-3] + (n_steps // self.m_substeps,) + fast.shape[-2:])

@@ -9,16 +9,17 @@ the exact damping semigroup.  The exponential stepper stays stable for any
 ``eps E|v|^2`` reads 0.147 +- 0.010 at ``delta/eps = 1`` and 0.0015 at
 ``delta/eps = 4``, against 0.25, so keep ``delta`` well below ``eps``.
 
-The limit system is advanced on a coarse grid whose Brownian increments are
-the window sums of the fast ones, so both systems ride the same noise path
-and their difference estimates the strong error directly.
+The limit system is advanced on a coarse grid, one step a window, whose
+increments are the window sums of the fast ones, added left to right as
+every grid's are (``driver.grid_increments``), so both systems ride the same
+noise path and their difference estimates the strong error directly.
 
 Every batched run (sweeps, coupled runs, limit paths, velocity diagnostics)
 is one runner, ``_run_replicas``: replica batches, each drawing its noise
-once, on the union of the eps fast grids, so every eps and the one limit
-path ride one Brownian path.  It and the one-step functions step through one
-loop, ``_march``, which owns the blow-up guards; each entry point's
-bookkeeping rides along as a callback.
+once, on the union of the eps fast grids and the limit's, so every eps and
+the limit ride one Brownian path.  It and the one-step functions step every
+system, the limit one of them, through one loop, ``_march``, which owns the
+blow-up guards; each entry point's bookkeeping rides along as a callback.
 
 Batched kernels carry state as (R, N, d) arrays: replica, particle,
 component, and take every d x d product through ``linalg.matvec`` or
@@ -170,9 +171,9 @@ def _advance_full_exponential(model, X, V, delta, eps, dw):
     return X + 0.5 * delta * (V + V_new), V_new
 
 
-def _advance_limit_em(model, X, Delta, dw):
+def _advance_limit_em(model, X, V, Delta, eps, dw):   # V (None) passes through, eps unused
     ginv_f, S, S_t, ginv_sigma = limit_drift_fields(model, X)
-    return X + (ginv_f + S + S_t) * Delta + matvec(ginv_sigma, dw)
+    return X + (ginv_f + S + S_t) * Delta + matvec(ginv_sigma, dw), V
 
 
 _FULL_SCHEMES = {
@@ -222,22 +223,16 @@ def _replica_batches(model: SystemModel, replicas: int, n_particles: int):
 # --- the stepping loop -------------------------------------------------------
 
 
-def _march(
-    model, blocks, systems, XL, *,
-    advance=None, Delta=None, on_step=None, on_window=None,
-):
-    """Step through ``blocks``, pairs (fast, coarse) of increments for
-    consecutive runs of whole windows, fast (R, w * m, N, k) with m fast
-    substeps per window and coarse (R, w, N, k); coarse None leaves the limit
-    out and makes the block one window.  Per window, each mass-eps system of
-    ``systems`` (a list of [eps, X, V, delta, cuts], X and V updated in
-    place) is advanced with ``advance`` by steps of its own ``delta``: over
-    the window's fast increments, or, with ``cuts``, over their sums on its
-    coarser grid (``driver.grid_increments``); then the limit XL once over
-    its coarse increment.  Guards V after every fast step and X, XL after
-    every window; calls ``on_step(s, V)`` after step s (from 1) of each
-    system and ``on_window(j, systems, XL)`` after window j.  Returns XL.
-    The one runner (``_run_replicas``) marches each replica batch of every
+def _march(model, blocks, systems, *, on_step=None, on_window=None):
+    """Step through ``blocks`` of the union draw, (R, w, U, N, k) increments
+    of w consecutive windows of U substeps.  Per window, each entry
+    [advance, X, V, h, eps, cuts] of ``systems`` (X and V updated in place;
+    V and eps None for the limit) is advanced with ``advance`` by steps of
+    its own ``h``: over the window's substeps, or, with ``cuts``, over their
+    sums on its coarser grid (``driver.grid_increments``).  Guards V after
+    every step and X after every window; calls ``on_step(s, V)`` after step
+    s (from 1) of each system with a V, ``on_window(j, systems)`` after
+    window j.  The one runner (``_run_replicas``) marches each replica batch of every
     batched run through it; the one-step functions march one increment.
 
     A block is let go before the next one is drawn, so a streamed run holds
@@ -248,31 +243,24 @@ def _march(
     j = 0
     done = [0] * len(systems)   # steps of each system so far
     with np.errstate(over="ignore", invalid="ignore"):
-        for fast, coarse in blocks:
-            n_windows = coarse.shape[1] if coarse is not None else 1
-            m = fast.shape[1] // n_windows
-            for w in range(n_windows):
+        for block in blocks:
+            for w in range(block.shape[1]):
                 for i, system in enumerate(systems):
-                    eps, X, V, delta, cuts = system
-                    steps = fast[:, w * m:(w + 1) * m]
-                    if cuts is not None:
-                        steps = grid_increments(steps, cuts)
+                    advance, X, V, h, eps, cuts = system
+                    steps = block[:, w] if cuts is None else grid_increments(block[:, w], cuts)
                     for s in range(steps.shape[1]):
-                        X, V = advance(model, X, V, delta, eps, steps[:, s])
-                        _guard(V, "velocity")
-                        if on_step is not None:
-                            on_step(done[i] + s + 1, V)
+                        X, V = advance(model, X, V, h, eps, steps[:, s])
+                        if V is not None:
+                            _guard(V, "velocity")
+                            if on_step is not None:
+                                on_step(done[i] + s + 1, V)
                     done[i] += steps.shape[1]
-                    _guard(X, "position")
+                    _guard(X, "position" if V is not None else "limit position")
                     system[1:3] = X, V
-                if coarse is not None:
-                    XL = _advance_limit_em(model, XL, Delta, coarse[:, w])
-                    _guard(XL, "limit position")
                 if on_window is not None:
-                    on_window(j, systems, XL)
+                    on_window(j, systems)
                 j += 1
-            fast = coarse = steps = None   # no view of the block outlives it
-    return XL
+            block = steps = None   # no view of the block outlives it
 
 
 # --- public one-step operations ----------------------------------------------
@@ -290,8 +278,8 @@ def _check_increment(dw, n_particles, noise_dim) -> np.ndarray:
 def _step_full(ens, model, delta, dw, scheme, kappa=DEFAULT_KAPPA):
     advance = _full_kernel(scheme, ens.eps, delta, kappa)
     dw = _check_increment(dw, ens.x.shape[0], model.noise_dim)
-    system = [ens.eps, ens.x[None], ens.v[None], delta, None]
-    _march(model, [(dw[None, None], None)], [system], None, advance=advance)
+    system = [advance, ens.x[None], ens.v[None], delta, ens.eps, None]
+    _march(model, [dw[None, None, None]], [system])
     return ParticleEnsembleFull(ens.t + delta, ens.eps, system[1][0], system[2][0])
 
 
@@ -340,8 +328,9 @@ def step_limit_em(
     if not 0.0 < Delta < np.inf:
         raise ValidationError(f"Delta = {Delta} must be positive and finite")
     dw = _check_increment(dw, ens.x.shape[0], model.noise_dim)
-    X = _march(model, [(dw[None, None],) * 2], [], ens.x[None], Delta=Delta)
-    return ParticleEnsembleLimit(ens.t + Delta, X[0])
+    system = [_advance_limit_em, ens.x[None], None, Delta, None, None]
+    _march(model, [dw[None, None, None]], [system])
+    return ParticleEnsembleLimit(ens.t + Delta, system[1][0])
 
 
 # --- coupled simulation ------------------------------------------------------
@@ -385,47 +374,50 @@ def _run_replicas(
 
     Checks the steps, grids and start states and makes the result,
     (len(eps_values), len(replicas)) zeros, before any batch.  Each batch of
-    ``_replica_batches`` draws once, on the union of the fast grids
-    (``NoiseDriver.union``; no grid is one substep of ``Delta``).  With
-    ``limit`` the result holds per eps and replica the sup over the coarse
-    grid of the worst-particle squared distance to the limit; without it (one
-    eps, ``Delta`` its fast step) it is the callbacks' to fill.
-    ``on_step(rows, s, V)`` and ``on_window(rows, j, systems, XL)`` are
+    ``_replica_batches`` draws once, on the union of the fast grids and, with
+    ``limit``, the limit's, one step a window (``NoiseDriver.union``), and
+    marches a system per grid, the limit last.  With ``limit`` the result
+    holds per eps and replica the sup over the coarse grid of the
+    worst-particle squared distance to the limit; without it (one eps,
+    ``Delta`` its fast step) it is the callbacks' to fill, and a block is
+    one window.  ``on_step(rows, s, V)`` and ``on_window(rows, j, systems)`` are
     ``_march``'s callbacks with the batch's rows of the result first, called
     on the start state too, at step 0 and window -1.
     """
-    advance = None
-    for eps, delta in zip(eps_values, deltas):
-        advance = _full_kernel(scheme, eps, delta, kappa)
+    advances = [_full_kernel(scheme, eps, delta, kappa) for eps, delta in zip(eps_values, deltas)]
     n_windows = _ratio_int(T, Delta, "T/Delta")
     ms = [_ratio_int(Delta, delta, "Delta/delta") for delta in deltas]
     x_init = _state_array(x0, n_particles, model.dim, "x0")
     v_init = _state_array(v0, n_particles, model.dim, "v0")
     result = _zeros((len(eps_values), len(replicas)), "replicas")
-    noise, cuts = NoiseDriver.union(seed, Delta, ms)
+    noise, cuts = NoiseDriver.union(seed, Delta, ms + [1] if limit else ms)
 
     for batch in _replica_batches(model, len(replicas), n_particles):
         rows = result[:, batch.start:batch.stop]   # a view; a range would index a copy
         R = len(batch)
-        systems = [[eps, _start(x_init, R, "x0"), _start(v_init, R, "v0"), delta, c]
-                   for eps, delta, c in zip(eps_values, deltas, cuts)]
-        XL = _start(x_init, R, "x0") if limit else None
+        systems = [[advance, _start(x_init, R, "x0"), _start(v_init, R, "v0"), delta, eps, c]
+                   for advance, eps, delta, c in zip(advances, eps_values, deltas, cuts)]
+        if limit:
+            x_limit = _start(x_init, R, "x0")
+            systems.append([_advance_limit_em, x_limit, None, Delta, None, cuts[-1]])
         draws = noise.blocks(replicas[batch.start:batch.stop], n_particles,
                              model.noise_dim, n_windows)
-        blocks = map(lambda fast: (fast, noise.coarse_from_fast(fast) if limit else None), draws)
+        shape = (R, -1, noise.m_substeps) if limit else (R, 1, -1)
+        blocks = map(lambda draw: draw.reshape(shape + draw.shape[2:]), draws)
 
-        def window(j, systems, XL):
-            for row, system in zip(rows, systems if limit else ()):
-                np.maximum(row, np.max(np.sum((system[1] - XL) ** 2, axis=-1), axis=-1), out=row)
+        def window(j, systems):
+            if limit:   # zip stops at the last eps: the limit is the last system
+                XL = systems[-1][1]
+                for row, (_, X, *_) in zip(rows, systems):
+                    np.maximum(row, np.max(np.sum((X - XL) ** 2, axis=-1), axis=-1), out=row)
             if on_window is not None:
-                on_window(rows, j, systems, XL)
+                on_window(rows, j, systems)
 
         step = None if on_step is None else functools.partial(on_step, rows)
-        for system in systems if step else ():
-            step(0, system[2])
-        window(-1, systems, XL)
-        _march(model, blocks, systems, XL, advance=advance, Delta=Delta,
-               on_step=step, on_window=window)
+        for _, _, V, *_ in systems[:len(deltas)] if step else ():
+            step(0, V)
+        window(-1, systems)
+        _march(model, blocks, systems, on_step=step, on_window=window)
     return result
 
 
@@ -447,17 +439,19 @@ def simulate_coupled(
     """Run one synchronously coupled replica of the two systems.
 
     The second-order system advances on the fast grid, the limit system on
-    the coarse grid driven by the window sums of the same increments; returns
+    the coarse grid driven by the left-to-right window sums of the same
+    increments; returns
     the sup over coarse grid points of the worst-particle squared distance,
     and with ``record_paths`` both trajectories on the coarse grid.
     """
     rec = None
 
-    def record(rows, j, systems, XL):
+    def record(rows, j, systems):
         nonlocal rec
+        (_, X, V, *_), (_, XL, *_) = systems
         if rec is None:   # on the start state, which the runner has checked
             rec = _zeros((3, round(T / Delta) + 1) + XL.shape[1:], "paths")
-        rec[:, j + 1] = systems[0][1][0], systems[0][2][0], XL[0]   # x_full, v_full, x_limit
+        rec[:, j + 1] = X[0], V[0], XL[0]   # x_full, v_full, x_limit
 
     sup = _run_replicas(
         model, [eps], [delta], T, Delta, n_particles, [replica_id], seed, x0, v0,
@@ -480,8 +474,9 @@ def run_limit_path(
     of no mass-eps system, whose noise is one substep of ``Delta`` a window."""
     path = None
 
-    def record(rows, j, systems, XL):
+    def record(rows, j, systems):
         nonlocal path
+        (_, XL, *_), = systems
         if path is None:   # on the start state, which the runner has checked
             path = _zeros((round(T / Delta) + 1,) + XL.shape[1:], "limit path")
         path[j + 1] = XL[0]

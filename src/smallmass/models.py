@@ -496,8 +496,13 @@ def _at_points(model: SystemModel, X: np.ndarray, samples):
     """(X, samples, gamma, gamma^{-1}, sigma, basis) at the points X, what both
     corrections share; ``basis`` factors gamma(x) once for J and J~.  Raises
     ValidationError before any coefficient call unless X (B, m, d) and the
-    samples (B, n, d), X by default, are non-empty and match the model."""
-    samples = X if samples is None else samples
+    samples (B, n, d), X by default, are non-empty and match the model; a
+    float ndarray is used as it is, anything else converted as a float array."""
+    try:
+        X = np.asarray(X, dtype=float)
+        samples = X if samples is None else np.asarray(samples, dtype=float)
+    except (TypeError, ValueError):   # a ragged list, a string, None
+        raise ValidationError("points and samples must be arrays of numbers") from None
     if not (X.ndim == samples.ndim == 3 and X.size and samples.size
             and X.shape[::2] == samples.shape[::2] == (X.shape[0], model.dim)):   # (B, d)
         raise ValidationError(f"need non-empty (B, m, d) points, (B, n, d) samples, d = {model.dim}")
@@ -539,10 +544,10 @@ def limit_drift_fields(model: SystemModel, X: np.ndarray, samples=None):
     friction and noise are evaluated once and shared between x and y.
     Returns ``(ginv_f, S, S_tilde, ginv_sigma)`` with shapes
     (B, m, d), (B, m, d), (B, m, d), (B, m, d, k), through stacked solves.
-    Raises ValidationError for empty or mismatched X and samples, UnstableFriction
+    Raises ValidationError for empty, mismatched or non-numeric X and samples, UnstableFriction
     when the friction at X, or at the samples S~ needs, is not positive definite.
     """
     shared = _at_points(model, X, samples)
-    _, samples, _, ginv, sig, _ = shared
+    X, samples, _, ginv, sig, _ = shared
     return (linalg.matvec(ginv, model.force_field(X, samples)), _state_correction(model, *shared),
             _measure_correction(model, *shared), linalg.matmat(ginv, sig))

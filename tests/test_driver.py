@@ -187,12 +187,14 @@ class TestCoupling:
             assert np.array_equal(coarse[j], manual)
 
     def test_window_sums_match_reduce_for_larger_windows(self):
+        # a left fold, as grid_increments adds, where numpy's sum would be
+        # pairwise (one stream, 20 substeps a window)
         drv = NoiseDriver(5, 0.005, 20)
         fast = drv.fast_increments(1, 1, 1, 200)
         coarse = drv.coarse_from_fast(fast)
         for j in range(10):
             window = fast[20 * j:20 * (j + 1)]
-            assert np.array_equal(coarse[j], window.sum(axis=0))
+            assert np.array_equal(coarse[j], functools.reduce(operator.add, list(window)))
 
     def test_window_of_one_substep_is_the_substep(self):
         # the increments themselves: numpy's sum would turn -0.0 into +0.0

@@ -10,6 +10,7 @@ from smallmass.convergence import DeltaRule, run_convergence
 from smallmass.driver import NoiseDriver
 from smallmass.dynamics import (
     BLOWUP_CAP,
+    DEFAULT_KAPPA,
     ParticleEnsembleFull,
     ParticleEnsembleLimit,
     ProbeConfig,
@@ -527,8 +528,8 @@ class TestOneBrownianPath:
         T, Delta, N, seed, x0 = 0.05, 0.01, 3, 4, [[0.2], [-0.1], [0.4]]
         seen = []   # per window from the start: X of the first eps, and XL
 
-        def record(rows, j, systems, XL):
-            seen.append((systems[0][1][0].copy(), XL[0].copy()))
+        def record(rows, j, systems):
+            seen.append((systems[0][1][0].copy(), systems[-1][1][0].copy()))
 
         sup = _run_replicas(
             model, self.EPS, self.DELTAS, T, Delta, N, [0], seed, x0, 0.0, on_window=record,
@@ -536,16 +537,16 @@ class TestOneBrownianPath:
         x_full, x_limit = (np.array(path) for path in zip(*seen))
         drv, cuts = NoiseDriver.union(seed, Delta, [3, 4])
         union = drv.fast_increments_batch([0], N, 1, 5 * drv.m_substeps)
-        coarse = drv.coarse_from_fast(union)
-        # the limit steps over the window sums of the union increments
+        U = drv.m_substeps
+        # the limit steps over the left-to-right window sums of the union increments
         XL = np.array(x0)[None]
         limit = [XL[0]]
         for w in range(5):
-            XL = dynamics._advance_limit_em(model, XL, Delta, coarse[:, w])
+            dw = functools.reduce(operator.add, list(union[:, w * U:(w + 1) * U].swapaxes(0, 1)))
+            XL, _ = dynamics._advance_limit_em(model, XL, None, Delta, None, dw)
             limit.append(XL[0])
         assert np.array_equal(x_limit, np.array(limit))
         # each eps steps over the left-to-right sums of the union on its grid
-        U = drv.m_substeps
         for i, (eps, delta) in enumerate(zip(self.EPS, self.DELTAS)):
             X, V = np.array(x0)[None], np.zeros((1, N, 1))
             worst = 0.0
@@ -557,6 +558,55 @@ class TestOneBrownianPath:
                 if i == 0:
                     assert np.array_equal(x_full[w + 1], X[0])
             assert sup[i, 0] == worst
+
+    def test_limit_steps_over_the_left_fold_of_each_window(self):
+        # constant family, one particle, eps = 0.1 ... 0.01 at kappa = 20: 20
+        # union substeps a window, where numpy's sum of a window is pairwise
+        # and at this seed differs from the left fold in some windows
+        model, T, Delta, seed = constant_model(), 0.2, 0.01, 3
+        eps_values = [0.1, 0.05, 0.02, 0.01]
+        deltas = [eps / DEFAULT_KAPPA for eps in eps_values]
+        drv, _ = NoiseDriver.union(seed, Delta, [2, 4, 10, 20])
+        U = drv.m_substeps
+        union = drv.fast_increments_batch([0], 1, 1, 20 * U)[0]
+        windows = [union[w * U:(w + 1) * U] for w in range(20)]
+        folds = [functools.reduce(operator.add, list(window)) for window in windows]
+        assert U == 20
+        assert any(not np.array_equal(f, win.sum(axis=0)) for f, win in zip(folds, windows))
+        ens = ParticleEnsembleLimit(0.0, np.array([[0.3]]))
+        want = [ens.x]
+        for dw in folds:
+            ens = step_limit_em(ens, model, Delta, dw)
+            want.append(ens.x)
+        res = simulate_coupled(model, 0.01, T, 0.0005, Delta, 1, 0, seed, x0=0.3,
+                               record_paths=True)
+        assert res.paths.x_limit.tobytes() == np.array(want).tobytes()
+        swept = []   # the limit of the four-eps sweep, on the same draw
+
+        def record(rows, j, systems):
+            swept.append(systems[-1][1][0].copy())
+
+        _run_replicas(model, eps_values, deltas, T, Delta, 1, [0], seed, 0.3, 0.0,
+                      on_window=record)
+        assert np.array(swept).tobytes() == np.array(want).tobytes()
+
+    def test_no_run_sums_windows_apart(self, monkeypatch):
+        # the limit sums its windows as one more grid of the draw, so no entry
+        # point asks the driver for window sums
+        def refuse(self, fast):
+            raise AssertionError("coarse_from_fast called")
+
+        monkeypatch.setattr(NoiseDriver, "coarse_from_fast", refuse)
+        model = constant_model()
+        run_convergence(model, [0.1, 0.05], T=0.05, n_particles=2, replicas=4, seed=1,
+                        delta_rule=DeltaRule(), Delta=0.01)
+        simulate_coupled(model, 0.05, 0.05, 0.0025, 0.01, 2, 0, 1, record_paths=True)
+        run_limit_path(model, 0.05, 0.01, 2, 0, 1)
+        diagnostics_velocity(model, 0.05, 0.05, 0.0025, replicas=4, seed=1)
+        step_full_em(ParticleEnsembleFull(0.0, 0.05, np.zeros((2, 1)), np.zeros((2, 1))),
+                     model, 0.0025, np.full((2, 1), 0.1))
+        step_limit_em(ParticleEnsembleLimit(0.0, np.zeros((2, 1))), model, 0.01,
+                      np.full((2, 1), 0.1))
 
     def test_finest_of_nested_grids_keeps_the_bits_of_a_run_alone(self):
         # m = 2, 4 and 20 nest in the finest grid, whose increments are then
@@ -730,7 +780,7 @@ class TestVelocityDiagnostics:
         batches = []   # per _march call (one batch): record index -> V
         march = dynamics._march
 
-        def spy(model, blocks, systems, XL, *, on_step, **kwargs):
+        def spy(model, blocks, systems, *, on_step, **kwargs):
             seen = {0: systems[0][2].copy()}
             batches.append(seen)
 
@@ -739,7 +789,7 @@ class TestVelocityDiagnostics:
                     seen[s // rec_every] = V.copy()
                 on_step(s, V)
 
-            return march(model, blocks, systems, XL, on_step=capture, **kwargs)
+            return march(model, blocks, systems, on_step=capture, **kwargs)
 
         monkeypatch.setattr(dynamics, "_march", spy)
         diag = diagnostics_velocity(
@@ -772,7 +822,7 @@ class TestVelocityDiagnostics:
         sups = []   # per _march call (one batch): the running sup of |eps v|
         march = dynamics._march
 
-        def spy(model, blocks, systems, XL, *, on_step, **kwargs):
+        def spy(model, blocks, systems, *, on_step, **kwargs):
             sup = np.linalg.norm(eps * systems[0][2], axis=-1).max(axis=-1)
             sups.append(sup)
 
@@ -780,7 +830,7 @@ class TestVelocityDiagnostics:
                 np.maximum(sup, np.linalg.norm(eps * V, axis=-1).max(axis=-1), out=sup)
                 on_step(s, V)
 
-            return march(model, blocks, systems, XL, on_step=capture, **kwargs)
+            return march(model, blocks, systems, on_step=capture, **kwargs)
 
         monkeypatch.setattr(dynamics, "_march", spy)
         diag = diagnostics_velocity(

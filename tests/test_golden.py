@@ -30,8 +30,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # eps = 0.01 row is that grid's own run.
 GOLDEN_FILES = {
     ("converge", "convergence_constant.json"): {
-        "report.json": "b33ff089490e6ac074c60905593e23ec1028d93459870e95645d82388722ce1a",
-        "report.csv": "c1da229494adb86042c3780b46e8689069ddb6f8eb5dac1333e22494a97d2a1b",
+        "report.json": "5ac661b36d8e687a94279f6bf949a1a8ede2253aa37297b4eb5fd0023751c4f4",
+        "report.csv": "2de1bfab5bea8ef14c0692e438ba9baa870d1c2b3eb63595459fa95852663e0b",
     },
     ("simulate", "simulate_interaction.json"): {
         "paths.csv": "78bc5fa7ed454f63364ad75ef1167f4f1e552c4e9fe5c663318d4a3407ae3f56",

@@ -538,6 +538,32 @@ class TestLimitDriftInputs:
         with pytest.raises(ValidationError):
             limit_drift_fields(model, np.zeros(X_shape), samples)
 
+    def test_nested_lists_are_converted_as_the_point_functions_convert(self):
+        model = interaction()
+        X = np.array([[[0.1], [0.2]]])
+        got = limit_drift_fields(model, X.tolist())
+        want = limit_drift_fields(model, X)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        with pytest.raises(ValidationError):
+            limit_drift_fields(model, [[[0.1], [0.2, 0.3]]])   # ragged
+        with pytest.raises(ValidationError):
+            limit_drift_fields(model, X, [[["a"]]])
+
+    def test_a_float_array_is_used_with_no_copy(self, monkeypatch):
+        # the limit step's hot path: the points reach the coefficients as given
+        model = interaction()
+        X = np.array([[[0.1], [0.2]]])
+        seen = []
+        friction = model.friction_field
+
+        def spy(X, S):
+            seen.append(X)
+            return friction(X, S)
+
+        monkeypatch.setattr(model, "friction_field", spy)
+        limit_drift_fields(model, X)
+        assert seen[0] is X
+
 
 class TestPointDriftsAlone:
     # drift_S and drift_S_tilde each compute their own correction only, with
