@@ -50,7 +50,6 @@ DEFAULT_REPLICAS = 100
 class RunConfig:
     seed: int
     output_dir: str
-    model_spec: ModelSpec
     model: SystemModel
     dim: int
     noise_dim: int
@@ -63,7 +62,6 @@ class RunConfig:
     replicas: int
     x0: object
     v0: object
-    mode: str
 
 
 def _require_keys(obj: dict, allowed: set, where: str):
@@ -151,8 +149,7 @@ def parse_config(text: str) -> RunConfig:
     params = model_obj.get("params", {})
     if not isinstance(params, dict):
         raise ValidationError("model.params must be an object")
-    spec = ModelSpec(family, params)
-    model = model_library(spec)
+    model = model_library(ModelSpec(family, params))
 
     sim = doc.get("simulation")
     if not isinstance(sim, dict):
@@ -227,7 +224,6 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(
         seed=seed,
         output_dir=output_dir,
-        model_spec=spec,
         model=model,
         dim=int(dim),
         noise_dim=int(noise_dim),
@@ -240,7 +236,6 @@ def parse_config(text: str) -> RunConfig:
         replicas=int(replicas),
         x0=x0,
         v0=v0,
-        mode=mode,
     )
 
 
@@ -340,7 +335,7 @@ def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config, args.seed, args.out)
     eps = _resolve_single_epsilon(cfg)
     delta = cfg.delta_rule.resolve(eps, cfg.Delta)
-    _preflight(cfg.model, cfg.delta_rule)
+    _preflight(cfg.model, cfg.delta_rule, cfg.seed)
     result = simulate_coupled(
         cfg.model, eps, cfg.T, delta, cfg.Delta, cfg.n_particles,
         replica_id=0, seed=cfg.seed, x0=cfg.x0, v0=cfg.v0,

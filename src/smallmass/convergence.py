@@ -18,6 +18,7 @@ noise block size.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,6 +29,7 @@ from .dynamics import (
     DEFAULT_KAPPA,
     SCHEME_EXPLICIT,
     SCHEME_EXPONENTIAL,
+    ProbeConfig,
     _check_explicit_damping,
     _ratio_int,
     _run_replicas,
@@ -39,6 +41,7 @@ from .errors import (
     DegenerateFit,
     InsufficientReplicas,
     ValidationError,
+    integer,
 )
 from .linalg import inv_batch
 from .models import ModelSpec, SystemModel
@@ -53,6 +56,9 @@ class DeltaRule:
     delta: Optional[float] = None
 
     def __post_init__(self):
+        given = [self.kappa] if self.delta is None else [self.kappa, self.delta]
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in given):
+            raise ValidationError(f"kappa = {self.kappa!r} and delta = {self.delta!r} must be numbers")
         if self.scheme not in (SCHEME_EXPLICIT, SCHEME_EXPONENTIAL):
             raise ValidationError(f"unknown delta_rule scheme {self.scheme!r}")
         if self.scheme == SCHEME_EXPLICIT and not 0.0 < self.kappa < np.inf:
@@ -69,11 +75,12 @@ class DeltaRule:
         return Delta / m
 
 
-def _preflight(model: SystemModel, delta_rule: DeltaRule):
-    """The checks a run makes before any step: the assumption probe, then, under
-    the explicit rule, StepTooLarge on a probed friction that one step would not
+def _preflight(model: SystemModel, delta_rule: DeltaRule, seed: int):
+    """The checks a run makes before any step: the assumption probe at the run's
+    ``seed``, on the states ``smallmass validate`` reports on, then, under the
+    explicit rule, StepTooLarge on a probed friction that one step would not
     damp (``_check_explicit_damping``)."""
-    probed = validate_assumptions(model).friction
+    probed = validate_assumptions(model, ProbeConfig(seed=seed)).friction
     if delta_rule.scheme == SCHEME_EXPLICIT:
         _check_explicit_damping(probed, delta_rule.kappa)
 
@@ -137,12 +144,11 @@ def run_convergence(
     ``threads`` (>= 1) has no effect; it stays for the callers that pass it.
     """
     eps_values = _check_epsilons(eps_list)
-    if replicas < 2:
+    if integer(replicas, "replicas") < 2:
         raise InsufficientReplicas("need at least 2 replicas")
-    if threads < 1:
-        raise ValidationError("threads must be >= 1")
+    integer(threads, "threads", 1)
     if validate:
-        _preflight(model, delta_rule)
+        _preflight(model, delta_rule, seed)
     deltas = [delta_rule.resolve(eps, Delta) for eps in eps_values]
     sup = _run_replicas(
         model, eps_values, deltas, T, Delta, n_particles, range(replicas), seed,
@@ -173,8 +179,8 @@ def fit_rate(report: ConvergenceReport) -> RateFit:
     err = np.asarray(report.errors, dtype=float)
     if len(np.unique(eps)) < 3:
         raise DegenerateFit("need at least 3 distinct epsilon values")
-    if np.any(err <= 0.0):
-        raise DegenerateFit("all error estimates must be positive to fit a rate")
+    if not all(((v > 0.0) & (v < np.inf)).all() for v in (eps, err)):   # NaN fails too
+        raise DegenerateFit("every error estimate and epsilon must be finite and positive to fit a rate")
     x = np.log(eps)
     y = np.log(err)
     xbar, ybar = x.mean(), y.mean()
@@ -237,18 +243,12 @@ def constant_reduction_check(
 
     Only meaningful for constant-friction models, where both correction
     drifts are exactly zero and the two integrations must coincide exactly
-    on the same driver; no eps enters the comparison.
+    on the same driver; no eps enters the comparison.  ValidationError unless
+    the friction takes one value on every state and measure of the assumption
+    probe at ``seed`` (``validate_assumptions``).
     """
-    d = model.dim
-    states = np.array([[0.0], [1.3], [-0.7], [0.0]]) * np.ones((1, d))
-    clouds = np.stack([
-        np.stack([states[0], states[0] + 0.5]),
-        np.stack([states[0], states[0] + 0.5]),
-        np.stack([states[0], states[0] + 0.5]),
-        np.stack([states[0] - 1.0, states[0] + 2.0]),
-    ])
-    fr = model.friction_field(states[:, None, :], clouds)
-    if not all(np.array_equal(fr[0], fr[i]) for i in (1, 2, 3)):
+    probed = validate_assumptions(model, ProbeConfig(seed=seed)).friction
+    if not (probed == probed[0, 0]).all():
         raise ValidationError("reduction check requires a constant-friction model")
     limit = run_limit_path(model, T, Delta, n_particles, 0, seed, x0)
     naive = _naive_overdamped_path(model, T, Delta, n_particles, 0, seed, x0)

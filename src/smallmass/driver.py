@@ -45,7 +45,7 @@ import numbers
 
 import numpy as np
 
-from .errors import GridMismatch, ValidationError
+from .errors import GridMismatch, ValidationError, integer
 
 # Bytes of fast increments drawn at a time by ``NoiseDriver.blocks``.  In a
 # run of several blocks, each block costs a state load per stream, 1.3 us, and
@@ -239,14 +239,10 @@ class NoiseDriver:
     """
 
     def __init__(self, master_seed: int, delta: float, m_substeps: int = 1):
-        if isinstance(master_seed, bool) or not isinstance(master_seed, (int, np.integer)):
-            raise ValidationError(f"master seed must be an integer, got {master_seed!r}")
-        if master_seed < 0:
-            raise ValidationError(f"master seed must be >= 0, got {master_seed}")
+        self.master_seed = integer(master_seed, "master seed", 0)
         if not (isinstance(delta, numbers.Real) and 0.0 < delta < np.inf):
             raise ValidationError(f"fast step must be positive and finite, got {delta!r}")
         self.m_substeps = _step_count(m_substeps)
-        self.master_seed = int(master_seed)
         self.delta = float(delta)
         # standard deviation of an increment; per substep, (m_substeps, 1),
         # when a window's substeps are unequal
@@ -295,7 +291,7 @@ class NoiseDriver:
         last piece, whose states nothing reads, so none are saved (``blocks``
         sets it on a run's last block).
         """
-        replicas = [int(r) for r in replicas]
+        replicas = [integer(r, "replica id") for r in replicas]
         scale = self._scale
         if np.ndim(scale):   # a union driver: one factor per substep of a window
             if n_steps % self.m_substeps:

@@ -44,6 +44,7 @@ from .errors import (
     StepTooLarge,
     ValidationError,
     ValidationFailure,
+    integer,
 )
 from .linalg import expm, inv_batch, matmat, matvec, min_sym_eig_batch
 from .measures import EmpiricalMeasure, wasserstein2_assignment
@@ -73,8 +74,7 @@ SCHEME_EXPONENTIAL = "exponential"
 def _state_array(value, n_particles: int, dim: int, name: str) -> np.ndarray:
     """``value``, a number, a ``(dim,)`` row or an ``(n_particles, dim)`` array, as
     a read-only ``(n_particles, dim)`` view: nothing of size n_particles is made."""
-    if n_particles < 1:
-        raise ValidationError(f"n_particles must be >= 1, got {n_particles}")
+    integer(n_particles, "n_particles", 1)
     try:
         arr = np.asarray(_reals(value, name))
     except ValueError:   # ragged nesting
@@ -555,10 +555,8 @@ def diagnostics_velocity(
     taken once at the end: sqrt is correctly rounded and monotone, so the
     sqrt of the max is the max of the sqrts bit for bit, and no step pays
     for a norm."""
-    if replicas < 2:
-        raise ValidationError("diagnostics need at least two replicas")
-    if n_record < 1:
-        raise ValidationError("n_record must be >= 1")
+    integer(replicas, "diagnostics replicas", 2)
+    integer(n_record, "n_record", 1)
     rec_every, z_sum, z_sq_sum = 1, None, None   # step 0 is a record step whatever the grid
 
     def on_step(rows, s, V):   # rows[0]: the running sup of |eps v|^2 per replica
@@ -606,7 +604,8 @@ EIG_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """State box, pair counts and seed for assumption probing."""
+    """State box, pair counts and seed for assumption probing; the counts and
+    the seed are checked here, before any probe."""
 
     lo: float = -2.0
     hi: float = 2.0
@@ -614,6 +613,12 @@ class ProbeConfig:
     n_measures: int = 4
     n_pairs: int = 64
     seed: int = 0
+
+    def __post_init__(self):
+        integer(self.n_states, "n_states", 1)
+        integer(self.n_measures, "n_measures", 1)
+        integer(self.n_pairs, "n_pairs", 0)
+        integer(self.seed, "seed", 0)
 
 
 @dataclass

@@ -3,8 +3,11 @@
 Two branches matter for the CLI exit-code mapping: ``ValidationFailure``
 (bad input or configuration, detected before/without numerics) and
 ``NumericalFailure`` (a numerical routine could not deliver a trustworthy
-result).
+result).  ``integer`` is the one check of the integers a caller passes:
+seeds, replica ids and counts.
 """
+
+import numbers
 
 
 class SmallmassError(Exception):
@@ -65,6 +68,16 @@ class ValidationError(ValidationFailure):
     """Configuration document violates the schema."""
 
 
+def integer(value, what: str, least=None) -> int:
+    """``value`` as an int.  ValidationError unless it is an integer, Python's
+    or numpy's but not a bool, and, when ``least`` is given, at least that."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValidationError(f"{what} must be >= {least}, got {value}")
+    return int(value)
+
+
 class UsageError(SmallmassError):
     """Command line could not be parsed."""
 
@@ -109,5 +122,7 @@ class AssumptionViolated(NumericalFailure):
 
 
 class IllConditionedWarning(UserWarning):
-    """The Kronecker operator of a point Lyapunov/Sylvester solve has a
-    condition number (largest over smallest singular value) above 1e12."""
+    """A point Lyapunov/Sylvester solve is flagged as ill-conditioned: the bound
+    (||G1||_2 + ||G2||_2) / 2c on the condition number of its Kronecker
+    operator, c the smallest symmetric-part eigenvalue of G1 and G2, is above
+    1e12."""

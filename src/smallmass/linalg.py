@@ -23,11 +23,13 @@ eigenpairs are complex: O(d^3) per solve.  A diagonal stack has the exact
 factors (diag, I, I) and takes no eigen-decomposition, so two diagonal sides
 give J = Q / (g1_a + g2_b): the bits LAPACK's eigenvectors give, which are
 exactly I on a diagonal matrix, up to the sign of an exact zero in J where Q
-holds a -0.0.  When an eigenvector matrix of either stack is singular or has
-||V||_F ||V^-1||_F above _SPECTRAL_COND_MAX (a defective or nearly defective
-G, such as [[2, 1], [0, 2]]), the whole call falls back to the vectorized
-d^2 x d^2 Kronecker system G1 (x) I + I (x) G2 solved by LAPACK (O(d^6) per
-solve).  Stack kernels do no checks; ``expm`` alone checks the shape and
+holds a -0.0.  A matrix whose eigenvector matrix has ||V||_F ||V^-1||_F
+above _SPECTRAL_COND_MAX (a defective or nearly defective G, such as
+[[2, 1], [0, 2]]) is flagged, and only the pairs that touch it fall back to
+the vectorized d^2 x d^2 Kronecker system G1 (x) I + I (x) G2 solved by
+LAPACK (O(d^6) per solve), so each pair's bits depend on its own two
+matrices; the whole call falls back only when eig or the inverse of V fails.
+Stack kernels do no checks; ``expm`` alone checks the shape and
 finiteness of every matrix.  The point functions accept square matrices and
 check them: ``min_sym_eig``; the point solvers, which also refuse or flag an
 ill-conditioned equation; and the quadrature oracles, which evaluate the one
@@ -69,9 +71,9 @@ _TAYLOR_RADIUS = 0.25
 # number of G1 (x) I + I (x) G2 (``_point_solve``).
 _PIVOT_RTOL = 1e-14
 _PIVOT_RATIO_WARN = 1e12
-# Stack solver: largest eigenvector condition number ||V||_F ||V^-1||_F of G1
-# or G2 that the spectral solve accepts; above it the call takes the Kronecker
-# solve.  The spectral solve's error grows about like 1e-16 times this number,
+# Stack solver: largest eigenvector condition number ||V||_F ||V^-1||_F of a
+# matrix of G1 or G2 that the spectral solve accepts; above it the pairs that
+# touch the matrix take the Kronecker solve.  The spectral solve's error grows about like 1e-16 times this number,
 # so the two agree to about 1e-13 relative.
 _SPECTRAL_COND_MAX = 1e3
 _ZERO = np.zeros(())   # faster to add than the float 0.0
@@ -219,7 +221,7 @@ def min_sym_eig(M) -> float:
 # --- the one equation: G1 J + J G2^T = Q ---------------------------------------
 #
 # ``_stacked_solve`` is the spectral solve behind every solver.  ``_solve``,
-# its fallback for defective frictions, assembles the Kronecker operator for
+# its fallback for the pairs that touch a defective friction, assembles the Kronecker operator for
 # broadcastable stacks and hands it to LAPACK's batched solver.  Neither checks
 # anything; callers have checked stability already.
 
@@ -241,8 +243,10 @@ def _solve(G1: np.ndarray, G2: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def _eigenbasis(G: np.ndarray):
-    """(lambda, V, V^-1) of every matrix of the stack G, or None when an
-    eigenvector matrix is singular or has ||V|| ||V^-1|| above _SPECTRAL_COND_MAX."""
+    """(lambda, V, V^-1, bad) of every matrix of the stack G, or None when eig
+    or inv raises LinAlgError.  ``bad`` flags each matrix whose ||V|| ||V^-1||
+    is above _SPECTRAL_COND_MAX, its V and V^-1 replaced by I so that the
+    spectral arithmetic stays finite; None when no matrix is flagged."""
     try:
         lam, V = np.linalg.eig(G)
         W = np.linalg.inv(V)
@@ -250,23 +254,26 @@ def _eigenbasis(G: np.ndarray):
         return None
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow reads inf
         cond = np.linalg.norm(V, axis=(-2, -1)) * np.linalg.norm(W, axis=(-2, -1))
-    if not cond.max(initial=0.0) <= _SPECTRAL_COND_MAX:   # inf and NaN fall back too
-        return None
-    return lam, V, W
+    bad = ~(cond <= _SPECTRAL_COND_MAX)   # inf and NaN are flagged too
+    if not bad.any():
+        return lam, V, W, None
+    V[bad] = W[bad] = np.eye(G.shape[-1])
+    return lam, V, W, bad
 
 
 class Eigenbasis:
     """The factors of a stack G (..., d, d) taken once for several stack solves
     on the same matrices: ``factors`` is (lambda, V, V^-1) of G = V diag(lambda)
-    V^-1; on diagonal stacks, which include every d = 1 stack, it is
-    (diag, None, None), the exact factors (diag, I, I) with no products to
-    take; None where the solves take ``_solve``, for an ill-conditioned
-    eigenbasis.  One object, not a tuple of arrays, because ``perfbench``'s
-    tracer counts the solves from every argument's shape."""
+    V^-1 and the flags of ``_eigenbasis``; on diagonal stacks, which include
+    every d = 1 stack, it is (diag, None, None, None), the exact factors
+    (diag, I, I) with no products to take; None where eig or inv fails, and
+    the solves take ``_solve`` whole.  One object, not a tuple of arrays,
+    because ``perfbench``'s tracer counts the solves from every argument's
+    shape."""
 
     def __init__(self, G: np.ndarray):
         diag = _diagonal(G)
-        self.factors = _eigenbasis(G) if diag is None else (diag, None, None)
+        self.factors = _eigenbasis(G) if diag is None else (diag, None, None, None)
 
 
 def _stacked_solve(G1, G2, Q, one=None, two=None) -> np.ndarray:
@@ -275,14 +282,14 @@ def _stacked_solve(G1, G2, Q, one=None, two=None) -> np.ndarray:
     broadcast against each other, or taken from their ``Eigenbasis`` ``one``
     and ``two`` when given; a diagonal side's eigenvectors are I, and its
     products are skipped, so two diagonal sides give Q / (g1_a + g2_b).
-    ``_solve`` on the whole call when either eigenbasis is ill-conditioned."""
+    The pairs that touch a flagged, ill-conditioned matrix of either side are
+    solved again by ``_solve``, so each pair's bits depend on its own two
+    matrices only; the whole call takes ``_solve`` where an eigenbasis failed."""
     one = Eigenbasis(G1) if one is None else one
-    if one.factors is None:
-        return _solve(G1, G2, Q)
     two = (one if G2 is G1 else Eigenbasis(G2)) if two is None else two
-    if two.factors is None:
+    if one.factors is None or two.factors is None:
         return _solve(G1, G2, Q)
-    (lam1, V1, W1), (lam2, V2, W2) = one.factors, two.factors
+    (lam1, V1, W1, bad1), (lam2, V2, W2, bad2) = one.factors, two.factors
     # each factor laid out as its G, which may hold it with unit axes inserted
     Qh = Q if W1 is None else W1.reshape(G1.shape) @ Q
     if W2 is not None:
@@ -292,7 +299,15 @@ def _stacked_solve(G1, G2, Q, one=None, two=None) -> np.ndarray:
         J = V1.reshape(G1.shape) @ J
     if V2 is not None:
         J = J @ np.swapaxes(V2.reshape(G2.shape), -1, -2)
-    return J.real if np.iscomplexobj(J) else J
+    J = J.real if np.iscomplexobj(J) else J
+    if bad1 is None and bad2 is None:
+        return J
+    pairs = np.zeros(J.shape[:-2], dtype=bool)
+    for G, bad in ((G1, bad1), (G2, bad2)):
+        if bad is not None:
+            pairs |= bad.reshape(G.shape[:-2])
+    J[pairs] = _solve(*(np.broadcast_to(M, J.shape)[pairs] for M in (G1, G2, Q)))
+    return J
 
 
 def lyapunov_batch(gammas: np.ndarray, Qs: np.ndarray, basis=None) -> np.ndarray:

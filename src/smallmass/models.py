@@ -40,8 +40,9 @@ own measure) and ``m`` indexes evaluation points; measure samples are
 ``(B, n, d)``.  The interaction friction and its two derivatives are one
 closure set at every d, on the (B, m, n, d) differences x - y; the
 differences and 1 + |x - y|^2 have one helper each, which the carrillo-force
-force shares.  A constant coefficient hands out one read-only view per batch
-shape.
+force shares.  The friction profile a + b tanh(x) and its slope are one
+helper, ``_tanh_friction``, which the scalar-state family shares with them.  A
+constant coefficient hands out one read-only view per batch shape.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .errors import (
     UnknownFamily,
     UnstableFriction,
     ValidationError,
+    integer,
 )
 from .measures import EmpiricalMeasure
 
@@ -108,10 +110,8 @@ class SystemModel:
     ):
         if mode not in (MODE_STATE_ONLY, MODE_EXTENSION):
             raise ValidationError(f"unknown mode {mode!r}")
-        if dim < 1 or noise_dim < 1:
-            raise ValidationError("dim and noise_dim must be >= 1")
-        self.dim = int(dim)
-        self.noise_dim = int(noise_dim)
+        self.dim = integer(dim, "dim", 1)
+        self.noise_dim = integer(noise_dim, "noise_dim", 1)
         self.mode = mode
         self.spec = spec
         self._force = force
@@ -274,6 +274,12 @@ def _tanh_profile(params, family):
     return a, b
 
 
+def _tanh_friction(a, b):
+    """The profile a + b tanh(x) and its slope b sech^2(x), entrywise on X: the
+    one source of both for the scalar-state and the interaction families."""
+    return (lambda X: a + b * np.tanh(X)), (lambda X: b * (1.0 / np.cosh(X) ** 2))
+
+
 def _interaction_friction(params, family, d):
     """(friction, friction_dx, friction_dmu) of gamma(x, mu) = a I + b diag(tanh x_i)
     + mean_{y~mu} psi(x - y) I, psi(z) = c / (1 + |z|^2) with c >= 0: the measure
@@ -311,6 +317,7 @@ def _pairwise_closures(a, b, c, d):
     """The interaction friction closures at every d, on the (B, m, n, d)
     differences, updated in place, and the diagonal entries written through
     strided views of the zero output."""
+    profile, slope = _tanh_friction(a, b)
 
     def friction(X, S):
         B, m, _ = X.shape
@@ -318,7 +325,7 @@ def _pairwise_closures(a, b, c, d):
         q = _one_plus_squared(diff, out=diff[..., 0])
         psi = np.divide(c, q, out=q).mean(axis=2)           # (B, m)
         out = np.zeros((B, m, d, d))
-        out.reshape(B, m, d * d)[..., :: d + 1] = a + b * np.tanh(X) + psi[..., None]
+        out.reshape(B, m, d * d)[..., :: d + 1] = profile(X) + psi[..., None]
         return out
 
     def friction_dx(X, S):
@@ -329,7 +336,7 @@ def _pairwise_closures(a, b, c, d):
         grad_psi = (-2.0 * c) * np.divide(diff, q2[..., None], out=diff).mean(axis=2)
         out = np.zeros((B, m, d, d, d))
         # diagonal tanh profile: d gamma_ii / d x_i
-        out.reshape(B, m, d ** 3)[..., :: d * d + d + 1] = b * (1.0 / np.cosh(X) ** 2)
+        out.reshape(B, m, d ** 3)[..., :: d * d + d + 1] = slope(X)
         # shared psi term: d gamma_ii / d x_l for every i, l
         out.reshape(B, m, d * d, d)[:, :, :: d + 1] += grad_psi[:, :, None, :]
         return out
@@ -361,17 +368,10 @@ def _build_constant(params) -> SystemModel:
 
 
 def _build_scalar_state(params) -> SystemModel:
-    a, b = _tanh_profile(params, "scalar-state")
+    profile, slope = _tanh_friction(*_tanh_profile(params, "scalar-state"))
     sigma = np.full((1, 1), _param(params, "sigma", default=1.0))
-
-    def friction(X, S):
-        return (a + b * np.tanh(X))[..., None]
-
-    def friction_dx(X, S):
-        sech2 = 1.0 / np.cosh(X) ** 2
-        return (b * sech2)[..., None, None]
-
-    return SystemModel(1, 1, lambda X, S: -X, _constant(sigma), friction, friction_dx)
+    return SystemModel(1, 1, lambda X, S: -X, _constant(sigma),
+                       lambda X, S: profile(X)[..., None], lambda X, S: slope(X)[..., None, None])
 
 
 def _build_interaction(params) -> SystemModel:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smallmass import cli, driver, dynamics, linalg
+from smallmass import cli, convergence, driver, dynamics, linalg
 from smallmass.cli import dispatch, main, parse_config
 from smallmass.errors import ParseError, ValidationError
 
@@ -49,7 +49,7 @@ class TestParseConfig:
         assert cfg.replicas == 100
         assert cfg.seed == 0
         assert cfg.n_particles == 1
-        assert cfg.mode == "state-only"
+        assert cfg.model.mode == "state-only"
 
     def test_rejects_unknown_key(self):
         doc = base_config()
@@ -220,6 +220,25 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "min_sym_eig=2" in out
         assert "violated=false" in out
+
+    def test_every_command_probes_the_states_validate_reports_on(self, tmp_path, monkeypatch):
+        # one probe per run, at the run's seed: --seed overrides the config's
+        seeds = []
+
+        def probe(model, config):
+            seeds.append(config.seed)
+            return dynamics.validate_assumptions(model, config)
+
+        monkeypatch.setattr(cli, "validate_assumptions", probe)
+        monkeypatch.setattr(convergence, "validate_assumptions", probe)
+        doc = base_config()
+        doc["output_dir"] = str(tmp_path / "out")
+        cfg = write(tmp_path / "c.json", doc)
+        conv = converge_config(epsilon_list=[0.1, 0.05, 0.025])
+        conv = write(tmp_path / "v.json", {**conv, "output_dir": str(tmp_path / "v")})
+        for argv in (["validate", cfg], ["simulate", cfg], ["converge", conv], ["reduce-check", cfg]):
+            assert dispatch(argv + ["--seed", "5"]) == 0
+        assert seeds == [5, 5, 5, 5]
 
 
 class TestSimulateCommand:

@@ -67,6 +67,14 @@ class TestFitRate:
             fit_rate(synthetic_report([0.1, 0.05], [0.1, 0.05]))
         with pytest.raises(DegenerateFit):
             fit_rate(synthetic_report([0.1, 0.05, 0.02], [0.1, 0.0, 0.02]))
+        # a NaN error once fitted NaN, an infinite one and a zero epsilon
+        # raised RuntimeWarnings
+        for name, value in (("errors", np.nan), ("errors", np.inf), ("epsilons", 0.0),
+                            ("epsilons", np.inf), ("epsilons", np.nan)):
+            rep = synthetic_report([0.1, 0.05, 0.02], [0.1, 0.05, 0.02])
+            getattr(rep, name)[1] = value
+            with pytest.raises(DegenerateFit, match="finite and positive"):
+                fit_rate(rep)
 
 
 class TestDeltaRule:
@@ -213,6 +221,33 @@ class TestRunConvergence:
                 seed=seed, delta_rule=DeltaRule(), Delta=0.01, validate=False,
             )
 
+    # the probe draws from the seed, and numpy's generator raised an untyped
+    # ValueError for -1
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_the_probe_rejects_a_seed_that_is_not_a_master_seed(self, seed):
+        with pytest.raises(ValidationError, match="seed must be"):
+            run_convergence(
+                constant_model(), [0.1, 0.05], T=0.1, n_particles=1, replicas=2,
+                seed=seed, delta_rule=DeltaRule(), Delta=0.01,
+            )
+        with pytest.raises(ValidationError, match="seed must be"):
+            constant_reduction_check(constant_model(), T=0.1, seed=seed)
+
+    def test_the_preflight_probes_at_the_run_seed(self, monkeypatch):
+        seeds = []
+
+        def probe(model, config):
+            seeds.append(config.seed)
+            return dynamics.validate_assumptions(model, config)
+
+        monkeypatch.setattr(convergence, "validate_assumptions", probe)
+        run_convergence(
+            constant_model(), [0.1, 0.05], T=0.05, n_particles=1, replicas=2,
+            seed=17, delta_rule=DeltaRule(), Delta=0.01,
+        )
+        constant_reduction_check(constant_model(), T=0.05, seed=18)
+        assert seeds == [17, 18]
+
     @pytest.mark.parametrize("threads", [0, -2])
     def test_rejects_threads_below_one(self, threads):
         with pytest.raises(ValidationError, match="threads"):
@@ -314,6 +349,16 @@ class TestConstantReductionCheck:
     def test_rejects_state_dependent_friction(self):
         model = model_library(ModelSpec("scalar-state", {"a": 2.0, "b": 1.0}))
         with pytest.raises(ValidationError):
+            constant_reduction_check(model, T=0.1, seed=0)
+
+    def test_decides_on_every_probed_state(self):
+        # constant but near the edge of the probe box, which the probe's 64
+        # states reach at d = 1
+        def friction(X, S):
+            return (2.0 + (np.abs(X) > 1.95))[..., None]
+
+        model = SystemModel(1, 1, lambda X, S: -X, lambda X, S: np.ones(X.shape + (1,)), friction)
+        with pytest.raises(ValidationError, match="constant-friction"):
             constant_reduction_check(model, T=0.1, seed=0)
 
     def test_interaction_family_ratios_bounded(self):

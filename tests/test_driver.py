@@ -59,6 +59,17 @@ class TestKeyHash:
         with pytest.raises(ValidationError, match="2\\*\\*32"):
             NoiseDriver(3, 0.01).fast_increments(replica, 1, 1, 4)
 
+    # 1.5 and True once drew replica 1: the master seed's rule
+    @pytest.mark.parametrize("replica", [1.5, True, np.True_, 2.0, "1"])
+    def test_non_integer_replica_id_is_rejected(self, replica):
+        with pytest.raises(ValidationError, match="replica id must be an integer"):
+            NoiseDriver(1, 0.01).fast_increments(replica, 1, 1, 4)
+
+    @pytest.mark.parametrize("replica", [np.int64(3), np.uint32(3)])
+    def test_numpy_integer_replica_id_is_its_value(self, replica):
+        want = NoiseDriver(1, 0.01).fast_increments(3, 1, 1, 4)
+        assert np.array_equal(NoiseDriver(1, 0.01).fast_increments(replica, 1, 1, 4), want)
+
     def test_negative_master_seed_is_rejected(self):
         with pytest.raises(ValidationError, match="seed"):
             NoiseDriver(-1, 0.01)

@@ -147,6 +147,20 @@ class TestFullSteppers:
             for _ in range(10000):
                 ens = step_full_em(ens, cubic_model(), 0.05, np.zeros((1, 1)))
 
+    def test_increment_of_the_wrong_shape_is_rejected(self):
+        ens = ParticleEnsembleFull(0.0, 0.1, np.array([[1.5]]), np.array([[0.0]]))
+        with pytest.raises(ValidationError, match="increment must have shape"):
+            step_full_em(ens, free_model(), 0.001, np.zeros((1, 2)))
+
+    def test_exponential_step_rejects_a_negative_step(self):
+        ens = ParticleEnsembleFull(0.0, 0.1, np.array([[1.5]]), np.array([[0.0]]))
+        with pytest.raises(ValidationError, match="nonnegative"):
+            step_full_exponential(ens, free_model(), -0.001, np.zeros((1, 1)))
+
+    def test_ensemble_needs_an_n_by_d_state(self):
+        with pytest.raises(ValidationError, match="matching"):
+            ParticleEnsembleFull(0.0, 0.1, np.array([1.5]), np.array([0.0]))
+
 
 class TestGuard:
     # one reduction, np.abs(arr).max(), and one comparison that NaN fails
@@ -180,6 +194,10 @@ class TestLimitStepper:
         ens = ParticleEnsembleLimit(0.0, np.array([[0.7]]))
         out = step_limit_em(ens, model, 0.05, np.zeros((1, 1)))
         assert np.array_equal(out.x, ens.x)
+
+    def test_ensemble_state_must_be_finite(self):
+        with pytest.raises(ValidationError, match="finite"):
+            ParticleEnsembleLimit(0.0, np.array([[0.7], [np.nan]]))
 
     def test_constant_family_reduces_to_overdamped_euler(self):
         model = constant_model(gamma=2.0, K=1.5, sigma=0.8, d=2)
@@ -249,6 +267,58 @@ class TestRunInputValidation:
                 constant_model(), 0.05, T=0.1, delta=0.0025, replicas=2, seed=0,
                 n_record=n_record,
             )
+
+    def test_diagnostics_rejects_a_single_replica(self):
+        with pytest.raises(ValidationError, match="replicas"):
+            diagnostics_velocity(constant_model(), 0.05, T=0.1, delta=0.0025, replicas=1, seed=0)
+
+    def test_simulate_coupled_rejects_an_unknown_scheme(self):
+        with pytest.raises(ValidationError, match="unknown scheme"):
+            simulate_coupled(
+                constant_model(), eps=0.1, T=0.05, delta=0.005, Delta=0.01,
+                n_particles=1, replica_id=0, seed=0, scheme="implicit",
+            )
+
+    # each once a TypeError or ValueError from deeper down, or a silent
+    # truncation: SystemModel(1.5, ...) built a d = 1 model
+    @pytest.mark.parametrize("call", [
+        lambda: run_convergence(constant_model(), [0.1, 0.05], 0.05, 1, 2.5, 0, DeltaRule(), 0.01),
+        lambda: run_convergence(constant_model(), [0.1, 0.05], 0.05, 1.5, 2, 0, DeltaRule(), 0.01),
+        lambda: run_convergence(constant_model(), [0.1, 0.05], 0.05, 1, 2, 0, DeltaRule(), 0.01,
+                                threads="2"),
+        lambda: diagnostics_velocity(constant_model(), 0.05, 0.1, 0.0025, 2.5, 0),
+        lambda: diagnostics_velocity(constant_model(), 0.05, 0.1, 0.0025, 2, 0, n_record=2.5),
+        lambda: SystemModel(1.5, 1, None, None, None),
+        lambda: SystemModel("2", 1, None, None, None),
+        lambda: DeltaRule(kappa="20"),
+        lambda: validate_assumptions(constant_model(), ProbeConfig(n_states=0)),
+        lambda: ProbeConfig(n_measures=0),
+    ], ids=[
+        "run_convergence-replicas", "run_convergence-n_particles", "run_convergence-threads",
+        "diagnostics-replicas", "diagnostics-n_record", "SystemModel-float-dim",
+        "SystemModel-string-dim", "DeltaRule-string-kappa", "probe-n_states", "probe-n_measures",
+    ])
+    def test_a_count_that_is_not_an_integer_in_range_is_a_validation_error(self, call):
+        with pytest.raises(ValidationError):
+            call()
+
+    # 1.5 once ran replica 1, 2.9 replica 2 and True replica 1
+    @pytest.mark.parametrize("replica_id", [1.5, 2.9, True])
+    @pytest.mark.parametrize("run", [simulate_coupled, run_limit_path])
+    def test_a_replica_id_that_is_not_an_integer_is_rejected(self, run, replica_id):
+        kwargs = dict(T=0.05, Delta=0.01, n_particles=1, replica_id=replica_id, seed=0)
+        if run is simulate_coupled:
+            kwargs.update(eps=0.05, delta=0.0025)
+        with pytest.raises(ValidationError, match="replica id must be an integer"):
+            run(constant_model(), **kwargs)
+
+    def test_a_numpy_integer_replica_id_runs_that_replica(self):
+        model, kwargs = constant_model(), dict(T=0.05, Delta=0.01, n_particles=1, seed=0)
+        got, want = (run_limit_path(model, replica_id=r, **kwargs) for r in (np.int64(2), 2))
+        assert np.array_equal(got, want)
+        got, want = (simulate_coupled(model, 0.05, delta=0.0025, replica_id=r, **kwargs).sup_diff
+                     for r in (np.uint32(2), 2))
+        assert got == want
 
     @pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan"), float("inf")])
     def test_diagnostics_rejects_kappa_that_is_not_positive_and_finite(self, kappa):

@@ -420,6 +420,10 @@ class TestLyapunov:
         with pytest.raises(UnstableFriction):
             linalg.solve_lyapunov(np.array([[-1.0]]), np.array([[1.0]]))
 
+    def test_operands_of_different_dimensions_are_rejected(self):
+        with pytest.raises(ValidationError, match="one dimension"):
+            linalg.solve_lyapunov(np.eye(2), np.eye(3))
+
 
 class TestSylvester:
     def test_scalar(self):
@@ -462,6 +466,11 @@ class TestQuadrature:
     def test_scalar_case(self):
         J = linalg.lyapunov_by_quadrature(np.array([[2.0]]), np.array([[9.0]]), 1e-8)
         assert abs(J[0, 0] - 2.25) <= 1e-8
+
+    def test_zero_right_hand_side_gives_zeros(self):
+        gamma = np.array([[2.0, 0.5], [-0.3, 1.5]])
+        J = linalg.lyapunov_by_quadrature(gamma, np.zeros((2, 2)), 1e-8)
+        assert np.array_equal(J, np.zeros((2, 2)))
 
     def test_agrees_with_direct_solver(self):
         rng = np.random.default_rng(23)
@@ -598,18 +607,27 @@ class TestSpectralStackSolve:
             assert self.relative_gap(linalg.sylvester_batch(A, B, Q), linalg._solve(A, B, Q)) <= 1e-13
 
     def test_defective_friction_takes_the_kronecker_bits(self):
+        # per pair: the pairs that touch the defective matrix take _solve's
+        # bits, and every other pair keeps the spectral bits it has without it
         rng = np.random.default_rng(53)
         G1, G2, Q = self.stacks(rng, 2)
         defective = np.array([[2.0, 1.0], [0.0, 2.0]])
-        assert linalg._eigenbasis(defective) is None
-        assert linalg._eigenbasis(G1) is not None
-        G1[1, 3, 0] = defective
-        J = linalg.sylvester_batch(G1, G2, Q)
-        assert J.tobytes() == linalg._solve(G1, G2, Q).tobytes()
-        J = linalg.sylvester_batch(G2, G1, Q)     # the defective matrix on the y side
-        assert J.tobytes() == linalg._solve(G2, G1, Q).tobytes()
-        g, Q_x = G1[:, :, 0], Q[:, :, 0]
-        assert linalg.lyapunov_batch(g, Q_x).tobytes() == linalg._solve(g, g, Q_x).tobytes()
+        assert linalg._eigenbasis(defective)[3]
+        assert linalg._eigenbasis(G1)[3] is None
+        bad = G1.copy()
+        bad[1, 3, 0] = defective
+        touched = (1, 3)   # the pairs (1, 3, :) of the (B, N, n) stack
+        # the defective matrix on the x side, then on the y side
+        for A, B, A_bad, B_bad in ((G1, G2, bad, G2), (G2, G1, G2, bad)):
+            J, clean = linalg.sylvester_batch(A_bad, B_bad, Q), linalg.sylvester_batch(A, B, Q)
+            assert J[touched].tobytes() == linalg._solve(A_bad, B_bad, Q)[touched].tobytes()
+            J[touched] = clean[touched]
+            assert J.tobytes() == clean.tobytes()
+        g, g_bad, Q_x = G1[:, :, 0], bad[:, :, 0], Q[:, :, 0]
+        J, clean = linalg.lyapunov_batch(g_bad, Q_x), linalg.lyapunov_batch(g, Q_x)
+        assert J[touched].tobytes() == linalg._solve(g_bad, g_bad, Q_x)[touched].tobytes()
+        J[touched] = clean[touched]
+        assert J.tobytes() == clean.tobytes()
 
     def test_eigen_decompositions_run_on_the_unbroadcast_stacks(self, monkeypatch):
         factored = []

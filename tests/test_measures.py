@@ -111,6 +111,10 @@ class TestWassersteinAssignment:
             got = wasserstein2_assignment(EmpiricalMeasure(xs), EmpiricalMeasure(ys))
             assert got == pytest.approx(w2_bruteforce(xs, ys), abs=1e-12)
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            wasserstein2_assignment(EmpiricalMeasure(np.zeros((2, 1))), EmpiricalMeasure(np.zeros((2, 2))))
+
     def test_size_limit(self):
         pts = np.zeros((513, 1))
         with pytest.raises(SizeLimitExceeded):

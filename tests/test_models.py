@@ -148,6 +148,24 @@ class TestModelLibrary:
         with pytest.raises(ValidationError):
             model.force(0.0)
 
+    def test_matrix_parameter_of_the_wrong_shape(self):
+        with pytest.raises(ParameterViolation, match="must have shape"):
+            model_library(ModelSpec("constant", {"d": 2, "gamma0": [[1, 2]]}))
+
+    @pytest.mark.parametrize("dim, mode, match", [
+        (1, "implicit", "unknown mode"), (0, "state-only", "dim must be >= 1"),
+    ])
+    def test_system_model_rejects_an_unknown_mode_or_no_dimension(self, dim, mode, match):
+        with pytest.raises(ValidationError, match=match):
+            SystemModel(dim, 1, None, None, None, mode=mode)
+
+    def test_point_friction_checks_the_state_and_the_measure_dimension(self):
+        model = model_library(ModelSpec("constant", {"gamma0": 2.0, "d": 2}))
+        with pytest.raises(ValidationError, match="state must have dimension 2"):
+            model.friction(np.zeros(3), EmpiricalMeasure(np.zeros((1, 2))))
+        with pytest.raises(ValidationError, match="measure dimension 1"):
+            model.friction(np.zeros(2), EmpiricalMeasure(np.zeros((1, 1))))
+
 
 class TestGammaInvDx:
     def test_constant_family_is_zero(self):

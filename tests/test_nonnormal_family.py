@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from smallmass import linalg
+from smallmass.dynamics import _run_replicas, simulate_coupled
 from smallmass.measures import EmpiricalMeasure
 from smallmass.models import (
     MODE_EXTENSION,
@@ -204,10 +205,68 @@ def test_an_exceptional_point_takes_the_fallback_and_matches_the_oracles():
     gap = 0.8 * (np.tanh(0.9) - np.tanh(-0.4))
     model = nonnormal(d, omega=0.5 * gap / (phi_bar * abs(skew(d)[0, 1])))
     g = model.friction_field(X, X)
-    assert linalg._eigenbasis(g[0, :1]) is None
-    assert linalg._eigenbasis(g[0, 1:]) is not None
+    assert linalg._eigenbasis(g[0, :1])[3].all()
+    assert linalg._eigenbasis(g[0, 1:])[3] is None
+    # the solves of the drift: the pairs that touch the first point take the
+    # fallback's bits, the others the spectral bits they have without it
+    sig = model.noise_field(X, X)
+    Q = sig[:, :, None] @ np.swapaxes(sig, -1, -2)[:, None]
+    G1, G2 = g[:, :, None], g[:, None]
+    J, kron = linalg.sylvester_batch(G1, G2, Q), linalg._solve(G1, G2, Q)
+    for pairs in ((0, 0), (0, slice(None), 0)):
+        assert J[pairs].tobytes() == kron[pairs].tobytes()
+    clean = linalg.sylvester_batch(G1[:, 1:], G2[:, :, 1:], Q[:, 1:, 1:])
+    assert J[:, 1:, 1:].tobytes() == clean.tobytes()
+    Q_x = Q[:, range(3), range(3)]
+    J = linalg.lyapunov_batch(g, Q_x)
+    assert J[0, 0].tobytes() == linalg._solve(g, g, Q_x)[0, 0].tobytes()
+    assert J[:, 1:].tobytes() == linalg.lyapunov_batch(g[:, 1:], Q_x[:, 1:]).tobytes()
     _, S, S_t, _ = limit_drift_fields(model, X)
     for n in range(3):
         S_ref, S_t_ref = oracle_drifts(model, X[0, n], X[0])
         assert_close(S[0, n], S_ref)
         assert_close(S_t[0, n], S_t_ref)
+
+
+def nearly_defective():
+    # gamma(x) = [[2, 1], [0, 2 + 0.1 x_0^2]]: defective at x_0 = 0, so near it
+    # the eigenvector condition exceeds the spectral solve's bound
+    def friction(X, S):
+        g = np.zeros(X.shape[:2] + (2, 2))
+        g[..., 0, :] = 2.0, 1.0
+        g[..., 1, 1] = 2.0 + 0.1 * X[..., 0] ** 2
+        return g
+
+    def friction_dx(X, S):
+        D = np.zeros(X.shape[:2] + (2, 2, 2))
+        D[..., 1, 1, 0] = 0.2 * X[..., 0]
+        return D
+
+    def noise(X, S):
+        return np.broadcast_to(np.eye(2), X.shape + (2,))
+
+    return SystemModel(2, 2, lambda X, S: -X, noise, friction, friction_dx)
+
+
+def test_a_nearly_defective_friction_leaves_the_other_drifts_bits_alone():
+    # the drift at x_B is the same stacked after the flagged x_A as alone
+    model = nearly_defective()
+    x_A, x_B = np.array([[[0.01, 0.3]]]), np.array([[[1.5, -0.4]]])
+    assert linalg._eigenbasis(model.friction_field(x_A, x_A))[3].all()
+    assert linalg._eigenbasis(model.friction_field(x_B, x_B))[3] is None
+    alone = limit_drift_fields(model, x_B)
+    stacked = limit_drift_fields(model, np.concatenate([x_A, x_B]))
+    for got, want in zip(stacked, alone):
+        assert got[1:].tobytes() == want.tobytes()
+    assert alone[1][0, 0, 0] == -0.0016115526704808493
+
+
+def test_a_sweep_row_is_the_replica_run_alone_near_a_defective_friction():
+    # replicas whose paths pass near x_0 = 0 share batches with replica 4
+    model = nearly_defective()
+    x0 = [0.4, 0.0]
+    rows = _run_replicas(model, [0.05], [0.0025], 0.5, 0.01, 1, range(8), 3, x0, 0.0)[0]
+    for r in (0, 4, 7):
+        one = simulate_coupled(model, 0.05, 0.5, 0.0025, 0.01, 1, r, 3, x0=x0)
+        assert rows[r] == one.sup_diff
+    assert rows[4] == 0.0646005761415917
