@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import convergence, dynamics, linalg, models
+from . import convergence, dynamics, linalg
 from .convergence import (
     DeltaRule, _fmt, _preflight, constant_reduction_check, fit_rate, run_convergence,
 )
@@ -37,6 +37,8 @@ from .errors import (
     UsageError,
     ValidationError,
     ValidationFailure,
+    array,
+    real,
 )
 from .models import MODE_EXTENSION, MODE_STATE_ONLY, ModelSpec, SystemModel, model_library
 
@@ -70,23 +72,16 @@ def _require_keys(obj: dict, allowed: set, where: str):
         raise ValidationError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
-def _get_number(obj, key, where, default=None, integer=False):
+def _get_number(obj, key, where, default=None, integer=False, positive=False):
     if key not in obj:
         if default is None:
             raise ValidationError(f"missing required key {key!r} in {where}")
         return default
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}.{key} must be a number")
-    try:
-        finite = math.isfinite(value)   # json reads Infinity, NaN
-    except OverflowError:   # an integer beyond the float range
-        raise ValidationError(f"{where}.{key} is beyond the float range") from None
-    if not finite:
-        raise ValidationError(f"{where}.{key} must be finite, got {value}")
+    number = real(value, f"{where}.{key}", positive)   # json reads Infinity, NaN
     if integer and not (int(value) == value and -(2**63) <= value < 2**63):
         raise ValidationError(f"{where}.{key} must be a 64-bit integer, got {value}")
-    return int(value) if integer else float(value)
+    return int(value) if integer else number
 
 
 def _check_seed(seed: int) -> int:
@@ -172,12 +167,8 @@ def parse_config(text: str) -> RunConfig:
     n_particles = _get_number(sim, "N", "simulation", default=1, integer=True)
     if n_particles < 1:
         raise ValidationError("simulation.N must be >= 1")
-    T = _get_number(sim, "T", "simulation", default=1.0)
-    if T <= 0.0:
-        raise ValidationError("simulation.T must be positive")
-    Delta = _get_number(sim, "Delta", "simulation", default=0.01)
-    if Delta <= 0.0:
-        raise ValidationError("simulation.Delta must be positive")
+    T = _get_number(sim, "T", "simulation", default=1.0, positive=True)
+    Delta = _get_number(sim, "Delta", "simulation", default=0.01, positive=True)
     replicas = _get_number(sim, "replicas", "simulation", default=DEFAULT_REPLICAS, integer=True)
 
     epsilon = None
@@ -185,9 +176,7 @@ def parse_config(text: str) -> RunConfig:
     if "epsilon" in sim and "epsilon_list" in sim:
         raise ValidationError("give either simulation.epsilon or simulation.epsilon_list")
     if "epsilon" in sim:
-        epsilon = _get_number(sim, "epsilon", "simulation")
-        if epsilon <= 0.0:
-            raise ValidationError("simulation.epsilon must be positive")
+        epsilon = _get_number(sim, "epsilon", "simulation", positive=True)
     elif "epsilon_list" in sim:
         raw = sim["epsilon_list"]
         if not isinstance(raw, list) or not raw:
@@ -256,10 +245,7 @@ def _matrix_from_json(obj, key) -> np.ndarray:
     value = obj.get(key)
     if not isinstance(value, list):
         raise ValidationError(f"problem key {key!r} must be a matrix (list of rows)")
-    try:
-        return np.asarray(models._reals(value, key))
-    except ValueError:   # ragged nesting
-        raise ValidationError(f"problem key {key!r} is a ragged list") from None
+    return array(value, f"problem key {key!r}")
 
 
 def _tolerance(text: str) -> float:

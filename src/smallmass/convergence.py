@@ -18,7 +18,6 @@ noise block size.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -42,6 +41,7 @@ from .errors import (
     InsufficientReplicas,
     ValidationError,
     integer,
+    real,
 )
 from .linalg import inv_batch
 from .models import ModelSpec, SystemModel
@@ -56,20 +56,19 @@ class DeltaRule:
     delta: Optional[float] = None
 
     def __post_init__(self):
-        given = [self.kappa] if self.delta is None else [self.kappa, self.delta]
-        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in given):
-            raise ValidationError(f"kappa = {self.kappa!r} and delta = {self.delta!r} must be numbers")
         if self.scheme not in (SCHEME_EXPLICIT, SCHEME_EXPONENTIAL):
             raise ValidationError(f"unknown delta_rule scheme {self.scheme!r}")
-        if self.scheme == SCHEME_EXPLICIT and not 0.0 < self.kappa < np.inf:
-            raise ValidationError(f"kappa = {self.kappa} must be positive and finite")
-        if self.scheme == SCHEME_EXPONENTIAL and (
-            self.delta is None or not 0.0 < self.delta < np.inf
-        ):
-            raise ValidationError("exponential delta_rule needs a positive, finite delta")
+        real(self.kappa, "kappa", positive=True)
+        if self.delta is not None or self.scheme == SCHEME_EXPONENTIAL:
+            try:
+                real(self.delta, "delta", positive=True)
+            except ValidationError:
+                raise ValidationError(f"{self.scheme} delta_rule needs a positive, finite delta, "
+                                      f"got {self.delta!r}") from None
 
     def resolve(self, eps: float, Delta: float) -> float:
         """Fast step for this eps, snapped so that Delta is an exact multiple."""
+        real(eps, "eps", positive=True)
         raw = eps / self.kappa if self.scheme == SCHEME_EXPLICIT else self.delta
         m = _ratio_int(Delta, raw, f"Delta/delta at eps={eps}")
         return Delta / m
@@ -109,9 +108,12 @@ class RateFit:
 
 
 def _check_epsilons(eps_list):
-    eps = [float(e) for e in eps_list]
-    if not eps or not all(0.0 < e < float("inf") for e in eps):   # NaN fails too
-        raise ValidationError("epsilon values must be positive and finite")
+    try:
+        eps = [real(e, "each epsilon", positive=True) for e in eps_list]
+    except TypeError:   # a number, None: nothing to iterate
+        raise ValidationError(f"epsilon values must be a list, got {eps_list!r}") from None
+    if not eps:
+        raise ValidationError("need at least one epsilon")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValidationError("epsilon_list must be strictly decreasing")
     return eps

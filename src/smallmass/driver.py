@@ -41,11 +41,10 @@ streams takes about 0.07 s, and 0.1 s when its states are saved.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .errors import GridMismatch, ValidationError, integer
+from .errors import GridMismatch, ValidationError, integer, real
 
 # Bytes of fast increments drawn at a time by ``NoiseDriver.blocks``.  In a
 # run of several blocks, each block costs a state load per stream, 1.3 us, and
@@ -240,10 +239,8 @@ class NoiseDriver:
 
     def __init__(self, master_seed: int, delta: float, m_substeps: int = 1):
         self.master_seed = integer(master_seed, "master seed", 0)
-        if not (isinstance(delta, numbers.Real) and 0.0 < delta < np.inf):
-            raise ValidationError(f"fast step must be positive and finite, got {delta!r}")
+        self.delta = real(delta, "fast step", positive=True)
         self.m_substeps = _step_count(m_substeps)
-        self.delta = float(delta)
         # standard deviation of an increment; per substep, (m_substeps, 1),
         # when a window's substeps are unequal
         self._scale = np.sqrt(self.delta)
@@ -261,6 +258,7 @@ class NoiseDriver:
         Delta / max(ms), bit for bit the step ``DeltaRule.resolve`` gives the
         finest grid.  ``delta`` is the mean substep, and the driver draws
         whole windows only."""
+        Delta = real(Delta, "coarse step", positive=True)
         gaps, cuts = union_grid([_step_count(m) for m in ms])
         L = sum(gaps)
         driver = cls(master_seed, Delta / len(gaps), len(gaps))
@@ -292,6 +290,9 @@ class NoiseDriver:
         sets it on a run's last block).
         """
         replicas = [integer(r, "replica id") for r in replicas]
+        n_particles = integer(n_particles, "n_particles", 0)
+        n_components = integer(n_components, "n_components", 0)
+        n_steps = integer(n_steps, "n_steps", 0)
         scale = self._scale
         if np.ndim(scale):   # a union driver: one factor per substep of a window
             if n_steps % self.m_substeps:
@@ -322,7 +323,9 @@ class NoiseDriver:
         states are saved after every block but the last; a run that fits
         into one block is drawn in one call and saves none."""
         replicas = list(replicas)
-        window_bytes = len(replicas) * n_particles * n_components * self.m_substeps * 8
+        n_windows = integer(n_windows, "n_windows", 0)
+        window_bytes = (len(replicas) * integer(n_particles, "n_particles", 0)
+                        * integer(n_components, "n_components", 0) * self.m_substeps * 8)
         per_block = max(1, min(n_windows, BLOCK_BYTES // max(window_bytes, 1)))
         live = [] if per_block < n_windows else None
         for start in range(0, n_windows, per_block):

@@ -43,12 +43,13 @@ from .errors import (
     SizeLimitExceeded,
     StepTooLarge,
     ValidationError,
-    ValidationFailure,
+    array,
     integer,
+    real,
 )
 from .linalg import expm, inv_batch, matmat, matvec, min_sym_eig_batch
 from .measures import EmpiricalMeasure, wasserstein2_assignment
-from .models import MODE_EXTENSION, SystemModel, _reals, limit_drift_fields
+from .models import MODE_EXTENSION, SystemModel, limit_drift_fields
 
 DEFAULT_KAPPA = 20.0
 BLOWUP_CAP = 1e8
@@ -75,12 +76,7 @@ def _state_array(value, n_particles: int, dim: int, name: str) -> np.ndarray:
     """``value``, a number, a ``(dim,)`` row or an ``(n_particles, dim)`` array, as
     a read-only ``(n_particles, dim)`` view: nothing of size n_particles is made."""
     integer(n_particles, "n_particles", 1)
-    try:
-        arr = np.asarray(_reals(value, name))
-    except ValueError:   # ragged nesting
-        raise ValidationError(f"{name} is a ragged list") from None
-    except ValidationFailure as exc:   # a bool, a string, or a number not finite
-        raise ValidationError(str(exc)) from None
+    arr = array(value, name)
     if arr.shape not in ((), (dim,), (n_particles, dim)):
         raise ValidationError(f"{name} must broadcast to ({n_particles}, {dim})")
     try:
@@ -114,10 +110,13 @@ class ParticleEnsembleFull:
     v: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 < self.eps < np.inf:
-            raise ValidationError(f"eps = {self.eps} must be positive and finite")
-        self.x = np.asarray(self.x, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
+        real(self.t, "t")
+        real(self.eps, "eps", positive=True)
+        try:
+            self.x = np.asarray(self.x, dtype=float)
+            self.v = np.asarray(self.v, dtype=float)
+        except (TypeError, ValueError):   # a string, a ragged list
+            raise ValidationError("x and v must be arrays of numbers") from None
         if self.x.shape != self.v.shape or self.x.ndim != 2:
             raise ValidationError("x and v must be matching (N, d) arrays")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.v))):
@@ -132,7 +131,11 @@ class ParticleEnsembleLimit:
     x: np.ndarray
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
+        real(self.t, "t")
+        try:
+            self.x = np.asarray(self.x, dtype=float)
+        except (TypeError, ValueError):   # a string, a ragged list
+            raise ValidationError("x must be an array of numbers") from None
         if self.x.ndim != 2:
             raise ValidationError("x must be an (N, d) array")
         if not np.all(np.isfinite(self.x)):
@@ -186,11 +189,9 @@ def _full_kernel(scheme: str, eps: float, delta: float, kappa: float = DEFAULT_K
     """One-step kernel of ``scheme``; the explicit rule needs delta <= eps/kappa."""
     if scheme not in _FULL_SCHEMES:
         raise ValidationError(f"unknown scheme {scheme!r}")
-    if not (0.0 < eps < np.inf and 0.0 < delta < np.inf):
-        raise ValidationError(f"eps = {eps} and delta = {delta} must be positive and finite")
+    eps, delta = real(eps, "eps", positive=True), real(delta, "delta", positive=True)
     if scheme == SCHEME_EXPLICIT:
-        if not 0.0 < kappa < np.inf:
-            raise ValidationError(f"kappa = {kappa} must be positive and finite")
+        kappa = real(kappa, "kappa", positive=True)
         if delta > eps / kappa * (1.0 + 2 * STEP_RTOL):
             raise StepTooLarge(f"delta = {delta} exceeds eps/kappa = {eps / kappa:.3e}")
     return _FULL_SCHEMES[scheme]
@@ -267,7 +268,10 @@ def _march(model, blocks, systems, *, on_step=None, on_window=None):
 
 
 def _check_increment(dw, n_particles, noise_dim) -> np.ndarray:
-    dw = np.asarray(dw, dtype=float)
+    try:
+        dw = np.asarray(dw, dtype=float)
+    except (TypeError, ValueError):   # a string, a ragged list
+        raise ValidationError("increment must be an array of numbers") from None
     if dw.shape != (n_particles, noise_dim):
         raise ValidationError(
             f"increment must have shape ({n_particles}, {noise_dim}), got {dw.shape}"
@@ -309,7 +313,7 @@ def step_full_exponential(
     trapezoid position update.  Stable for any delta, but the velocity
     variance is too small once delta reaches eps (see the module
     docstring)."""
-    if delta < 0.0:
+    if real(delta, "delta") < 0.0:
         raise ValidationError("delta must be nonnegative")
     if delta == 0.0:
         _check_increment(dw, ens.x.shape[0], model.noise_dim)
@@ -325,8 +329,7 @@ def step_limit_em(
 ) -> ParticleEnsembleLimit:
     """One Euler-Maruyama step of the limit equation, with both correction
     drifts evaluated against the step-start ensemble."""
-    if not 0.0 < Delta < np.inf:
-        raise ValidationError(f"Delta = {Delta} must be positive and finite")
+    real(Delta, "Delta", positive=True)
     dw = _check_increment(dw, ens.x.shape[0], model.noise_dim)
     system = [_advance_limit_em, ens.x[None], None, Delta, None, None]
     _march(model, [dw[None, None, None]], [system])
@@ -353,9 +356,14 @@ class CoupledResult:
 
 
 def _ratio_int(big: float, small: float, what: str) -> int:
-    if not 0.0 < small < np.inf:
-        raise GridMismatch(f"{what}: the step {small} is not positive and finite")
-    ratio = big / small
+    """big/small, a positive integer to STEP_RTOL, else GridMismatch; a
+    non-number is ValidationError."""
+    try:
+        if not 0.0 < small < np.inf:
+            raise GridMismatch(f"{what}: the step {small} is not positive and finite")
+        ratio = big / small
+    except (TypeError, OverflowError):   # a string or None; an integer beyond the float range
+        raise ValidationError(f"{what}: {big!r} and {small!r} must be numbers in the float range") from None
     m = int(round(ratio)) if np.isfinite(ratio) else 0
     if m < 1 or abs(ratio - m) > STEP_RTOL * m:
         raise GridMismatch(f"{what} = {ratio} is not a positive integer")
@@ -604,8 +612,8 @@ EIG_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """State box, pair counts and seed for assumption probing; the counts and
-    the seed are checked here, before any probe."""
+    """State box, pair counts and seed for assumption probing; the box, the
+    counts and the seed are checked here, before any probe."""
 
     lo: float = -2.0
     hi: float = 2.0
@@ -615,6 +623,8 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not real(self.lo, "lo") <= real(self.hi, "hi"):
+            raise ValidationError(f"the probe box needs lo <= hi, got lo = {self.lo}, hi = {self.hi}")
         integer(self.n_states, "n_states", 1)
         integer(self.n_measures, "n_measures", 1)
         integer(self.n_pairs, "n_pairs", 0)

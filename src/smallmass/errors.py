@@ -3,11 +3,21 @@
 Two branches matter for the CLI exit-code mapping: ``ValidationFailure``
 (bad input or configuration, detected before/without numerics) and
 ``NumericalFailure`` (a numerical routine could not deliver a trustworthy
-result).  ``integer`` is the one check of the integers a caller passes:
-seeds, replica ids and counts.
+result).
+
+Three readers check the numbers a caller passes: ``integer`` for seeds,
+replica ids and counts, ``real`` for masses, steps, constants and bounds, and
+``array`` for the nested lists of numbers of family parameters, start states
+and problem files.  Each refuses a bool, a non-number and a non-finite value
+with ValidationError.  ``array`` reads every entry with ``real``, one by one,
+and refuses a ragged list; so it is for configuration values, not for the
+arrays a step makes, which are converted where they are used.
 """
 
+import math
 import numbers
+
+import numpy as np
 
 
 class SmallmassError(Exception):
@@ -76,6 +86,37 @@ def integer(value, what: str, least=None) -> int:
     if least is not None and value < least:
         raise ValidationError(f"{what} must be >= {least}, got {value}")
     return int(value)
+
+
+def real(value, what: str, positive=False) -> float:
+    """``value`` as a float.  ValidationError unless it is a real number,
+    Python's or numpy's but not a bool, within the float range and finite,
+    and, with ``positive``, above zero."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):   # np.bool_ is no Real
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:   # an integer beyond the float range
+        raise ValidationError(f"{what} is beyond the float range") from None
+    if not math.isfinite(number) or (positive and number <= 0.0):
+        bound = "positive and finite" if positive else "finite"
+        raise ValidationError(f"{what} must be {bound}, got {value!r}")
+    return number
+
+
+def array(value, what: str) -> np.ndarray:
+    """``value``, a number or a nested list, tuple or ndarray of numbers, as a
+    float ndarray of its shape, every entry read by ``real``.  ValidationError
+    for an entry ``real`` refuses and for a ragged list."""
+
+    def walk(v):
+        v = v.tolist() if isinstance(v, np.ndarray) else v
+        return [walk(u) for u in v] if isinstance(v, (list, tuple)) else real(v, what)
+
+    try:
+        return np.asarray(walk(value), dtype=float)
+    except ValueError:   # ragged nesting; ``real`` raises no ValueError
+        raise ValidationError(f"{what} is a ragged list") from None
 
 
 class UsageError(SmallmassError):

@@ -90,7 +90,10 @@ def _as_stack(M, name: str) -> np.ndarray:
 
 
 def _as_square(M, name: str = "matrix") -> np.ndarray:
-    A = np.asarray(M, dtype=float)
+    try:
+        A = np.asarray(M, dtype=float)
+    except (TypeError, ValueError):   # a string, a ragged list
+        raise ValidationError(f"{name} must be a matrix of numbers") from None
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {A.shape}")
     return _as_stack(A, name)
@@ -433,7 +436,10 @@ def _semigroup_integral(G1, G2, Q, c, tol, max_panels) -> np.ndarray:
     qnorm = float(np.linalg.norm(Q))
     if qnorm == 0.0:
         return np.zeros(Q.shape)
-    ratio = qnorm / (tol * c) if 0.0 < tol * c < math.inf else math.inf
+    try:
+        ratio = qnorm / (tol * c) if 0.0 < tol * c < math.inf else math.inf
+    except TypeError:   # a string, None
+        raise ValidationError(f"tol must be a number, got {tol!r}") from None
     upper = max(np.log(max(ratio, 1.0)) / (2.0 * c), 1e-2 / c)
     if not math.isfinite(upper):
         raise ToleranceNotMet(f"tolerance {tol:.1e} leaves the integral no finite cut-off")

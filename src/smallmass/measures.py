@@ -31,7 +31,10 @@ class EmpiricalMeasure:
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.samples, dtype=float)
+        try:
+            pts = np.asarray(self.samples, dtype=float)
+        except (TypeError, ValueError):   # a string, a ragged list
+            raise ValidationError("samples must be an array of numbers") from None
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
@@ -58,6 +61,8 @@ def second_moment(mu: EmpiricalMeasure) -> float:
 
 
 def _check_pair(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
+    if not (isinstance(mu, EmpiricalMeasure) and isinstance(nu, EmpiricalMeasure)):
+        raise ValidationError("W2 compares two EmpiricalMeasure objects")
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"dimensions differ: {mu.dim} vs {nu.dim}")
     if mu.size != nu.size:

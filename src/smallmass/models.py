@@ -42,13 +42,11 @@ closure set at every d, on the (B, m, n, d) differences x - y; the
 differences and 1 + |x - y|^2 have one helper each, which the carrillo-force
 force shares.  The friction profile a + b tanh(x) and its slope are one
 helper, ``_tanh_friction``, which the scalar-state family shares with them.  A
-constant coefficient hands out one read-only view per batch shape.
+constant coefficient hands out one read-only contiguous copy per batch shape.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -56,12 +54,12 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    NonFinite,
     ParameterViolation,
     SizeLimitExceeded,
     UnknownFamily,
     UnstableFriction,
     ValidationError,
+    array,
     integer,
 )
 from .measures import EmpiricalMeasure
@@ -151,12 +149,17 @@ class SystemModel:
     # -- point evaluation ---------------------------------------------------
 
     def _point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(-1)
+        try:
+            x = np.asarray(x, dtype=float).reshape(-1)
+        except (TypeError, ValueError):   # a string, None, a ragged list
+            raise ValidationError("a state must be an array of numbers") from None
         if x.shape != (self.dim,):
             raise ValidationError(f"state must have dimension {self.dim}")
         return x[None, None, :]
 
     def _samples(self, mu: EmpiricalMeasure) -> np.ndarray:
+        if not isinstance(mu, EmpiricalMeasure):
+            raise ValidationError(f"a measure must be an EmpiricalMeasure, got {type(mu).__name__}")
         if mu.dim != self.dim:
             raise ValidationError(
                 f"measure dimension {mu.dim} does not match model dimension {self.dim}"
@@ -183,43 +186,25 @@ class SystemModel:
         return self.friction_dx_field(self._point(x), self._samples(mu))[0, 0]
 
     def friction_dmu(self, x, mu: EmpiricalMeasure, y) -> np.ndarray:
-        Y = np.asarray(y, dtype=float).reshape(1, 1, self.dim)
-        return self.friction_dmu_field(self._point(x), self._samples(mu), Y)[0, 0, 0]
+        return self.friction_dmu_field(self._point(x), self._samples(mu), self._point(y))[0, 0, 0]
 
 
 # --- built-in families -------------------------------------------------------
 
 
-def _reals(value, name):
-    """``value`` with every number in it checked and made a float."""
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    if isinstance(value, (list, tuple)):
-        return [_reals(v, name) for v in value]
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):   # np.bool_ is no Real
-        raise ParameterViolation(f"parameter {name!r} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:   # an integer beyond the float range
-        raise ParameterViolation(f"parameter {name!r} is beyond the float range") from None
-    if not math.isfinite(number):
-        raise NonFinite(f"parameter {name!r} is not finite")
-    return number
-
-
 def _param(params, name, default=None, shape=None, count=False):
     """The one reader of family parameters: ``params[name]``, or ``default`` when
-    absent (required when None).  A parameter is a finite real number, not a bool
-    or a string; a ``count`` is an integer from 1 to ``linalg.MAX_DIM``; one with a
+    absent (required when None), read by ``errors.array``.  A parameter is one
+    number; a ``count`` is an integer from 1 to ``linalg.MAX_DIM``; one with a
     ``shape`` is a nested list of numbers of that shape, or one number, the scale
     of the identity."""
     value = params.get(name, default)
     if value is None:
         raise ParameterViolation(f"missing parameter {name!r}")
     try:
-        arr = np.asarray(_reals(value, name))
-    except ValueError:   # ragged nesting
-        raise ParameterViolation(f"parameter {name!r} is a ragged list") from None
+        arr = array(value, f"parameter {name!r}")
+    except ValidationError as exc:   # a family's parameters fail as ParameterViolation
+        raise ParameterViolation(str(exc)) from None
     if shape is not None:
         arr = float(arr) * np.eye(*shape) if arr.ndim == 0 else arr
         if arr.shape != shape:

@@ -118,6 +118,28 @@ class TestStreaming:
         whole = drv.fast_increments_batch([0, 3, 4], 2, 2, 40)
         assert np.array_equal(np.concatenate(blocks, axis=1), whole)
 
+    # each once a TypeError, or numpy's ValueError for negative dimensions
+    @pytest.mark.parametrize("counts, what", [
+        ((1.5, 1, 2), "n_particles"), ((1, "1", 2), "n_components"),
+        ((1, 1, 2.5), "n_steps"), ((1, 1, -1), "n_steps"), ((-1, 1, 2), "n_particles"),
+    ])
+    def test_a_count_that_is_not_an_integer_is_refused(self, counts, what):
+        drv = NoiseDriver(0, 0.1)
+        with pytest.raises(ValidationError, match=f"{what} must be"):
+            drv.fast_increments(0, *counts)
+        with pytest.raises(ValidationError, match=f"{what} must be"):
+            drv.fast_increments_batch([0, 1], *counts)
+        # blocks counts windows where the draw counts steps
+        what = "n_windows" if what == "n_steps" else what
+        with pytest.raises(ValidationError, match=f"{what} must be"):
+            next(drv.blocks([0], *counts))
+
+    def test_zero_counts_draw_nothing(self):
+        drv = NoiseDriver(0, 0.1)
+        assert drv.fast_increments_batch([0], 0, 2, 3).shape == (1, 3, 0, 2)
+        assert drv.fast_increments_batch([0], 2, 2, 0).shape == (1, 0, 2, 2)
+        assert list(drv.blocks([0], 1, 1, 0)) == []
+
     # one stream a replica, 5 replicas: a group is one stream, whatever the
     # scratch (the default, or 3 rows of a block's stream)
     @pytest.mark.parametrize("scratch_rows", [None, 3])

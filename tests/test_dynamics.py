@@ -280,7 +280,8 @@ class TestRunInputValidation:
             )
 
     # each once a TypeError or ValueError from deeper down, or a silent
-    # truncation: SystemModel(1.5, ...) built a d = 1 model
+    # truncation: SystemModel(1.5, ...) built a d = 1 model; a NaN probe bound
+    # once raised OverflowError, a string one numpy's DTypePromotionError
     @pytest.mark.parametrize("call", [
         lambda: run_convergence(constant_model(), [0.1, 0.05], 0.05, 1, 2.5, 0, DeltaRule(), 0.01),
         lambda: run_convergence(constant_model(), [0.1, 0.05], 0.05, 1.5, 2, 0, DeltaRule(), 0.01),
@@ -293,10 +294,14 @@ class TestRunInputValidation:
         lambda: DeltaRule(kappa="20"),
         lambda: validate_assumptions(constant_model(), ProbeConfig(n_states=0)),
         lambda: ProbeConfig(n_measures=0),
+        lambda: validate_assumptions(constant_model(), ProbeConfig(lo=float("nan"))),
+        lambda: validate_assumptions(constant_model(), ProbeConfig(lo="a")),
+        lambda: validate_assumptions(constant_model(), ProbeConfig(lo=3.0, hi=-3.0)),
     ], ids=[
         "run_convergence-replicas", "run_convergence-n_particles", "run_convergence-threads",
         "diagnostics-replicas", "diagnostics-n_record", "SystemModel-float-dim",
         "SystemModel-string-dim", "DeltaRule-string-kappa", "probe-n_states", "probe-n_measures",
+        "probe-lo-nan", "probe-lo-string", "probe-box-reversed",
     ])
     def test_a_count_that_is_not_an_integer_in_range_is_a_validation_error(self, call):
         with pytest.raises(ValidationError):
