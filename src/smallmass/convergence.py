@@ -227,7 +227,7 @@ def _naive_overdamped_path(
         F = model.force_field(X, X)
         sig = model.noise_field(X, X)
         ginv_f = np.einsum("bnij,bnj->bni", ginv, F)
-        ginv_sigma = np.einsum("bnij,bnjk->bnik", ginv, sig)
+        ginv_sigma = np.matmul(ginv, sig)
         X = X + ginv_f * Delta + np.einsum("bnik,bnk->bni", ginv_sigma, dw[None])
         out[j + 1] = X[0]
     return out

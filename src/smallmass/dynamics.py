@@ -44,6 +44,7 @@ from .errors import (
     StepTooLarge,
     ValidationError,
     array,
+    instance,
     integer,
     real,
 )
@@ -267,7 +268,8 @@ def _march(model, blocks, systems, *, on_step=None, on_window=None):
 # --- public one-step operations ----------------------------------------------
 
 
-def _check_increment(dw, n_particles, noise_dim) -> np.ndarray:
+def _check_increment(dw, n_particles, model) -> np.ndarray:
+    noise_dim = instance(model, SystemModel, "model").noise_dim
     try:
         dw = np.asarray(dw, dtype=float)
     except (TypeError, ValueError):   # a string, a ragged list
@@ -281,7 +283,7 @@ def _check_increment(dw, n_particles, noise_dim) -> np.ndarray:
 
 def _step_full(ens, model, delta, dw, scheme, kappa=DEFAULT_KAPPA):
     advance = _full_kernel(scheme, ens.eps, delta, kappa)
-    dw = _check_increment(dw, ens.x.shape[0], model.noise_dim)
+    dw = _check_increment(dw, ens.x.shape[0], model)
     system = [advance, ens.x[None], ens.v[None], delta, ens.eps, None]
     _march(model, [dw[None, None, None]], [system])
     return ParticleEnsembleFull(ens.t + delta, ens.eps, system[1][0], system[2][0])
@@ -316,7 +318,7 @@ def step_full_exponential(
     if real(delta, "delta") < 0.0:
         raise ValidationError("delta must be nonnegative")
     if delta == 0.0:
-        _check_increment(dw, ens.x.shape[0], model.noise_dim)
+        _check_increment(dw, ens.x.shape[0], model)
         return ParticleEnsembleFull(ens.t, ens.eps, ens.x.copy(), ens.v.copy())
     return _step_full(ens, model, delta, dw, SCHEME_EXPONENTIAL)
 
@@ -330,7 +332,7 @@ def step_limit_em(
     """One Euler-Maruyama step of the limit equation, with both correction
     drifts evaluated against the step-start ensemble."""
     real(Delta, "Delta", positive=True)
-    dw = _check_increment(dw, ens.x.shape[0], model.noise_dim)
+    dw = _check_increment(dw, ens.x.shape[0], model)
     system = [_advance_limit_em, ens.x[None], None, Delta, None, None]
     _march(model, [dw[None, None, None]], [system])
     return ParticleEnsembleLimit(ens.t + Delta, system[1][0])
@@ -357,7 +359,9 @@ class CoupledResult:
 
 def _ratio_int(big: float, small: float, what: str) -> int:
     """big/small, a positive integer to STEP_RTOL, else GridMismatch; a
-    non-number is ValidationError."""
+    non-number or a bool is ValidationError."""
+    if any(isinstance(v, (bool, np.bool_)) for v in (big, small)):
+        raise ValidationError(f"{what}: {big!r} and {small!r} must be numbers, not bools")
     try:
         if not 0.0 < small < np.inf:
             raise GridMismatch(f"{what}: the step {small} is not positive and finite")
@@ -392,6 +396,7 @@ def _run_replicas(
     ``_march``'s callbacks with the batch's rows of the result first, called
     on the start state too, at step 0 and window -1.
     """
+    instance(model, SystemModel, "model")
     advances = [_full_kernel(scheme, eps, delta, kappa) for eps, delta in zip(eps_values, deltas)]
     n_windows = _ratio_int(T, Delta, "T/Delta")
     ms = [_ratio_int(Delta, delta, "Delta/delta") for delta in deltas]
@@ -659,8 +664,8 @@ def validate_assumptions(
     coefficient is evaluated once, on the stack of all pairs, through the
     ``*_field`` calls of the integrators.
     """
-    rng = np.random.default_rng(probe.seed)
-    d = model.dim
+    d = instance(model, SystemModel, "model").dim
+    rng = np.random.default_rng(instance(probe, ProbeConfig, "probe").seed)
     if d == 1:
         states = np.linspace(probe.lo, probe.hi, probe.n_states)[:, None]
     else:

@@ -11,7 +11,8 @@ replica ids and counts, ``real`` for masses, steps, constants and bounds, and
 and problem files.  Each refuses a bool, a non-number and a non-finite value
 with ValidationError.  ``array`` reads every entry with ``real``, one by one,
 and refuses a ragged list; so it is for configuration values, not for the
-arrays a step makes, which are converted where they are used.
+arrays a step makes, which are converted where they are used.  ``instance``
+checks the objects a caller hands over: a model, a probe configuration.
 """
 
 import math
@@ -117,6 +118,13 @@ def array(value, what: str) -> np.ndarray:
         return np.asarray(walk(value), dtype=float)
     except ValueError:   # ragged nesting; ``real`` raises no ValueError
         raise ValidationError(f"{what} is a ragged list") from None
+
+
+def instance(value, cls: type, what: str):
+    """``value`` itself.  ValidationError unless it is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 class UsageError(SmallmassError):

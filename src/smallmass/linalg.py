@@ -10,15 +10,16 @@ Everything here is written for the d <= MAX_DIM = 64 regime.
 
 The kernels take a stack of matrices (..., d, d): ``expm``,
 ``min_sym_eig_batch`` and ``inv_batch`` give the same bits as its matrices one
-at a time; they and ``matvec``/``matmat`` (an einsum's bits) are arithmetic on
-diagonal stacks, every d = 1 one included; ``_diagonal`` alone chooses.  One
-solve, ``_stacked_solve``, serves ``lyapunov_batch``/``sylvester_batch`` on
-broadcastable stacks and ``solve_lyapunov``/``solve_sylvester`` on a stack of
-one.  It diagonalizes (Bartels & Stewart, CACM 15(9), 1972) G1 = V1 L1 V1^-1
-and G2 = V2 L2 V2^-1, each once on the stack as passed (gamma(x) as
-(B, N, 1, d, d) and gamma(y) as (B, 1, n, d, d): N + n eigen-decompositions
-for N n solves) or from an ``Eigenbasis`` factored once for several solves,
-and J = V1 [(V1^-1 Q V2^-T) / (l1_a + l2_b)] V2^T, its real part when the
+at a time.  ``expm`` is np.exp on each diagonal matrix, chosen matrix by
+matrix; the others and ``matvec`` (an einsum's bits) / ``matmat`` (np.matmul
+on a dense or non-square A) are arithmetic on diagonal stacks, every d = 1
+one included, as ``_diagonal`` chooses.  One solve, ``_stacked_solve``, serves
+``lyapunov_batch``/``sylvester_batch`` on broadcastable stacks and
+``solve_lyapunov``/``solve_sylvester`` on a stack of one.  It diagonalizes
+(Bartels & Stewart, CACM 15(9), 1972) G1 = V1 L1 V1^-1 and G2 = V2 L2 V2^-1,
+each once on the stack as passed (gamma(x) as (B, N, 1, d, d) and gamma(y)
+as (B, 1, n, d, d): N + n eigen-decompositions for N n solves) or from an
+``Eigenbasis`` factored once for several solves, and J = V1 [(V1^-1 Q V2^-T) / (l1_a + l2_b)] V2^T, its real part when the
 eigenpairs are complex: O(d^3) per solve.  A diagonal stack has the exact
 factors (diag, I, I) and takes no eigen-decomposition, so two diagonal sides
 give J = Q / (g1_a + g2_b): the bits LAPACK's eigenvectors give, which are
@@ -101,9 +102,10 @@ def _as_square(M, name: str = "matrix") -> np.ndarray:
 
 def _diagonal(A: np.ndarray):
     """The diagonals (..., d) of a square stack (..., d, d) whose off-diagonal
-    entries are all zero, else None: the one test that sends a stack down the
-    entrywise branch of every kernel and product.  At d = 1 a view with no scan;
-    above, one count of the nonzero entries (NaN counts) against the diagonals'."""
+    entries are all zero, else None: the one test that sends a whole stack down
+    the entrywise branch of every kernel and product.  At d = 1 a view with no
+    scan; above, one count of the nonzero entries (NaN counts) against the
+    diagonals'."""
     if A.shape[-2] != A.shape[-1]:
         return None
     if A.shape[-1] == 1:
@@ -139,48 +141,46 @@ def matvec(*operands) -> np.ndarray:
 
 
 def matmat(A, B) -> np.ndarray:
-    """A B over the last two axes of broadcastable stacks: "...ij,...jk->...ik",
-    or the rows of B times the diagonal of a diagonal A, as ``matvec``."""
+    """A B over the last two axes of broadcastable stacks: np.matmul when A is
+    dense or not square, or the rows of B times the diagonal of a diagonal A,
+    as ``matvec``, with the bits of the einsum "...ij,...jk->...ik"."""
     diag = _diagonal(A)
     if diag is None:
-        return np.einsum("...ij,...jk->...ik", A, B)
+        return np.matmul(A, B)
     product = diag[..., :, None] * B
     product += _ZERO   # as in matvec
     return product
 
 
 def expm(M) -> np.ndarray:
-    """Matrix exponential of one matrix or of a stack (..., d, d), by scaling
-    and squaring around a truncated series.
+    """Matrix exponential of one matrix or of a stack (..., d, d).
 
-    Each matrix is scaled below norm 1/4 by its own power of two, a 16-term
-    Taylor polynomial is evaluated in Horner form on the whole stack, and each
-    matrix is squared back up its own number of times, so a stack gives the
-    same bits as its matrices one at a time.  A diagonal stack runs the same
-    loop on its diagonals with entrywise products: every sum in a product of
-    diagonal matrices has one term that is not an exact zero, so the bits are
-    the matrix products' wherever the result is finite.  At d = 1 it is np.exp.
-    """
+    Each matrix whose off-diagonal entries are all zero, every d = 1 matrix
+    among them, is np.exp of its diagonal laid out by ``_from_diagonal``.  Each
+    other one is scaled below norm 1/4 by its own power of two, a 16-term
+    Taylor polynomial is evaluated in Horner form by np.matmul, and it is
+    squared back up its own number of times, so a stack gives the same bits
+    as its matrices one at a time.  An overflow reads inf, as in BLAS."""
     A = _as_stack(M, "M")
-    d = A.shape[-1]
-    if d == 1:
-        return np.exp(A)
-    diag = _diagonal(A)
-    if diag is None:
-        flat, ident, product = A.reshape(-1, d, d), np.eye(d), np.matmul
-    else:   # each matrix as the column of its diagonal
-        flat, ident, product = diag.reshape(-1, d, 1), 1.0, np.multiply
+    diag = np.diagonal(A, axis1=-2, axis2=-1)
+    with np.errstate(over="ignore"):
+        E = _from_diagonal(np.exp(diag))
+    if _diagonal(A) is not None:
+        return E
+    dense = np.count_nonzero(A, axis=(-2, -1)) != np.count_nonzero(diag, axis=-1)
+    flat, ident = A[dense], np.eye(A.shape[-1])
     norm = np.abs(flat).sum(axis=-1).max(axis=-1)
     squarings = np.ceil(np.log2(np.maximum(norm, _TAYLOR_RADIUS) / _TAYLOR_RADIUS)).astype(int)
     flat = flat / (2.0 ** squarings)[:, None, None]
-    E = np.broadcast_to(ident, flat.shape).copy()
+    F = np.broadcast_to(ident, flat.shape).copy()
     for j in range(_TAYLOR_TERMS, 0, -1):
-        E = ident + product(flat, E) / j
-    with np.errstate(over="ignore"):   # an overflow reads inf, as in BLAS
+        F = ident + flat @ F / j
+    with np.errstate(over="ignore"):
         for k in range(squarings.max(initial=0)):
             more = squarings > k
-            E[more] = product(E[more], E[more])
-    return E.reshape(A.shape) if diag is None else _from_diagonal(E.reshape(A.shape[:-1]))
+            F[more] = F[more] @ F[more]
+    E[dense] = F
+    return E
 
 
 def min_sym_eig_batch(Ms: np.ndarray) -> np.ndarray:

@@ -60,6 +60,7 @@ from .errors import (
     UnstableFriction,
     ValidationError,
     array,
+    instance,
     integer,
 )
 from .measures import EmpiricalMeasure
@@ -456,33 +457,42 @@ def _point_inverse_derivative(model: SystemModel, x, mu, D) -> np.ndarray:
 
 def gamma_inv_dx(model: SystemModel, x, mu: EmpiricalMeasure) -> np.ndarray:
     """(d/dx_l gamma^{-1})_{ij} via the sandwich identity, shape (d, d, d)."""
-    return _point_inverse_derivative(model, x, mu, model.friction_dx(x, mu))
+    D = instance(model, SystemModel, "model").friction_dx(x, mu)
+    return _point_inverse_derivative(model, x, mu, D)
 
 
 def gamma_inv_dmu(model: SystemModel, x, mu: EmpiricalMeasure, y) -> np.ndarray:
     """(d_mu gamma^{-1}_ij(x, mu)(y))_l via the sandwich identity."""
-    return _point_inverse_derivative(model, x, mu, model.friction_dmu(x, mu, y))
+    D = instance(model, SystemModel, "model").friction_dmu(x, mu, y)
+    return _point_inverse_derivative(model, x, mu, D)
 
 
 def drift_S(model: SystemModel, x, mu: EmpiricalMeasure) -> np.ndarray:
     """State-derivative correction S_i = (d/dx_l gamma^{-1}_ij) J_jl at one
     point, as one row of ``limit_drift_fields``."""
-    return _state_correction(model, *_at_points(model, model._point(x), model._samples(mu)))[0, 0]
+    return _state_correction(model, *_at_point(model, x, mu))[0, 0]
 
 
 def drift_S_tilde(model: SystemModel, x, mu: EmpiricalMeasure) -> np.ndarray:
     """Measure-derivative correction at one point, averaged over every sample
     of ``mu`` (a sample equal to x included), as one row of
     ``limit_drift_fields``."""
-    return _measure_correction(model, *_at_points(model, model._point(x), model._samples(mu)))[0, 0]
+    return _measure_correction(model, *_at_point(model, x, mu))[0, 0]
+
+
+def _at_point(model: SystemModel, x, mu: EmpiricalMeasure):
+    """``_at_points`` at the one point x against the samples of ``mu``."""
+    instance(model, SystemModel, "model")
+    return _at_points(model, model._point(x), model._samples(mu))
 
 
 def _at_points(model: SystemModel, X: np.ndarray, samples):
     """(X, samples, gamma, gamma^{-1}, sigma, basis) at the points X, what both
     corrections share; ``basis`` factors gamma(x) once for J and J~.  Raises
-    ValidationError before any coefficient call unless X (B, m, d) and the
-    samples (B, n, d), X by default, are non-empty and match the model; a
-    float ndarray is used as it is, anything else converted as a float array."""
+    ValidationError before any coefficient call unless the model is one and X
+    (B, m, d) and the samples (B, n, d), X by default, are non-empty and match
+    it; a float ndarray is used as it is, anything else converted."""
+    instance(model, SystemModel, "model")
     try:
         X = np.asarray(X, dtype=float)
         samples = X if samples is None else np.asarray(samples, dtype=float)

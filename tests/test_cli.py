@@ -7,12 +7,37 @@ import pytest
 from smallmass import cli, convergence, driver, dynamics, linalg
 from smallmass.cli import dispatch, main, parse_config
 from smallmass.errors import ParseError, ValidationError
+from smallmass.models import SystemModel
 
 
 INTERACTION_D2 = {
     "family": "interaction",
     "params": {"a": 2.0, "b": 0.5, "c": 1.0, "d": 2, "sigma": [[1.0, 0.3], [0.0, 0.8]]},
 }
+
+
+# A user model whose friction [[2, c max(0, x_0)], [0, 2]] is diagonal at half
+# the states and dense at the others, so one stack of exponentials mixes both.
+HALF_DIAGONAL = {"family": "half-diagonal", "params": {}}
+
+
+def half_diagonal_model(spec):
+    c, sigma = 0.5, np.array([[1.0, 0.3], [0.0, 0.8]])
+
+    def friction(X, S):
+        g = np.zeros(X.shape + (2,))
+        g[..., 0, 0] = g[..., 1, 1] = 2.0
+        g[..., 0, 1] = c * np.maximum(X[..., 0], 0.0)
+        return g
+
+    def friction_dx(X, S):
+        D = np.zeros(X.shape + (2, 2))
+        D[..., 0, 1, 0] = c * (X[..., 0] > 0.0)
+        return D
+
+    return SystemModel(2, 2, force=lambda X, S: -X,
+                       noise=lambda X, S: np.broadcast_to(sigma, X.shape + (2,)),
+                       friction=friction, friction_dx=friction_dx, spec=spec)
 
 
 def write(path, obj):
@@ -302,12 +327,16 @@ class TestConvergeCommand:
              {"type": "explicit", "kappa": 20}),
             (INTERACTION_D2, {"type": "explicit", "kappa": 20}),
             (INTERACTION_D2, {"type": "exponential", "delta": 0.0025}),
+            (HALF_DIAGONAL, {"type": "exponential", "delta": 0.0025}),
         ],
-        ids=["constant", "interaction-d2-explicit", "interaction-d2-exponential"],
+        ids=["constant", "interaction-d2-explicit", "interaction-d2-exponential",
+             "half-diagonal-exponential"],
     )
     def test_reports_are_byte_identical_across_replica_chunks(
         self, tmp_path, capsys, monkeypatch, model, rule
     ):
+        if model is HALF_DIAGONAL:
+            monkeypatch.setattr(cli, "model_library", half_diagonal_model)
         replicas = 20
         doc = base_config(
             N=3, T=0.05, Delta=0.01, replicas=replicas, delta_rule=rule

@@ -75,8 +75,8 @@ def converge_digests(tmp_path, doc) -> dict:
 
 def test_interaction_d2_exponential_reports(tmp_path, capsys):
     assert converge_digests(tmp_path, INTERACTION_D2_EXPONENTIAL) == {
-        "report.json": "093288758fa056e7c20ffd00cd18a52def3662c5c9e189b2019439cd8a1beb18",
-        "report.csv": "246f5894c1823735d02f5e7d604757af5d6a3c7c495fb14de5679138c07dac0c",
+        "report.json": "d1794effd8d85597671f8e92f100114e6ce306a20ee35507a6036f65d30978fb",
+        "report.csv": "4b59b7c8a1bfbefbbad55a2420d4f0bbe9bd1722ef74607509b44e6e83604b89",
     }
 
 
@@ -111,9 +111,37 @@ INTERACTION_D4_EXPONENTIAL = {
 def test_interaction_d4_exponential_reports(tmp_path, capsys):
     # the shape of the meanfield-d4 benchmark: every eps shares one limit path
     assert converge_digests(tmp_path, INTERACTION_D4_EXPONENTIAL) == {
-        "report.json": "cbc453cf5f93cb0d55f08f34e80bb27d2ca5ff651140b2f1d0a87e4bcfeb7f67",
-        "report.csv": "5ddfa883c3cfb61ddadad30edd8a33e7b61594cb87a8939bf13fc674ab588510",
+        "report.json": "91bd7082c3a7560b20583b616bad8d6f31bc22639dbb72fdfe06d31b5456f643",
+        "report.csv": "b9a1e19d555dda53c9abdb384e8df66fd12216e7102ff88c4c001b7db4d9ef1d",
     }
+
+
+# The report numbers of the two runs above as they read while expm ran its
+# Taylor series on diagonal matrices above d = 1 and matmat took the einsum on
+# dense operands.  np.exp and np.matmul moved the pins in the last bits only.
+BEFORE_NP_EXP = {
+    "d2": (INTERACTION_D2_EXPONENTIAL, {
+        "errors": [0.010621558958647703, 0.0062607276839827496, 0.0032973630168442445],
+        "stderrs": [0.0020382378155500442, 0.0010770447258553646, 0.00052454491454656104],
+        "slope": 0.84380544941893276, "intercept": -2.5831716333329386, "r2": 0.99692179547697013,
+        "ratios": [0.033588318611092946, 0.027998825380000498, 0.02085435481126393],
+    }),
+    "d4": (INTERACTION_D4_EXPONENTIAL, {
+        "errors": [0.024750800311203244, 0.016061676173344041, 0.0094318100776977897],
+        "stderrs": [0.0045788121748129686, 0.0031906201762813662, 0.0014017128446883415],
+        "slope": 0.69593430102298293, "intercept": -2.0797951251679483, "r2": 0.99643679620219405,
+        "ratios": [0.078268902895406584, 0.071829999512371942, 0.059652004607309413],
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEFORE_NP_EXP))
+def test_exponential_reports_stay_within_1e12_of_the_series(tmp_path, capsys, name):
+    doc, before = BEFORE_NP_EXP[name]
+    converge_digests(tmp_path, doc)
+    report = json.loads((tmp_path / "report.json").read_text())
+    for key, old in before.items():
+        assert report[key] == pytest.approx(old, rel=1e-12, abs=0.0), key
 
 
 GOLDEN_VALIDATE = {
@@ -258,7 +286,7 @@ def test_solve_prints_exact_zeros_unsigned(tmp_path, capsys):
     assert dispatch(["solve", str(path), "--oracle"]) == 0
     assert capsys.readouterr().out == (
         '{"Y": [[-0.5, 0, 0], [0, -0.5, 0], [0, 0, -0.42857142857142855]], '
-        '"oracle_gap": 4.4408920985006262e-16}\n'
+        '"oracle_gap": 3.8857805861880479e-16}\n'
     )
 
 
@@ -269,7 +297,7 @@ GOLDEN_DRIFT_EXPLICIT_SAMPLES = {
     1: ([[0.9]], "845cf10b809ebb51721d74203538552580ffb2e50cea4b11508f28819b82dee9"),
     2: (
         [[1.0, 0.3], [-0.2, 0.8]],
-        "34dcbd20789c6cda7eec38a319d707d468d5a6b0efb6f843f86652a972df0f6c",
+        "ccd70b32d8a2e96547555ac3158dd19a2b687b7072d747a12e33d1521c5c0149",
     ),
 }
 
@@ -336,7 +364,12 @@ def test_diagnostics_exponential_d2_300_replicas_one_batch():
         scheme="exponential", n_record=5, x0=[[0.3, -0.2], [-0.1, 0.4]],
     )
     assert repr(vars(diag)) == (
-        "{'sup_ev2': 0.29936526002759417, 'sup_ev2_stderr': 0.012044682793694972, "
-        "'sup_ev2_time': 0.04, 'mean_sup_ev4': 0.002734658328103485, "
-        "'mean_sup_ev4_stderr': 0.00013536893523764484, 'replicas': 300}"
+        "{'sup_ev2': 0.29936526002759417, 'sup_ev2_stderr': 0.012044682793694968, "
+        "'sup_ev2_time': 0.04, 'mean_sup_ev4': 0.0027346583281034854, "
+        "'mean_sup_ev4_stderr': 0.0001353689352376448, 'replicas': 300}"
     )
+    # the pin as it read under the Taylor series and the einsum
+    before = {"sup_ev2": 0.29936526002759417, "sup_ev2_stderr": 0.012044682793694972,
+              "mean_sup_ev4": 0.002734658328103485, "mean_sup_ev4_stderr": 0.00013536893523764484}
+    for key, old in before.items():
+        assert getattr(diag, key) == pytest.approx(old, rel=1e-12, abs=0.0), key

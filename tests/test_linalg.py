@@ -38,10 +38,20 @@ def diagonal(v):
 
 def on_the_dense_path(kernel, M):
     """``kernel`` on the stack M (n, d, d) with one non-diagonal matrix
-    appended, which sends the whole stack down the dense path; M's part."""
+    appended, which sends the whole stack down the dense path (all but
+    ``expm``, which looks at each matrix); M's part."""
     d = M.shape[-1]
     dense = np.eye(d) + 0.5 * np.eye(d, k=1)
     return kernel(np.concatenate([M, dense[None]]))[:-1]
+
+
+def exp_of_diagonals(v):
+    """The diagonal matrices with diagonals np.exp(v) (..., d) and +0.0 off
+    the diagonal."""
+    E = np.zeros(v.shape + v.shape[-1:])
+    idx = np.arange(v.shape[-1])
+    E[..., idx, idx] = np.exp(v)
+    return E
 
 
 def lyap_residual(g, J, Q):
@@ -127,17 +137,41 @@ class TestStacks:
                 assert lam[idx] == linalg.min_sym_eig(M[idx])
         # diagonal stacks over the same norms, both signs, a repeated entry in
         # every other matrix and -0.0 off the diagonal: the entrywise branch
-        # gives the dense path's bits
+        # gives the dense path's bits, and expm, which chooses matrix by
+        # matrix, np.exp of the diagonals beside a dense matrix too
         for d in (2, 3, 5):
             v = rng.uniform(0.1, 1.0, size=(12, d)) * rng.choice([-1.0, 1.0], size=(12, d))
             v *= (np.geomspace(0.01, 40.0, 12) / np.abs(v).max(axis=-1))[:, None]
             v[::2, 1] = v[::2, 0]
             M = diagonal(v)
             assert linalg._diagonal(M) is not None
+            assert linalg.expm(M).tobytes() == exp_of_diagonals(v).tobytes()
             for kernel in (linalg.expm, linalg.inv_batch, linalg.min_sym_eig_batch):
                 assert kernel(M).tobytes() == on_the_dense_path(kernel, M).tobytes()
                 for idx in range(len(M)):
                     assert kernel(M[idx][None]).tobytes() == kernel(M)[idx][None].tobytes()
+
+    def test_expm_chooses_matrix_by_matrix(self):
+        # diagonal and dense matrices mixed in one stack, at d = 1 too: each
+        # gets the bits it gets alone, a diagonal one np.exp of its diagonal
+        rng = np.random.default_rng(13)
+        for d in (1, 2, 4):
+            M = rng.normal(size=(3, 4, d, d)) * 3.0
+            diag = rng.random((3, 4)) < 0.5
+            M[diag] = diagonal(np.diagonal(M[diag], axis1=-2, axis2=-1))
+            E = linalg.expm(M)
+            for idx in np.ndindex(*M.shape[:2]):
+                assert E[idx].tobytes() == linalg.expm(M[idx]).tobytes()
+                if diag[idx] or d == 1:
+                    assert E[idx].tobytes() == exp_of_diagonals(np.diagonal(M[idx])).tobytes()
+
+    def test_expm_overflow_reads_inf_without_a_warning(self):
+        # a diagonal one through np.exp, a dense one through the squarings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E = linalg.expm(np.array([np.diag([800.0, 1.0]), [[800.0, 1.0], [0.0, 1.0]]]))
+            assert np.isinf(E[:, 0, 0]).all() and np.allclose(E[:, 1, 1], np.e, rtol=1e-14)
+            assert linalg.expm(np.array([[[710.0]]]))[0, 0, 0] == np.inf
 
     @pytest.mark.parametrize(
         "kernel, lapack",
@@ -252,6 +286,14 @@ PRODUCTS = {
     "-ginv T": (lambda o: -linalg.matvec(o["A"], o["x"]),
                 lambda o: -np.einsum("bnip,bnp->bni", o["A"], o["x"])),
 }
+# The products that take ``matmat``: the np.matmul that gives its bits on a
+# dense or non-square A.
+MATMUL = {
+    "drift gain": lambda o: np.matmul(o["A"], o["M"]),
+    "ginv sigma": lambda o: np.matmul(o["A"], o["S"]),
+    "sigma sigma^T": lambda o: np.matmul(o["S"], swap(o["S"])),
+    "sigma(x) sigma(y)^T": lambda o: np.matmul(o["S"][:, :, None], swap(o["Sy"])[:, None]),
+}
 # with a sample axis, the product that was a matmul: its bits on diagonal A
 G_J = (lambda o: linalg.matmat(o["A"][:, :, None], o["J"]), lambda o: o["A"][:, :, None] @ o["J"])
 
@@ -276,8 +318,9 @@ def operands(rng, d, kind, k=None, B=3, N=4, n=5):
 
 
 class TestProducts:
-    # matvec and matmat give the bits of the einsum each one replaced, signed
-    # zeros included: entrywise on diagonal operands, the einsum otherwise
+    # on diagonal operands matvec and matmat are entrywise with the bits of
+    # the einsum each one replaced, signed zeros included; otherwise matvec
+    # is that einsum and matmat np.matmul
 
     @pytest.mark.parametrize("name", list(PRODUCTS) + ["g J"])
     @pytest.mark.parametrize("d, kind", [(1, "diagonal"), (1, "constant"), (2, "diagonal"),
@@ -296,20 +339,22 @@ class TestProducts:
     @pytest.mark.parametrize("name", list(PRODUCTS))
     @pytest.mark.parametrize("d, k", [(2, None), (3, None), (4, None), (1, 2), (2, 1), (2, 3)],
                              ids=["dense-d2", "dense-d3", "dense-d4", "d1-k2", "d2-k1", "d2-k3"])
-    def test_dense_and_non_square_operands_take_the_einsum(self, monkeypatch, name, d, k):
-        # a non-square sigma beside a diagonal A takes the einsum wherever it
-        # is a matrix operand: sigma dw, E_half sigma dw and the sigma sigma^T
+    def test_dense_and_non_square_operands_take_matmul_or_the_einsum(self, monkeypatch, name, d, k):
+        # a dense operand, or a non-square sigma beside a diagonal A wherever
+        # it is a matrix operand (sigma dw, E_half sigma dw and the sigma
+        # sigma^T), sends matmat to np.matmul and matvec to its einsum
         rng = np.random.default_rng([d, k or 0, len(name)])
         o = operands(rng, d, "dense" if k is None else "diagonal", k)
         helper, replaced = PRODUCTS[name]
-        einsum, calls = np.einsum, []
+        kernel = np.matmul if name in MATMUL else np.einsum
+        calls = []
 
         def counted(*args):
-            calls.append(args[0])
-            return einsum(*args)
+            calls.append(args)
+            return kernel(*args)
 
-        want = replaced(o)
-        monkeypatch.setattr(np, "einsum", counted)
+        want = MATMUL[name](o) if name in MATMUL else replaced(o)
+        monkeypatch.setattr(np, kernel.__name__, counted)
         got = helper(o)
         assert same_bits(got, want)
         takes_sigma = name in ("sigma dw", "E_half sigma dw", "sigma sigma^T", "sigma(x) sigma(y)^T")

@@ -25,7 +25,7 @@ from smallmass.dynamics import (
 )
 from smallmass.errors import ValidationError
 from smallmass.measures import EmpiricalMeasure, wasserstein2_assignment
-from smallmass.models import ModelSpec, drift_S, model_library
+from smallmass.models import ModelSpec, drift_S, gamma_inv_dx, limit_drift_fields, model_library
 
 SIMULATE = dict(eps=0.05, T=0.05, delta=0.0025, Delta=0.01, n_particles=1, replica_id=0, seed=0)
 DIAGNOSTICS = dict(eps=0.05, T=0.1, delta=0.0025, replicas=2, seed=0)
@@ -65,6 +65,8 @@ CASES = {
     "converge-eps-string": lambda: run_convergence(model(), **{**CONVERGE, "eps_list": ["a"]}),
     "converge-eps-number": lambda: run_convergence(model(), **{**CONVERGE, "eps_list": 0.1}),
     "limit-T-string": lambda: run_limit_path(model(), **{**LIMIT, "T": "1"}),
+    "limit-T-bool": lambda: run_limit_path(model(), **{**LIMIT, "T": True, "Delta": 0.5}),
+    "limit-Delta-numpy-bool": lambda: run_limit_path(model(), **{**LIMIT, "T": 1.0, "Delta": np.True_}),
     "resolve-eps-string": lambda: DeltaRule().resolve("0.1", 0.01),
     "step-em-string": lambda: step_full_em(full(), model(), "0.001", [[0.0]]),
     "step-exponential-string": lambda: step_full_exponential(full(), model(), "0.01", [[0.0]]),
@@ -95,14 +97,26 @@ CASES = {
     "friction-measure-list": lambda: model().friction(0.1, [[0.1]]),
     "drift-measure-list": lambda: drift_S(model(), 0.1, [[0.1]]),
     "w2-measure-list": lambda: wasserstein2_assignment([[0.0]], [[1.0]]),
+    # a model or a probe configuration that is not one
+    "probe-None": lambda: validate_assumptions(model(), None),
+    "validate-model-None": lambda: validate_assumptions(None),
+    "simulate-model-None": lambda: simulate_coupled(None, **SIMULATE),
+    "diagnostics-model-None": lambda: diagnostics_velocity(None, **DIAGNOSTICS),
+    "converge-model-spec": lambda: run_convergence(ModelSpec("constant", {}), **CONVERGE),
+    "limit-model-None": lambda: run_limit_path(None, **LIMIT),
+    "drift-fields-model-None": lambda: limit_drift_fields(None, np.zeros((1, 1, 1))),
+    "drift-model-None": lambda: drift_S(None, 0.1, EmpiricalMeasure([[0.1]])),
+    "inverse-derivative-model-None": lambda: gamma_inv_dx(None, 0.1, EmpiricalMeasure([[0.1]])),
+    "step-model-None": lambda: step_full_em(full(), None, 0.001, [[0.0]]),
+    "step-limit-model-None": lambda: step_limit_em(limit(), None, 0.01, [[0.0]]),
 }
 
 
 @pytest.mark.parametrize("call", CASES.values(), ids=CASES.keys())
 def test_no_public_entry_point_leaks_an_untyped_error(call):
     # each of these once raised TypeError, ValueError, AttributeError,
-    # OverflowError or numpy's DTypePromotionError, or ran: a bool mass or
-    # step as 1.0
+    # OverflowError or numpy's DTypePromotionError, or ran: a bool mass,
+    # step or horizon as 1.0
     with pytest.raises(ValidationError):
         call()
 
@@ -134,6 +148,13 @@ def test_real_takes_python_and_numpy_numbers(value, want):
 def test_real_refuses(value, positive, needle):
     with pytest.raises(ValidationError, match=f"^x {needle}"):
         errors.real(value, "x", positive=positive)
+
+
+def test_instance_hands_back_what_it_checked():
+    probe = ProbeConfig()
+    assert errors.instance(probe, ProbeConfig, "probe") is probe
+    with pytest.raises(ValidationError, match="^probe must be a ProbeConfig, got dict$"):
+        errors.instance({}, ProbeConfig, "probe")
 
 
 def test_array_reads_every_entry_and_keeps_the_shape():
