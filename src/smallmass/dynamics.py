@@ -23,8 +23,12 @@ blow-up guards; each entry point's bookkeeping rides along as a callback.
 
 Batched kernels carry state as (R, N, d) arrays: replica, particle,
 component, and take every d x d product through ``linalg.matvec`` or
-``linalg.matmat``, plain arithmetic on diagonal coefficients.  The empirical
-measure entering the friction is the replica's own ensemble at the step start.
+``linalg.matmat``, plain arithmetic on diagonal coefficients.  The exponential
+step keeps a diagonal friction as its (R, N, d) diagonal: no d x d
+exponential or inverse is formed, only the midpoint kernel's matrix for a
+dense sigma, and the bits are those of the matrix formulas.  The empirical
+measure entering the friction is the replica's own ensemble at the step
+start.
 """
 
 from __future__ import annotations
@@ -48,7 +52,18 @@ from .errors import (
     integer,
     real,
 )
-from .linalg import expm, inv_batch, matmat, matvec, min_sym_eig_batch
+from .linalg import (
+    _diagonal,
+    diagonal_matrix,
+    entrywise,
+    exp_diagonal,
+    expm,
+    inv_batch,
+    inv_diagonal,
+    matmat,
+    matvec,
+    min_sym_eig_batch,
+)
 from .measures import EmpiricalMeasure, wasserstein2_assignment
 from .models import MODE_EXTENSION, SystemModel, limit_drift_fields
 
@@ -165,13 +180,29 @@ def _advance_full_em(model, X, V, delta, eps, dw):
 
 
 def _advance_full_exponential(model, X, V, delta, eps, dw):
+    """E = e^{-gamma delta/eps} on V, gamma^{-1} (I - E) on F and the midpoint
+    kernel e^{-gamma delta/(2 eps)} on sigma dw.  A diagonal gamma keeps its
+    (R, N, d) diagonal: the exponentials, the inverse and their products are
+    entrywise, with the bits of the matrix formulas (``expm``, ``inv_batch``,
+    ``matmat``, ``matvec``) on its laid-out matrices."""
     F = model.force_field(X, X)
     g = model.friction_field(X, X)
     sig = model.noise_field(X, X)
-    scales = np.array([delta / eps, delta / (2.0 * eps)]).reshape(2, 1, 1, 1, 1)
-    E, E_half = expm(-g * scales)
-    drift_gain = matmat(inv_batch(g), np.eye(g.shape[-1]) - E)
-    V_new = matvec(E, V) + matvec(drift_gain, F) + matvec(E_half, sig, dw) / eps
+    scales = np.array([delta / eps, delta / (2.0 * eps)]).reshape(2, 1, 1, 1)
+    diag = _diagonal(g)
+    if diag is None:
+        E, E_half = expm(-g * scales[..., None])
+        drift_gain = matmat(inv_batch(g), np.eye(g.shape[-1]) - E)
+        V_new = matvec(E, V) + matvec(drift_gain, F) + matvec(E_half, sig, dw) / eps
+        return X + 0.5 * delta * (V + V_new), V_new
+    E, E_half = exp_diagonal(-diag * scales)
+    drift_gain = entrywise(inv_diagonal(diag), 1.0 - E)
+    sig_diag = _diagonal(sig)
+    if sig_diag is None:   # a dense or non-square sigma: matvec's einsum
+        noise = np.einsum("...ij,...jk,...k->...i", diagonal_matrix(E_half), sig, dw)
+    else:
+        noise = entrywise(E_half, sig_diag, dw)
+    V_new = entrywise(E, V) + entrywise(drift_gain, F) + noise / eps
     return X + 0.5 * delta * (V + V_new), V_new
 
 
@@ -662,7 +693,8 @@ def validate_assumptions(
     |x1 - x2| + W2(mu1, mu2) (against |x1 - x2| for force and noise in
     state-only mode), and the largest measure-derivative norm.  Each
     coefficient is evaluated once, on the stack of all pairs, through the
-    ``*_field`` calls of the integrators.
+    ``*_field`` calls of the integrators, the derivatives laid out in the
+    dense form (``SystemModel.dense_derivative``) before their norms.
     """
     d = instance(model, SystemModel, "model").dim
     rng = np.random.default_rng(instance(probe, ProbeConfig, "probe").seed)
@@ -712,13 +744,13 @@ def validate_assumptions(
         ("force", model.force_field, state_denom),
         ("noise", model.noise_field, state_denom),
         ("friction", model.friction_field, denom),
-        ("friction_dx", model.friction_dx_field, denom),
+        ("friction_dx", lambda X, S: model.dense_derivative(model.friction_dx_field(X, S)), denom),
     ):
         f = field_at(X12, S12)
         ratios[name] = max([0.0] + [
             np.linalg.norm((f[p] - f[P + p]).reshape(-1)) / den[p] for p in np.flatnonzero(den)
         ])
-    dmu = model.friction_dmu_field(x1, samples[m1], y)
+    dmu = model.dense_derivative(model.friction_dmu_field(x1, samples[m1], y))
     dmu_norms = [float(np.linalg.norm(dmu[p].reshape(-1))) for p in np.flatnonzero(denom)]
 
     report = AssumptionReport(

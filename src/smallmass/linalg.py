@@ -13,7 +13,11 @@ The kernels take a stack of matrices (..., d, d): ``expm``,
 at a time.  ``expm`` is np.exp on each diagonal matrix, chosen matrix by
 matrix; the others and ``matvec`` (an einsum's bits) / ``matmat`` (np.matmul
 on a dense or non-square A) are arithmetic on diagonal stacks, every d = 1
-one included, as ``_diagonal`` chooses.  One solve, ``_stacked_solve``, serves
+one included, as ``_diagonal`` chooses.  That arithmetic is public for a
+caller that holds the diagonals (..., d) only: ``exp_diagonal`` and
+``inv_diagonal`` give the diagonals of ``expm`` and ``inv_batch``,
+``entrywise`` the diagonal products, and ``diagonal_matrix`` lays diagonals
+out with exact zeros.  One solve, ``_stacked_solve``, serves
 ``lyapunov_batch``/``sylvester_batch`` on broadcastable stacks and
 ``solve_lyapunov``/``solve_sylvester`` on a stack of one.  It diagonalizes
 (Bartels & Stewart, CACM 15(9), 1972) G1 = V1 L1 V1^-1 and G2 = V2 L2 V2^-1,
@@ -124,11 +128,37 @@ def _from_diagonal(v: np.ndarray) -> np.ndarray:
         return v[..., :, None] * np.eye(v.shape[-1])
 
 
+def diagonal_matrix(v: np.ndarray) -> np.ndarray:
+    """The stack (..., d, d) with diagonals v (..., d) and exact zeros off the
+    diagonal, whatever v holds: ``_from_diagonal``'s bits where v is finite and
+    positive.  At d = 1 a view of v."""
+    d = v.shape[-1]
+    if d == 1:
+        return v[..., None]
+    out = np.zeros(v.shape + (d,))
+    out.reshape(v.shape[:-1] + (d * d,))[..., :: d + 1] = v
+    return out
+
+
+def entrywise(first, *factors) -> np.ndarray:
+    """The product of two or more broadcastable factors left to right, plus
+    +0.0: a chain of diagonal matrices and a vector with the bits of the einsum
+    "...ij,...j->...i" wherever the factors are finite, since an einsum
+    multiplies its terms in order and sums from +0.0, so a lone -0.0 term
+    reads +0.0."""
+    product = first
+    for factor in factors:
+        product = product * factor
+    product += _ZERO
+    return product
+
+
 def matvec(*operands) -> np.ndarray:
     """A_1 ... A_p x over the last axes of broadcastable stacks: the einsum
-    _CHAINS[p + 1] or, when every A_t is diagonal, the product of the
-    diagonals and x left to right, as the einsum multiplies its terms, with
-    its bits wherever the operands are finite."""
+    _CHAINS[p + 1] or, when every A_t is diagonal, ``entrywise`` on the
+    diagonals and x, written out here: a step at d = 1 is bound by the
+    interpreter, and that call made the explicit step at (200, 1, 1) about
+    8% slower."""
     product = None
     for A in operands[:-1]:
         diag = _diagonal(A)
@@ -136,7 +166,7 @@ def matvec(*operands) -> np.ndarray:
             return np.einsum(_CHAINS[len(operands)], *operands)
         product = diag if product is None else product * diag
     product = product * operands[-1]
-    product += _ZERO   # an einsum sums from +0.0: a lone -0.0 term reads +0.0
+    product += _ZERO   # as in entrywise
     return product
 
 
@@ -148,7 +178,7 @@ def matmat(A, B) -> np.ndarray:
     if diag is None:
         return np.matmul(A, B)
     product = diag[..., :, None] * B
-    product += _ZERO   # as in matvec
+    product += _ZERO   # as in entrywise
     return product
 
 
@@ -156,15 +186,15 @@ def expm(M) -> np.ndarray:
     """Matrix exponential of one matrix or of a stack (..., d, d).
 
     Each matrix whose off-diagonal entries are all zero, every d = 1 matrix
-    among them, is np.exp of its diagonal laid out by ``_from_diagonal``.  Each
-    other one is scaled below norm 1/4 by its own power of two, a 16-term
+    among them, is ``exp_diagonal`` of its diagonal laid out by
+    ``diagonal_matrix``, its off-diagonal entries 0 even beside an overflow.
+    Each other one is scaled below norm 1/4 by its own power of two, a 16-term
     Taylor polynomial is evaluated in Horner form by np.matmul, and it is
     squared back up its own number of times, so a stack gives the same bits
     as its matrices one at a time.  An overflow reads inf, as in BLAS."""
     A = _as_stack(M, "M")
     diag = np.diagonal(A, axis1=-2, axis2=-1)
-    with np.errstate(over="ignore"):
-        E = _from_diagonal(np.exp(diag))
+    E = diagonal_matrix(exp_diagonal(diag))
     if _diagonal(A) is not None:
         return E
     dense = np.count_nonzero(A, axis=(-2, -1)) != np.count_nonzero(diag, axis=-1)
@@ -208,12 +238,26 @@ def inv_batch(G: np.ndarray) -> np.ndarray:
     rows above it, as it does for a NaN entry, and here the NaN stays in its
     own row."""
     diag = _diagonal(G)
-    if diag is None:
-        return np.linalg.inv(G)
-    if not diag.all():
+    return np.linalg.inv(G) if diag is None else _from_diagonal(inv_diagonal(diag))
+
+
+def exp_diagonal(v: np.ndarray) -> np.ndarray:
+    """The diagonals of ``expm`` of the diagonal matrices whose diagonals are
+    the stack v (..., d): np.exp(v), NonFinite where v holds a NaN or an
+    infinity, as in ``expm``, and an overflow reads inf without a warning."""
+    if not np.isfinite(v).all():
+        raise NonFinite("M contains NaN or Inf")
+    with np.errstate(over="ignore"):
+        return np.exp(v)
+
+
+def inv_diagonal(v: np.ndarray) -> np.ndarray:
+    """The diagonals of ``inv_batch`` of the diagonal matrices whose diagonals
+    are the stack v (..., d): 1 / v, LinAlgError at a zero entry."""
+    if not v.all():
         raise np.linalg.LinAlgError("Singular matrix")
     with np.errstate(over="ignore"):
-        return _from_diagonal(1.0 / diag)
+        return 1.0 / v
 
 
 def min_sym_eig(M) -> float:

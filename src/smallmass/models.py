@@ -31,18 +31,26 @@ and contracts factor by factor instead, at every d:
 S_i = -gamma^{-1}_ip sum_{q,l} (d_x gamma)_pql (gamma^{-1} J)_ql, and S~ the
 same with d_mu gamma, J~ and the mean over the samples taken before the last
 product, so no (B, N, n, d, d, d) tensor but the derivative itself is made.
-Its products and the -K x force are ``linalg.matvec`` / ``linalg.matmat``;
-``drift_S`` and ``drift_S_tilde`` compute their own correction alone.
+A model may declare its friction diagonal (``SystemModel``), as the
+scalar-state, interaction and carrillo-force families do; its derivatives
+then hold d gamma_ii only, (B, N, d, d) and (B, N, n, d, d), the latter a view
+broadcast from the (B, N, n, d) gradient of the interaction's psi, and the
+contraction sums over l alone.  When sigma is one matrix at every point, as a
+constant noise is, sigma sigma^T and every pair's sigma(x) sigma(y)^T are one
+product, broadcast by the solves.  The products and the -K x force are
+``linalg.matvec`` / ``linalg.matmat``; ``drift_S`` and ``drift_S_tilde``
+compute their own correction alone.
 
 Batch evaluation conventions (used by the integrators): states are arrays of
 shape ``(B, m, d)`` where ``B`` indexes independent ensembles (each with its
 own measure) and ``m`` indexes evaluation points; measure samples are
-``(B, n, d)``.  The interaction friction and its two derivatives are one
-closure set at every d, on the (B, m, n, d) differences x - y; the
-differences and 1 + |x - y|^2 have one helper each, which the carrillo-force
-force shares.  The friction profile a + b tanh(x) and its slope are one
-helper, ``_tanh_friction``, which the scalar-state family shares with them.  A
-constant coefficient hands out one read-only contiguous copy per batch shape.
+``(B, n, d)``.  The interaction friction and its two derivatives, in the
+diagonal form, are one closure set at every d, on the (B, m, n, d)
+differences x - y; the differences and 1 + |x - y|^2 have one helper each,
+which the carrillo-force force shares.  The friction profile a + b tanh(x)
+and its slope are one helper, ``_tanh_friction``, which the scalar-state
+family shares with them.  A constant coefficient hands out one read-only
+contiguous copy per batch shape.
 """
 
 from __future__ import annotations
@@ -85,7 +93,7 @@ class SystemModel:
     * ``force(X, S)   -> (B, m, d)``
     * ``noise(X, S)   -> (B, m, d, k)``
     * ``friction(X, S)    -> (B, m, d, d)``
-    * ``friction_dx(X, S) -> (B, m, d, d, d)``   entry [i, j, l]
+    * ``friction_dx(X, S) -> (B, m, d, d, d)``   entry [i, j, l] = d gamma_ij / d x_l
     * ``friction_dmu(X, S, Y) -> (B, m, n, d, d, d)``  entry [i, j, l] at y_n
 
     where ``X`` is ``(B, m, d)``, the measure samples ``S`` are ``(B, n, d)``
@@ -93,6 +101,19 @@ class SystemModel:
     models simply ignore ``S`` in force and noise.  ``friction_dx`` and
     ``friction_dmu`` may be None, meaning identically zero; the zero flags
     let the integrators skip the corresponding correction exactly.
+
+    With ``diagonal_friction`` the model declares gamma diagonal at every
+    point and for every measure, and its derivative closures give the
+    diagonal entries only:
+
+    * ``friction_dx(X, S) -> (B, m, d, d)``   entry [i, l] = d gamma_ii / d x_l
+    * ``friction_dmu(X, S, Y) -> (B, m, n, d, d)``  entry [i, l] at y_n, which
+      may be a broadcast view
+
+    ``limit_drift_fields`` contracts this form as it is; ``dense_derivative``
+    lays it out in the dense form for the point functions, the assumption
+    probe and any caller that wants it.  The default is the dense form, which
+    every model may use.
     """
 
     def __init__(
@@ -106,6 +127,7 @@ class SystemModel:
         friction_dmu: Optional[Callable] = None,
         mode: str = MODE_STATE_ONLY,
         spec: Optional[ModelSpec] = None,
+        diagonal_friction: bool = False,
     ):
         if mode not in (MODE_STATE_ONLY, MODE_EXTENSION):
             raise ValidationError(f"unknown mode {mode!r}")
@@ -120,6 +142,22 @@ class SystemModel:
         self._friction_dmu = friction_dmu
         self.dx_is_zero = friction_dx is None
         self.dmu_is_zero = friction_dmu is None
+        self.diagonal_friction = instance(diagonal_friction, bool, "diagonal_friction")
+
+    def _derivative_shape(self, *lead) -> tuple:
+        d = self.dim
+        return lead + ((d, d) if self.diagonal_friction else (d, d, d))
+
+    def dense_derivative(self, D: np.ndarray) -> np.ndarray:
+        """A derivative output of this model, (..., d, d, d) under the dense
+        form or (..., d, d) under the diagonal one, in the dense form: entry
+        [..., i, j, l] is zero off i = j, and [..., i, i, l] = D[..., i, l]."""
+        if not self.diagonal_friction:
+            return D
+        d = self.dim
+        out = np.zeros(D.shape[:-2] + (d, d, d))
+        out.reshape(D.shape[:-2] + (d * d, d))[..., :: d + 1, :] = D
+        return out
 
     # -- batch evaluation ---------------------------------------------------
 
@@ -133,18 +171,15 @@ class SystemModel:
         return np.asarray(self._friction(X, samples), dtype=float)
 
     def friction_dx_field(self, X: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        B, m, d = X.shape
         if self._friction_dx is None:
-            return np.zeros((B, m, d, d, d))
+            return np.zeros(self._derivative_shape(*X.shape[:2]))
         return np.asarray(self._friction_dx(X, samples), dtype=float)
 
     def friction_dmu_field(
         self, X: np.ndarray, samples: np.ndarray, Y: np.ndarray
     ) -> np.ndarray:
-        B, m, d = X.shape
-        n = Y.shape[1]
         if self._friction_dmu is None:
-            return np.zeros((B, m, n, d, d, d))
+            return np.zeros(self._derivative_shape(*X.shape[:2], Y.shape[1]))
         return np.asarray(self._friction_dmu(X, samples, Y), dtype=float)
 
     # -- point evaluation ---------------------------------------------------
@@ -184,10 +219,14 @@ class SystemModel:
         return self.friction_field(self._point(x), self._samples(mu))[0, 0]
 
     def friction_dx(self, x, mu: EmpiricalMeasure) -> np.ndarray:
-        return self.friction_dx_field(self._point(x), self._samples(mu))[0, 0]
+        """d gamma_ij / d x_l at x, entry [i, j, l], whatever the model's form."""
+        D = self.friction_dx_field(self._point(x), self._samples(mu))
+        return self.dense_derivative(D)[0, 0]
 
     def friction_dmu(self, x, mu: EmpiricalMeasure, y) -> np.ndarray:
-        return self.friction_dmu_field(self._point(x), self._samples(mu), self._point(y))[0, 0, 0]
+        """(d_mu gamma_ij(x, mu)(y))_l, entry [i, j, l], whatever the model's form."""
+        D = self.friction_dmu_field(self._point(x), self._samples(mu), self._point(y))
+        return self.dense_derivative(D)[0, 0, 0]
 
 
 # --- built-in families -------------------------------------------------------
@@ -268,8 +307,9 @@ def _tanh_friction(a, b):
 
 def _interaction_friction(params, family, d):
     """(friction, friction_dx, friction_dmu) of gamma(x, mu) = a I + b diag(tanh x_i)
-    + mean_{y~mu} psi(x - y) I, psi(z) = c / (1 + |z|^2) with c >= 0: the measure
-    derivative is a genuine Lions derivative of a linear functional of mu."""
+    + mean_{y~mu} psi(x - y) I, psi(z) = c / (1 + |z|^2) with c >= 0, the
+    derivatives in the diagonal form: the measure derivative is a genuine
+    Lions derivative of a linear functional of mu."""
     a, b = _tanh_profile(params, family)
     c = _param(params, "c")
     if c < 0.0:
@@ -302,7 +342,9 @@ def _differences(X, Y):
 def _pairwise_closures(a, b, c, d):
     """The interaction friction closures at every d, on the (B, m, n, d)
     differences, updated in place, and the diagonal entries written through
-    strided views of the zero output."""
+    strided views of the zero output.  The derivatives take the diagonal form
+    of ``SystemModel``: d gamma_ii / d x_l, and the gradient in y of psi,
+    which every diagonal entry shares, as a view broadcast over i."""
     profile, slope = _tanh_friction(a, b)
 
     def friction(X, S):
@@ -320,24 +362,19 @@ def _pairwise_closures(a, b, c, d):
         q = _one_plus_squared(diff)
         q2 = np.multiply(q, q, out=q)
         grad_psi = (-2.0 * c) * np.divide(diff, q2[..., None], out=diff).mean(axis=2)
-        out = np.zeros((B, m, d, d, d))
+        out = np.zeros((B, m, d, d))
         # diagonal tanh profile: d gamma_ii / d x_i
-        out.reshape(B, m, d ** 3)[..., :: d * d + d + 1] = slope(X)
+        out.reshape(B, m, d * d)[..., :: d + 1] = slope(X)
         # shared psi term: d gamma_ii / d x_l for every i, l
-        out.reshape(B, m, d * d, d)[:, :, :: d + 1] += grad_psi[:, :, None, :]
+        out += grad_psi[:, :, None, :]
         return out
 
     def friction_dmu(X, S, Y):
-        B, m, _ = X.shape
-        n = Y.shape[1]
         diff = _differences(X, Y)                           # (B, m, n, d)
         q = _one_plus_squared(diff)
         diff *= 2.0 * c
         diff /= np.multiply(q, q, out=q)[..., None]         # the gradient in y
-        del q   # freed before the output is made
-        out = np.zeros((B, m, n, d, d, d))
-        out.reshape(B, m, n, d * d, d)[..., :: d + 1, :] = diff[..., None, :]
-        return out
+        return np.broadcast_to(diff[..., None, :], diff.shape[:-1] + (d, d))
 
     return friction, friction_dx, friction_dmu
 
@@ -356,8 +393,8 @@ def _build_constant(params) -> SystemModel:
 def _build_scalar_state(params) -> SystemModel:
     profile, slope = _tanh_friction(*_tanh_profile(params, "scalar-state"))
     sigma = np.full((1, 1), _param(params, "sigma", default=1.0))
-    return SystemModel(1, 1, lambda X, S: -X, _constant(sigma),
-                       lambda X, S: profile(X)[..., None], lambda X, S: slope(X)[..., None, None])
+    return SystemModel(1, 1, lambda X, S: -X, _constant(sigma), lambda X, S: profile(X)[..., None],
+                       lambda X, S: slope(X)[..., None], diagonal_friction=True)
 
 
 def _build_interaction(params) -> SystemModel:
@@ -366,7 +403,8 @@ def _build_interaction(params) -> SystemModel:
     K = _param(params, "K", default=1.0, shape=(d, d))
     sigma = _param(params, "sigma", default=1.0, shape=(d, k))
     return SystemModel(
-        d, k, _linear_force(K), _constant(sigma), *_interaction_friction(params, "interaction", d)
+        d, k, _linear_force(K), _constant(sigma), *_interaction_friction(params, "interaction", d),
+        diagonal_friction=True,
     )
 
 
@@ -386,7 +424,7 @@ def _build_carrillo_force(params) -> SystemModel:
 
     return SystemModel(
         d, k, force, _constant(sigma), *_interaction_friction(params, "carrillo-force", d),
-        mode=MODE_EXTENSION,
+        mode=MODE_EXTENSION, diagonal_friction=True,
     )
 
 
@@ -431,16 +469,20 @@ def _require_stable(gammas: np.ndarray, what: str = "friction"):
         )
 
 
-def _contract(ginv: np.ndarray, D: np.ndarray, J: np.ndarray, samples: bool = False):
-    """sum_{j,l} (d gamma^{-1})_{ijl} J_{jl}, entry [b, n, i], from gamma^{-1} (B, N, d, d)
-    and the derivative D of gamma (B, N, d, d, d) and J (B, N, d, d) at the points;
-    with ``samples`` D and J carry a sample axis after (B, N), and the result is
-    the mean over it.
+def _contract(model, ginv: np.ndarray, D: np.ndarray, J: np.ndarray, samples: bool = False):
+    """sum_{j,l} (d gamma^{-1})_{ijl} J_{jl}, entry [b, n, i], from gamma^{-1} (B, N, d, d),
+    the derivative D of gamma in the model's form and J (B, N, d, d) at the
+    points; with ``samples`` D and J carry a sample axis after (B, N), and the
+    result is the mean over it.  The one reader of the diagonal form.
 
     It runs factor by factor, -gamma^{-1} (sum_{q,l} D_{pql} (gamma^{-1} J)_{ql}),
-    the mean taken before the last product."""
+    the mean taken before the last product.  In the diagonal form D_{pql} is
+    zero off q = p, and the sum is over l alone: at d <= 4 the bits of the
+    dense sum, whose zero terms add nothing; at d = 5 to 7 the einsum pairs
+    the terms otherwise, a few ulp apart."""
     g = ginv[:, :, None] if samples else ginv
-    T = np.einsum("...pql,...ql->...p", D, linalg.matmat(g, J))
+    form = "...pl,...pl->...p" if model.diagonal_friction else "...pql,...ql->...p"
+    T = np.einsum(form, D, linalg.matmat(g, J))
     if samples:
         T = T.mean(axis=2)
     return -linalg.matvec(ginv, T)
@@ -491,7 +533,9 @@ def _at_points(model: SystemModel, X: np.ndarray, samples):
     corrections share; ``basis`` factors gamma(x) once for J and J~.  Raises
     ValidationError before any coefficient call unless the model is one and X
     (B, m, d) and the samples (B, n, d), X by default, are non-empty and match
-    it; a float ndarray is used as it is, anything else converted."""
+    it, a float ndarray used as it is, anything else converted; and after the
+    friction call when a model that declares a diagonal friction returns a
+    dense one."""
     instance(model, SystemModel, "model")
     try:
         X = np.asarray(X, dtype=float)
@@ -503,16 +547,38 @@ def _at_points(model: SystemModel, X: np.ndarray, samples):
         raise ValidationError(f"need non-empty (B, m, d) points, (B, n, d) samples, d = {model.dim}")
     g = model.friction_field(X, samples)                       # (B, N, d, d)
     _require_stable(g)
+    if model.diagonal_friction and linalg._diagonal(g) is None:
+        raise ValidationError("the model declares a diagonal friction and returned a dense one")
     basis = None if model.dx_is_zero and model.dmu_is_zero else linalg.Eigenbasis(g)
     return X, samples, g, linalg.inv_batch(g), model.noise_field(X, samples), basis
+
+
+def _repeats(stack: np.ndarray, first: np.ndarray) -> bool:
+    """Whether every matrix of ``stack`` has the bits of ``first``."""
+    return bool((stack.view(np.uint64) == first.view(np.uint64)).all())
+
+
+def _noise_products(sig, sig_y=None):
+    """sigma sigma^T at the points (B, N, d, d) or, given sig_y at the samples,
+    sigma(x) sigma(y)^T for every pair (B, N, n, d, d), by ``linalg.matmat``.
+    When every matrix of sig and sig_y has the bits of the first, as a
+    constant noise's do, it is that one matrix's product (d, d), which the
+    solves broadcast: the bits of every pair's product, for a fraction of
+    the time and none of the memory."""
+    first = sig[0, 0]
+    if _repeats(sig, first) and (sig_y is None or sig_y is sig or _repeats(sig_y, first)):
+        return linalg.matmat(first, first.T)
+    if sig_y is None:
+        return linalg.matmat(sig, np.swapaxes(sig, -1, -2))
+    return linalg.matmat(sig[:, :, None], np.swapaxes(sig_y, -1, -2)[:, None])
 
 
 def _state_correction(model, X, samples, g, ginv, sig, basis):
     """S at the points X, from the shared part ``_at_points``."""
     if model.dx_is_zero:
         return np.zeros(X.shape)
-    J = linalg.lyapunov_batch(g, linalg.matmat(sig, np.swapaxes(sig, -1, -2)), basis)
-    return _contract(ginv, model.friction_dx_field(X, samples), J)
+    J = linalg.lyapunov_batch(g, _noise_products(sig), basis)
+    return _contract(model, ginv, model.friction_dx_field(X, samples), J)
 
 
 def _measure_correction(model, X, samples, g, ginv, sig, basis):
@@ -526,9 +592,9 @@ def _measure_correction(model, X, samples, g, ginv, sig, basis):
         _require_stable(g_y, "friction at measure samples")
         sig_y = model.noise_field(samples, samples)
         basis_y = linalg.Eigenbasis(g_y)
-    Q = linalg.matmat(sig[:, :, None], np.swapaxes(sig_y, -1, -2)[:, None])
+    Q = _noise_products(sig, sig_y)
     J_t = linalg.sylvester_batch(g[:, :, None], g_y[:, None], Q, basis, basis_y)   # (B, N, n, d, d)
-    return _contract(ginv, model.friction_dmu_field(X, samples, samples), J_t, samples=True)
+    return _contract(model, ginv, model.friction_dmu_field(X, samples, samples), J_t, samples=True)
 
 
 def limit_drift_fields(model: SystemModel, X: np.ndarray, samples=None):

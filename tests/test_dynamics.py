@@ -1145,3 +1145,81 @@ class TestNoEinsumAtD1:
             delta_rule=rule, Delta=0.01, validate=False,
         )
         assert all(np.isfinite(report.errors)) and min(report.errors) > 0.0
+
+
+def _matrix_step(g, sig, F, X, V, delta, eps, dw):
+    """The exponential step by the matrix formulas, the friction laid out as
+    d x d matrices: what a dense friction takes."""
+    scales = np.array([delta / eps, delta / (2.0 * eps)]).reshape(2, 1, 1, 1, 1)
+    E, E_half = linalg.expm(-g * scales)
+    gain = linalg.matmat(linalg.inv_batch(g), np.eye(g.shape[-1]) - E)
+    V_new = linalg.matvec(E, V) + linalg.matvec(gain, F) + linalg.matvec(E_half, sig, dw) / eps
+    return X + 0.5 * delta * (V + V_new), V_new
+
+
+class TestDiagonalExponentialStep:
+    # a diagonal friction steps as its diagonal, with the bits of the matrix
+    # formulas, signed zeros included, for a diagonal, a dense and a
+    # non-square sigma
+    @staticmethod
+    def model(d, sigma, gamma=None):
+        def friction(X, S):
+            if gamma is not None:
+                return np.broadcast_to(gamma, X.shape + (d,))
+            out = np.zeros(X.shape + (d,))
+            out.reshape(X.shape[:-1] + (d * d,))[..., :: d + 1] = 1.5 + X * X
+            return out
+
+        return SystemModel(d, sigma.shape[1], lambda X, S: -X,
+                           lambda X, S: np.broadcast_to(sigma, X.shape[:-1] + sigma.shape), friction)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("noise", ["diagonal", "dense", "non-square"])
+    def test_same_bits_as_the_matrix_formulas(self, d, noise):
+        rng = np.random.default_rng(61 + d)
+        k = d + 1 if noise == "non-square" else d
+        sigma = rng.normal(size=(d, k))
+        if noise == "diagonal":
+            sigma = np.diag(np.diag(sigma))
+        model = self.model(d, sigma)
+        R, N = 3, 5
+        X = rng.normal(size=(R, N, d))
+        V = rng.normal(size=(R, N, d))
+        dw = rng.normal(size=(R, N, k)) * 0.1
+        X[0, 0], V[0, 0], V[0, 1], dw[0, 0] = 0.0, -0.0, 0.0, -0.0   # signed zeros
+        X[1, 0], V[1, 0] = -0.0, -0.0
+        # every term of the new velocity -0.0 (F = -X): the sum must read +0.0
+        X[2, 0], V[2, 0], dw[2, 0] = 0.0, -0.0, -np.copysign(0.0, np.diag(sigma)[0])
+        assert np.signbit(X).any() and np.signbit(V).any()
+        for delta, eps in ((0.0025, 0.05), (0.01, 0.01), (0.5, 0.01)):
+            got = _advance_full_exponential(model, X, V, delta, eps, dw)
+            g, sig = model.friction_field(X, X), model.noise_field(X, X)
+            want = _matrix_step(g, sig, model.force_field(X, X), X, V, delta, eps, dw)
+            for w, a in zip(want, got):
+                assert np.array_equal(np.signbit(w), np.signbit(a))
+                assert w.tobytes() == a.tobytes()
+
+    def test_takes_no_matrix_exponential(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("expm called")
+
+        monkeypatch.setattr(dynamics, "expm", refuse)
+        model = model_library(ModelSpec("interaction", {"a": 2.0, "b": 0.5, "c": 1.0, "d": 3}))
+        ens = ParticleEnsembleFull(0.0, 0.05, np.ones((4, 3)), np.zeros((4, 3)))
+        step_full_exponential(ens, model, 0.0025, np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_nan_friction_raises_nonfinite(self, d):
+        gamma = np.eye(d)
+        gamma[-1, -1] = np.nan
+        ens = ParticleEnsembleFull(0.0, 0.05, np.zeros((2, d)), np.zeros((2, d)))
+        with pytest.raises(NonFinite):
+            step_full_exponential(ens, self.model(d, np.eye(d), gamma), 0.0025, np.zeros((2, d)))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_zero_friction_entry_raises_linalg_error(self, d):
+        gamma = np.eye(d)
+        gamma[0, 0] = 0.0
+        ens = ParticleEnsembleFull(0.0, 0.05, np.zeros((2, d)), np.zeros((2, d)))
+        with pytest.raises(np.linalg.LinAlgError):
+            step_full_exponential(ens, self.model(d, np.eye(d), gamma), 0.0025, np.zeros((2, d)))

@@ -173,6 +173,21 @@ class TestStacks:
             assert np.isinf(E[:, 0, 0]).all() and np.allclose(E[:, 1, 1], np.e, rtol=1e-14)
             assert linalg.expm(np.array([[[710.0]]]))[0, 0, 0] == np.inf
 
+    def test_expm_of_a_diagonal_matrix_writes_exact_zeros(self):
+        # an overflowed entry no longer spreads NaN along its row; finite
+        # inputs keep their bits, since exp > 0 makes v * 0 read +0 too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E = linalg.expm(np.diag([800.0, 1.0]))
+        assert E[0, 0] == np.inf and E[1, 1] == np.e
+        assert E[0, 1] == 0.0 and E[1, 0] == 0.0 and not np.signbit(E).any()
+        v = np.array([[-3.0, 0.5, 2.0], [-0.0, 0.0, -700.0]])
+        assert linalg.expm(diagonal(v)).tobytes() == linalg._from_diagonal(np.exp(v)).tobytes()
+        # the inverse keeps LAPACK's -0 in a negative row
+        inv = linalg.inv_batch(np.diag([-2.0, 4.0])[None])[0]
+        assert np.signbit(inv[0, 1]) and not np.signbit(inv[1, 0])
+        assert inv.tobytes() == np.linalg.inv(np.diag([-2.0, 4.0])).tobytes()
+
     @pytest.mark.parametrize(
         "kernel, lapack",
         [

@@ -379,6 +379,7 @@ class TestMeasureDependentNoise:
             friction_dx=base._friction_dx,
             friction_dmu=base._friction_dmu,
             mode="extension",
+            diagonal_friction=True,   # the interaction closures' form
         )
         rng = np.random.default_rng(401)
         for _ in range(10):
@@ -516,7 +517,8 @@ class TestEnsembleFields:
         dense = SystemModel(
             2, 2, diagonal.force_field, diagonal.noise_field,
             lambda X, S: diagonal.friction_field(X, S) + skew,
-            diagonal.friction_dx_field, diagonal.friction_dmu_field,
+            lambda X, S: diagonal.dense_derivative(diagonal.friction_dx_field(X, S)),
+            lambda X, S, Y: diagonal.dense_derivative(diagonal.friction_dmu_field(X, S, Y)),
         )
         rng = np.random.default_rng(17)
         X = rng.normal(size=(B, N, 2))
@@ -668,7 +670,9 @@ class TestPairwiseClosures:
     # must give the bits of the plain formulas, for a measure that is the
     # ensemble itself and for given samples; n = 9000 spans more than one
     # 8192-element block of the strided mean over the samples, and the Lions
-    # derivative is taken at as many of them as keep it within 2^21 values
+    # derivative is taken at as many of them as keep it within 2^21 values.
+    # The derivatives come in the diagonal form and are compared laid out by
+    # the model's expansion.
     @pytest.mark.parametrize("samples", ["own", "given"])
     @pytest.mark.parametrize("d", range(1, 8))
     def test_same_bits_as_the_plain_formulas(self, d, samples):
@@ -676,12 +680,19 @@ class TestPairwiseClosures:
 
         a, b, c = 2.0, -0.6, 0.8
         want = _reference_closures(a, b, c, d)
-        got = models._pairwise_closures(a, b, c, d)
+        friction, friction_dx, friction_dmu = models._pairwise_closures(a, b, c, d)
+        model = SystemModel(d, d, None, None, friction, friction_dx, friction_dmu,
+                            diagonal_friction=True)
+        got = (model.friction_field,
+               lambda X, S: model.dense_derivative(model.friction_dx_field(X, S)),
+               lambda X, S, Y: model.dense_derivative(model.friction_dmu_field(X, S, Y)))
         rng = np.random.default_rng(29 + d)
         for B, m, n in ((16, 64, 64), (2, 3, 7), (1, 1, 1), (1, 2, 9000)):
             X = rng.normal(size=(B, m, d))
             S = X if samples == "own" else rng.normal(size=(B, n, d))
             Y = S[:, : max(1, 2 ** 21 // (B * m * d ** 3))]   # d^3 values a pair
+            assert friction_dx(X, S).shape == (B, m, d, d)
+            assert friction_dmu(X, S, Y).shape == (B, m, Y.shape[1], d, d)
             for args, w, g in zip(((X, S), (X, S), (X, S, Y)), want, got):
                 w, g = w(*args), g(*args)
                 assert w.shape == g.shape and w.tobytes() == g.tobytes()
@@ -747,3 +758,145 @@ class TestDifferences:
             got = models._differences(X, Y)
             assert got.shape == (B, m, n, d) and got.tobytes() == want.tobytes()
             assert got.flags.writeable and got.flags.c_contiguous
+
+
+def _dense_twin(model):
+    """The model under the dense contract, its derivative closures the
+    expansion of the diagonal ones (None where they are None)."""
+    return SystemModel(
+        model.dim, model.noise_dim, model._force, model._noise, model._friction,
+        None if model.dx_is_zero else
+        lambda X, S: model.dense_derivative(model.friction_dx_field(X, S)),
+        None if model.dmu_is_zero else
+        lambda X, S, Y: model.dense_derivative(model.friction_dmu_field(X, S, Y)),
+        mode=model.mode,
+    )
+
+
+_CONTRACT_CASES = [("scalar-state", 1)] + [
+    (family, d) for family in ("interaction", "carrillo-force") for d in (1, 2, 3, 4)
+]
+
+
+class TestDiagonalContract:
+    # the families with an x- or mu-dependent friction declare it diagonal;
+    # their derivatives, laid out by the expansion, are the plain dense
+    # formulas bit for bit, and the limit drifts are those of the same model
+    # under the dense contract
+    @staticmethod
+    def build(family, d):
+        a, b, c = 2.0, -0.6, 0.8
+        if family == "scalar-state":
+            return model_library(ModelSpec(family, {"a": a, "b": b, "sigma": 0.7})), (a, b, c)
+        sigma = (np.eye(d) + 0.3 * np.cos(np.arange(d * d)).reshape(d, d)).tolist()
+        params = {"a": a, "b": b, "c": c, "d": d, "sigma": sigma}
+        return model_library(ModelSpec(family, params)), (a, b, c)
+
+    @pytest.mark.parametrize("family, d", _CONTRACT_CASES)
+    def test_expanded_derivatives_are_the_dense_formulas(self, family, d):
+        model, (a, b, c) = self.build(family, d)
+        assert model.diagonal_friction
+        if family == "scalar-state":   # the tanh profile alone, no measure term
+            def want_dx(X, S):
+                return b * (1.0 / np.cosh(X) ** 2)[..., None, None]
+
+            def want_dmu(X, S, Y):
+                return np.zeros(X.shape[:2] + (Y.shape[1], 1, 1, 1))
+        else:
+            _, want_dx, want_dmu = _reference_closures(a, b, c, d)
+        rng = np.random.default_rng(71 + d)
+        for B, m, n in ((3, 6, 6), (2, 3, 7), (1, 1, 1)):
+            X, S = rng.normal(size=(B, m, d)), rng.normal(size=(B, n, d))
+            dx, dmu = model.friction_dx_field(X, S), model.friction_dmu_field(X, S, S)
+            assert dx.shape == (B, m, d, d) and dmu.shape == (B, m, n, d, d)
+            for got, want in ((model.dense_derivative(dx), want_dx(X, S)),
+                              (model.dense_derivative(dmu), want_dmu(X, S, S))):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family, d", _CONTRACT_CASES)
+    def test_drifts_are_those_of_the_dense_contract(self, family, d):
+        model, _ = self.build(family, d)
+        dense = _dense_twin(model)
+        assert not dense.diagonal_friction
+        rng = np.random.default_rng(73 + d)
+        X = rng.normal(size=(3, 7, d))
+        for samples in (None, rng.normal(size=(3, 5, d))):
+            got, want = limit_drift_fields(model, X, samples), limit_drift_fields(dense, X, samples)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+        mu = EmpiricalMeasure(rng.normal(size=(6, d)))
+        for x in (X[0, 0], mu.samples[2]):
+            assert drift_S(model, x, mu).tobytes() == drift_S(dense, x, mu).tobytes()
+            assert drift_S_tilde(model, x, mu).tobytes() == drift_S_tilde(dense, x, mu).tobytes()
+            assert gamma_inv_dx(model, x, mu).tobytes() == gamma_inv_dx(dense, x, mu).tobytes()
+
+    def test_zero_derivatives_take_the_declared_shape(self):
+        def eye(X, S):
+            return np.broadcast_to(np.eye(2), X.shape + (2,))
+
+        model = SystemModel(2, 2, lambda X, S: -X, eye, eye, diagonal_friction=True)
+        X = np.zeros((3, 4, 2))
+        assert model.friction_dx_field(X, X).shape == (3, 4, 2, 2)
+        assert model.friction_dmu_field(X, X, X[:, :2]).shape == (3, 4, 2, 2, 2)
+        mu = EmpiricalMeasure(np.zeros((2, 2)))
+        assert np.array_equal(model.friction_dx(np.zeros(2), mu), np.zeros((2, 2, 2)))
+
+    def test_a_dense_friction_under_the_diagonal_declaration_is_refused(self):
+        base = interaction(d=2)
+        skew = np.array([[0.0, 0.4], [-0.4, 0.0]])
+        broken = SystemModel(2, 2, base._force, base._noise,
+                             lambda X, S: base.friction_field(X, S) + skew,
+                             base._friction_dx, base._friction_dmu, diagonal_friction=True)
+        with pytest.raises(ValidationError):
+            limit_drift_fields(broken, np.zeros((1, 3, 2)))
+        with pytest.raises(ValidationError):
+            SystemModel(1, 1, None, None, None, diagonal_friction="yes")
+
+
+class TestNoiseProducts:
+    # a noise that is one matrix everywhere makes one sigma sigma^T, which the
+    # solves broadcast, with the bits of every pair's own product
+    @pytest.mark.parametrize("d, k", [(1, 1), (1, 3), (2, 2), (3, 3), (4, 4), (4, 2)])
+    def test_one_product_has_every_pairs_bits(self, d, k):
+        from smallmass import models
+
+        rng = np.random.default_rng(79 + d + k)
+        sigmas = [rng.normal(size=(d, k))] + ([np.diag(rng.normal(size=d))] if d == k else [])
+        for sigma in sigmas:
+            sig = np.ascontiguousarray(np.broadcast_to(sigma, (3, 5, d, k)))
+            sig_y = np.ascontiguousarray(np.broadcast_to(sigma, (3, 4, d, k)))
+            pairs = linalg.matmat(sig[:, :, None], np.swapaxes(sig_y, -1, -2)[:, None])
+            points = linalg.matmat(sig, np.swapaxes(sig, -1, -2))
+            for got, want in ((models._noise_products(sig, sig_y), pairs),
+                              (models._noise_products(sig, sig), pairs[:, :, :1].repeat(5, 2)),
+                              (models._noise_products(sig), points)):
+                assert got.shape == (d, d)
+                assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
+
+    def test_a_stack_that_differs_by_a_signed_zero_takes_every_pair(self):
+        from smallmass import models
+
+        sig = np.zeros((2, 3, 2, 2))
+        sig[...] = [[1.0, 0.0], [0.5, 1.0]]
+        sig[1, 2, 0, 1] = -0.0
+        assert models._noise_products(sig).shape == (2, 3, 2, 2)
+        assert models._noise_products(sig, sig).shape == (2, 3, 3, 2, 2)
+
+
+def test_limit_drift_memory_budget():
+    # the d = 4 interaction family at N = 256: no d^3 derivative tensor and
+    # no per-pair sigma sigma^T, so the peak stays within 24 MB (58 MB with
+    # dense derivatives and pairwise products)
+    import tracemalloc
+
+    sigma = (np.eye(4) + 0.3 * np.cos(np.arange(16)).reshape(4, 4)).tolist()
+    model = interaction(d=4, sigma=sigma)
+    X = np.random.default_rng(83).normal(size=(1, 256, 4))
+    limit_drift_fields(model, X)   # the constant noise's copy for this shape
+    tracemalloc.start()
+    try:
+        limit_drift_fields(model, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2 ** 20

@@ -10,6 +10,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from smallmass import convergence, dynamics
@@ -36,9 +37,12 @@ def test_every_target_resolves(tracing):
 
 def test_a_tiny_round_is_traced_and_counted(tracing):
     # the interaction family at d = 2 reads the measure (pairwise friction)
-    # and solves Lyapunov and Sylvester systems; the exponential rule takes
-    # matrix exponentials
+    # and solves Lyapunov and Sylvester systems; its diagonal friction takes
+    # the exponential rule's exponentials entrywise, so a constant friction
+    # with an off-diagonal entry takes one exponential step through expm
     model = model_library(ModelSpec("interaction", {"a": 2.0, "b": 0.5, "c": 1.0, "d": 2}))
+    dense = model_library(ModelSpec("constant", {"d": 2, "gamma0": [[2.0, 0.5], [0.0, 2.0]]}))
+    start = dynamics.ParticleEnsembleFull(0.0, 0.05, np.zeros((3, 2)), np.ones((3, 2)))
     rule = convergence.DeltaRule(scheme="exponential", delta=0.0025)
     run_convergence = convergence.run_convergence
     tracer = tracing.Tracer()
@@ -57,6 +61,7 @@ def test_a_tiny_round_is_traced_and_counted(tracing):
             model, 0.05, T=0.01, delta=0.0025, replicas=2, seed=1, n_particles=3,
             scheme="exponential",
         )
+        dynamics.step_full_exponential(start, dense, 0.0025, np.zeros((3, 2)))
     assert convergence.run_convergence is run_convergence   # the originals are back
     for name in ("run_convergence", "simulate_coupled", "run_limit_path",
                  "diagnostics_velocity"):
