@@ -40,6 +40,7 @@ from .errors import (
     DegenerateFit,
     InsufficientReplicas,
     ValidationError,
+    instance,
     integer,
     real,
 )
@@ -177,7 +178,7 @@ def fit_rate(report: ConvergenceReport) -> RateFit:
     The slope is the empirical rate exponent of the squared sup error;
     exp(intercept) estimates the rate constant.
     """
-    eps = np.asarray(report.epsilons, dtype=float)
+    eps = np.asarray(instance(report, ConvergenceReport, "report").epsilons, dtype=float)
     err = np.asarray(report.errors, dtype=float)
     if len(np.unique(eps)) < 3:
         raise DegenerateFit("need at least 3 distinct epsilon values")
@@ -289,7 +290,7 @@ def _json_value(v) -> str:
 
 def report_to_json(report: ConvergenceReport) -> str:
     """Fixed-schema JSON document; floats at 17 significant digits."""
-    spec = report.model_spec
+    spec = instance(report, ConvergenceReport, "report").model_spec
     model_obj = {"family": spec.family, "params": dict(spec.params)} if spec else None
     fields = [
         ("model", model_obj),
@@ -308,8 +309,7 @@ def report_to_json(report: ConvergenceReport) -> str:
 def report_to_csv(report: ConvergenceReport) -> str:
     """Companion table: epsilon,error,stderr,ratio_sqrt."""
     lines = ["epsilon,error,stderr,ratio_sqrt"]
-    for eps, err, se, ratio in zip(
-        report.epsilons, report.errors, report.stderrs, report.ratios
-    ):
+    instance(report, ConvergenceReport, "report")
+    for eps, err, se, ratio in zip(report.epsilons, report.errors, report.stderrs, report.ratios):
         lines.append(f"{_fmt(eps)},{_fmt(err)},{_fmt(se)},{_fmt(ratio)}")
     return "\n".join(lines) + "\n"

@@ -532,8 +532,8 @@ def run_limit_path(
 
 def write_path_csv(fileobj, paths: PathRecord, replica_id: int):
     """Dump a coupled trajectory: one row per (time, particle, component)."""
+    n_times, n_particles, d = instance(paths, PathRecord, "paths").x_full.shape
     fileobj.write("t,replica,particle,component,x_eps,v_eps,x_limit\n")
-    n_times, n_particles, d = paths.x_full.shape
     for j in range(n_times):
         t = paths.times[j]
         for p in range(n_particles):
@@ -744,13 +744,13 @@ def validate_assumptions(
         ("force", model.force_field, state_denom),
         ("noise", model.noise_field, state_denom),
         ("friction", model.friction_field, denom),
-        ("friction_dx", lambda X, S: model.dense_derivative(model.friction_dx_field(X, S)), denom),
+        ("friction_dx", lambda X, S: model.dense_derivative(model.friction_dx_field(X, S), 2), denom),
     ):
         f = field_at(X12, S12)
         ratios[name] = max([0.0] + [
             np.linalg.norm((f[p] - f[P + p]).reshape(-1)) / den[p] for p in np.flatnonzero(den)
         ])
-    dmu = model.dense_derivative(model.friction_dmu_field(x1, samples[m1], y))
+    dmu = model.dense_derivative(model.friction_dmu_field(x1, samples[m1], y), 3)
     dmu_norms = [float(np.linalg.norm(dmu[p].reshape(-1))) for p in np.flatnonzero(denom)]
 
     report = AssumptionReport(

@@ -12,7 +12,8 @@ and problem files.  Each refuses a bool, a non-number and a non-finite value
 with ValidationError.  ``array`` reads every entry with ``real``, one by one,
 and refuses a ragged list; so it is for configuration values, not for the
 arrays a step makes, which are converted where they are used.  ``instance``
-checks the objects a caller hands over: a model, a probe configuration.
+checks the objects a caller hands over: a model, a probe configuration, a
+measure, a family spec, a report, a path record.
 """
 
 import math
@@ -123,7 +124,8 @@ def array(value, what: str) -> np.ndarray:
 def instance(value, cls: type, what: str):
     """``value`` itself.  ValidationError unless it is an instance of ``cls``."""
     if not isinstance(value, cls):
-        raise ValidationError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValidationError(f"{what} must be {article} {cls.__name__}, got {type(value).__name__}")
     return value
 
 

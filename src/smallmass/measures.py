@@ -19,6 +19,7 @@ from .errors import (
     NonFinite,
     SizeLimitExceeded,
     ValidationError,
+    instance,
 )
 
 ASSIGNMENT_SIZE_LIMIT = 512
@@ -57,13 +58,11 @@ class EmpiricalMeasure:
 
 def second_moment(mu: EmpiricalMeasure) -> float:
     """(1/N) sum_i |x_i|^2, the square-integrability functional."""
-    return float(np.mean(np.sum(mu.samples ** 2, axis=1)))
+    return float(np.mean(np.sum(instance(mu, EmpiricalMeasure, "mu").samples ** 2, axis=1)))
 
 
 def _check_pair(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
-    if not (isinstance(mu, EmpiricalMeasure) and isinstance(nu, EmpiricalMeasure)):
-        raise ValidationError("W2 compares two EmpiricalMeasure objects")
-    if mu.dim != nu.dim:
+    if instance(mu, EmpiricalMeasure, "mu").dim != instance(nu, EmpiricalMeasure, "nu").dim:
         raise DimensionMismatch(f"dimensions differ: {mu.dim} vs {nu.dim}")
     if mu.size != nu.size:
         raise CountMismatch(f"sample counts differ: {mu.size} vs {nu.size}")

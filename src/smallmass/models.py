@@ -31,15 +31,14 @@ and contracts factor by factor instead, at every d:
 S_i = -gamma^{-1}_ip sum_{q,l} (d_x gamma)_pql (gamma^{-1} J)_ql, and S~ the
 same with d_mu gamma, J~ and the mean over the samples taken before the last
 product, so no (B, N, n, d, d, d) tensor but the derivative itself is made.
-A model may declare its friction diagonal (``SystemModel``), as the
-scalar-state, interaction and carrillo-force families do; its derivatives
-then hold d gamma_ii only, (B, N, d, d) and (B, N, n, d, d), the latter a view
-broadcast from the (B, N, n, d) gradient of the interaction's psi, and the
-contraction sums over l alone.  When sigma is one matrix at every point, as a
-constant noise is, sigma sigma^T and every pair's sigma(x) sigma(y)^T are one
-product, broadcast by the solves.  The products and the -K x force are
-``linalg.matvec`` / ``linalg.matmat``; ``drift_S`` and ``drift_S_tilde``
-compute their own correction alone.
+A derivative may hold d gamma_ii only, (B, N, d, d) and (B, N, n, d, d), as
+those of the scalar-state, interaction and carrillo-force families do, the
+latter a view broadcast from the (B, N, n, d) gradient of the interaction's
+psi; the contraction then sums over l alone.  When sigma is one matrix at
+every point, as a constant noise is, sigma sigma^T and every pair's sigma(x)
+sigma(y)^T are one product, broadcast by the solves.  The products and the
+-K x force are ``linalg.matvec`` / ``linalg.matmat``; ``drift_S`` and
+``drift_S_tilde`` compute their own correction alone.
 
 Batch evaluation conventions (used by the integrators): states are arrays of
 shape ``(B, m, d)`` where ``B`` indexes independent ensembles (each with its
@@ -102,18 +101,18 @@ class SystemModel:
     ``friction_dmu`` may be None, meaning identically zero; the zero flags
     let the integrators skip the corresponding correction exactly.
 
-    With ``diagonal_friction`` the model declares gamma diagonal at every
-    point and for every measure, and its derivative closures give the
-    diagonal entries only:
+    A derivative closure may instead give the diagonal entries only, when
+    d gamma_ij is zero off i = j, whatever gamma itself is:
 
     * ``friction_dx(X, S) -> (B, m, d, d)``   entry [i, l] = d gamma_ii / d x_l
     * ``friction_dmu(X, S, Y) -> (B, m, n, d, d)``  entry [i, l] at y_n, which
       may be a broadcast view
 
-    ``limit_drift_fields`` contracts this form as it is; ``dense_derivative``
-    lays it out in the dense form for the point functions, the assumption
-    probe and any caller that wants it.  The default is the dense form, which
-    every model may use.
+    The rank of the array is its form, and each closure may take either.
+    ``limit_drift_fields`` contracts the diagonal form as it is;
+    ``dense_derivative`` lays it out in the dense form for the point
+    functions, the assumption probe and any caller that wants it.  The
+    ``*_field`` calls raise ValidationError for any other shape.
     """
 
     def __init__(
@@ -127,7 +126,6 @@ class SystemModel:
         friction_dmu: Optional[Callable] = None,
         mode: str = MODE_STATE_ONLY,
         spec: Optional[ModelSpec] = None,
-        diagonal_friction: bool = False,
     ):
         if mode not in (MODE_STATE_ONLY, MODE_EXTENSION):
             raise ValidationError(f"unknown mode {mode!r}")
@@ -142,22 +140,28 @@ class SystemModel:
         self._friction_dmu = friction_dmu
         self.dx_is_zero = friction_dx is None
         self.dmu_is_zero = friction_dmu is None
-        self.diagonal_friction = instance(diagonal_friction, bool, "diagonal_friction")
 
-    def _derivative_shape(self, *lead) -> tuple:
-        d = self.dim
-        return lead + ((d, d) if self.diagonal_friction else (d, d, d))
-
-    def dense_derivative(self, D: np.ndarray) -> np.ndarray:
-        """A derivative output of this model, (..., d, d, d) under the dense
-        form or (..., d, d) under the diagonal one, in the dense form: entry
-        [..., i, j, l] is zero off i = j, and [..., i, i, l] = D[..., i, l]."""
-        if not self.diagonal_friction:
+    def dense_derivative(self, D: np.ndarray, points: int) -> np.ndarray:
+        """A derivative output of this model with ``points`` leading point axes,
+        2 for ``friction_dx`` and 3 for ``friction_dmu``, in the dense form: D
+        itself when it is dense, else entry [..., i, j, l] zero off i = j and
+        [..., i, i, l] = D[..., i, l]."""
+        if D.ndim == points + 3:
             return D
         d = self.dim
         out = np.zeros(D.shape[:-2] + (d, d, d))
         out.reshape(D.shape[:-2] + (d * d, d))[..., :: d + 1, :] = D
         return out
+
+    def _derivative(self, closure, lead: tuple, *args) -> np.ndarray:
+        """``closure(*args)``, or zeros in the diagonal form for a None closure.
+        ValidationError unless it is lead + (d, d) or lead + (d, d, d)."""
+        forms = (lead + (self.dim,) * 2, lead + (self.dim,) * 3)
+        D = np.zeros(forms[0]) if closure is None else np.asarray(closure(*args), dtype=float)
+        if D.shape not in forms:
+            raise ValidationError(
+                f"a friction derivative must have shape {forms[0]} or {forms[1]}, got {D.shape}")
+        return D
 
     # -- batch evaluation ---------------------------------------------------
 
@@ -171,16 +175,12 @@ class SystemModel:
         return np.asarray(self._friction(X, samples), dtype=float)
 
     def friction_dx_field(self, X: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        if self._friction_dx is None:
-            return np.zeros(self._derivative_shape(*X.shape[:2]))
-        return np.asarray(self._friction_dx(X, samples), dtype=float)
+        return self._derivative(self._friction_dx, X.shape[:2], X, samples)
 
     def friction_dmu_field(
         self, X: np.ndarray, samples: np.ndarray, Y: np.ndarray
     ) -> np.ndarray:
-        if self._friction_dmu is None:
-            return np.zeros(self._derivative_shape(*X.shape[:2], Y.shape[1]))
-        return np.asarray(self._friction_dmu(X, samples, Y), dtype=float)
+        return self._derivative(self._friction_dmu, X.shape[:2] + (Y.shape[1],), X, samples, Y)
 
     # -- point evaluation ---------------------------------------------------
 
@@ -194,9 +194,7 @@ class SystemModel:
         return x[None, None, :]
 
     def _samples(self, mu: EmpiricalMeasure) -> np.ndarray:
-        if not isinstance(mu, EmpiricalMeasure):
-            raise ValidationError(f"a measure must be an EmpiricalMeasure, got {type(mu).__name__}")
-        if mu.dim != self.dim:
+        if instance(mu, EmpiricalMeasure, "a measure").dim != self.dim:
             raise ValidationError(
                 f"measure dimension {mu.dim} does not match model dimension {self.dim}"
             )
@@ -221,12 +219,12 @@ class SystemModel:
     def friction_dx(self, x, mu: EmpiricalMeasure) -> np.ndarray:
         """d gamma_ij / d x_l at x, entry [i, j, l], whatever the model's form."""
         D = self.friction_dx_field(self._point(x), self._samples(mu))
-        return self.dense_derivative(D)[0, 0]
+        return self.dense_derivative(D, 2)[0, 0]
 
     def friction_dmu(self, x, mu: EmpiricalMeasure, y) -> np.ndarray:
         """(d_mu gamma_ij(x, mu)(y))_l, entry [i, j, l], whatever the model's form."""
         D = self.friction_dmu_field(self._point(x), self._samples(mu), self._point(y))
-        return self.dense_derivative(D)[0, 0, 0]
+        return self.dense_derivative(D, 3)[0, 0, 0]
 
 
 # --- built-in families -------------------------------------------------------
@@ -394,7 +392,7 @@ def _build_scalar_state(params) -> SystemModel:
     profile, slope = _tanh_friction(*_tanh_profile(params, "scalar-state"))
     sigma = np.full((1, 1), _param(params, "sigma", default=1.0))
     return SystemModel(1, 1, lambda X, S: -X, _constant(sigma), lambda X, S: profile(X)[..., None],
-                       lambda X, S: slope(X)[..., None], diagonal_friction=True)
+                       lambda X, S: slope(X)[..., None])
 
 
 def _build_interaction(params) -> SystemModel:
@@ -403,8 +401,7 @@ def _build_interaction(params) -> SystemModel:
     K = _param(params, "K", default=1.0, shape=(d, d))
     sigma = _param(params, "sigma", default=1.0, shape=(d, k))
     return SystemModel(
-        d, k, _linear_force(K), _constant(sigma), *_interaction_friction(params, "interaction", d),
-        diagonal_friction=True,
+        d, k, _linear_force(K), _constant(sigma), *_interaction_friction(params, "interaction", d)
     )
 
 
@@ -424,7 +421,7 @@ def _build_carrillo_force(params) -> SystemModel:
 
     return SystemModel(
         d, k, force, _constant(sigma), *_interaction_friction(params, "carrillo-force", d),
-        mode=MODE_EXTENSION, diagonal_friction=True,
+        mode=MODE_EXTENSION,
     )
 
 
@@ -441,7 +438,7 @@ _REGISTRY = {
 
 def model_library(spec: ModelSpec) -> SystemModel:
     """Instantiate a built-in model family from its spec."""
-    if spec.family not in _REGISTRY:
+    if instance(spec, ModelSpec, "spec").family not in _REGISTRY:
         raise UnknownFamily(
             f"unknown family {spec.family!r}; available: {sorted(_REGISTRY)}"
         )
@@ -469,19 +466,20 @@ def _require_stable(gammas: np.ndarray, what: str = "friction"):
         )
 
 
-def _contract(model, ginv: np.ndarray, D: np.ndarray, J: np.ndarray, samples: bool = False):
+def _contract(ginv: np.ndarray, D: np.ndarray, J: np.ndarray, samples: bool = False):
     """sum_{j,l} (d gamma^{-1})_{ijl} J_{jl}, entry [b, n, i], from gamma^{-1} (B, N, d, d),
-    the derivative D of gamma in the model's form and J (B, N, d, d) at the
-    points; with ``samples`` D and J carry a sample axis after (B, N), and the
-    result is the mean over it.  The one reader of the diagonal form.
+    the derivative D of gamma in either form and J (B, N, d, d) at the points;
+    with ``samples`` D and J carry a sample axis after (B, N), and the result
+    is the mean over it.  The one reader of the diagonal form, which it knows
+    by D having J's rank.
 
     It runs factor by factor, -gamma^{-1} (sum_{q,l} D_{pql} (gamma^{-1} J)_{ql}),
     the mean taken before the last product.  In the diagonal form D_{pql} is
-    zero off q = p, and the sum is over l alone: at d <= 4 the bits of the
-    dense sum, whose zero terms add nothing; at d = 5 to 7 the einsum pairs
-    the terms otherwise, a few ulp apart."""
+    zero off q = p, and the sum is over l alone, exact for any gamma: at
+    d <= 4 the bits of the dense sum, whose zero terms add nothing; at d = 5
+    to 7 the einsum pairs the terms otherwise, a few ulp apart."""
     g = ginv[:, :, None] if samples else ginv
-    form = "...pl,...pl->...p" if model.diagonal_friction else "...pql,...ql->...p"
+    form = "...pl,...pl->...p" if D.ndim == J.ndim else "...pql,...ql->...p"
     T = np.einsum(form, D, linalg.matmat(g, J))
     if samples:
         T = T.mean(axis=2)
@@ -533,9 +531,7 @@ def _at_points(model: SystemModel, X: np.ndarray, samples):
     corrections share; ``basis`` factors gamma(x) once for J and J~.  Raises
     ValidationError before any coefficient call unless the model is one and X
     (B, m, d) and the samples (B, n, d), X by default, are non-empty and match
-    it, a float ndarray used as it is, anything else converted; and after the
-    friction call when a model that declares a diagonal friction returns a
-    dense one."""
+    it, a float ndarray used as it is, anything else converted."""
     instance(model, SystemModel, "model")
     try:
         X = np.asarray(X, dtype=float)
@@ -547,8 +543,6 @@ def _at_points(model: SystemModel, X: np.ndarray, samples):
         raise ValidationError(f"need non-empty (B, m, d) points, (B, n, d) samples, d = {model.dim}")
     g = model.friction_field(X, samples)                       # (B, N, d, d)
     _require_stable(g)
-    if model.diagonal_friction and linalg._diagonal(g) is None:
-        raise ValidationError("the model declares a diagonal friction and returned a dense one")
     basis = None if model.dx_is_zero and model.dmu_is_zero else linalg.Eigenbasis(g)
     return X, samples, g, linalg.inv_batch(g), model.noise_field(X, samples), basis
 
@@ -578,7 +572,7 @@ def _state_correction(model, X, samples, g, ginv, sig, basis):
     if model.dx_is_zero:
         return np.zeros(X.shape)
     J = linalg.lyapunov_batch(g, _noise_products(sig), basis)
-    return _contract(model, ginv, model.friction_dx_field(X, samples), J)
+    return _contract(ginv, model.friction_dx_field(X, samples), J)
 
 
 def _measure_correction(model, X, samples, g, ginv, sig, basis):
@@ -594,7 +588,7 @@ def _measure_correction(model, X, samples, g, ginv, sig, basis):
         basis_y = linalg.Eigenbasis(g_y)
     Q = _noise_products(sig, sig_y)
     J_t = linalg.sylvester_batch(g[:, :, None], g_y[:, None], Q, basis, basis_y)   # (B, N, n, d, d)
-    return _contract(model, ginv, model.friction_dmu_field(X, samples, samples), J_t, samples=True)
+    return _contract(ginv, model.friction_dmu_field(X, samples, samples), J_t, samples=True)
 
 
 def limit_drift_fields(model: SystemModel, X: np.ndarray, samples=None):

@@ -379,8 +379,11 @@ class TestMeasureDependentNoise:
             friction_dx=base._friction_dx,
             friction_dmu=base._friction_dmu,
             mode="extension",
-            diagonal_friction=True,   # the interaction closures' form
         )
+        # the interaction closures' derivatives come in the diagonal form
+        one = np.zeros((1, 1, 1))
+        assert model.friction_dx_field(one, one).shape == (1, 1, 1, 1)
+        assert model.friction_dmu_field(one, one, one).shape == (1, 1, 1, 1, 1)
         rng = np.random.default_rng(401)
         for _ in range(10):
             x = float(rng.normal())
@@ -517,8 +520,8 @@ class TestEnsembleFields:
         dense = SystemModel(
             2, 2, diagonal.force_field, diagonal.noise_field,
             lambda X, S: diagonal.friction_field(X, S) + skew,
-            lambda X, S: diagonal.dense_derivative(diagonal.friction_dx_field(X, S)),
-            lambda X, S, Y: diagonal.dense_derivative(diagonal.friction_dmu_field(X, S, Y)),
+            lambda X, S: diagonal.dense_derivative(diagonal.friction_dx_field(X, S), 2),
+            lambda X, S, Y: diagonal.dense_derivative(diagonal.friction_dmu_field(X, S, Y), 3),
         )
         rng = np.random.default_rng(17)
         X = rng.normal(size=(B, N, 2))
@@ -681,11 +684,10 @@ class TestPairwiseClosures:
         a, b, c = 2.0, -0.6, 0.8
         want = _reference_closures(a, b, c, d)
         friction, friction_dx, friction_dmu = models._pairwise_closures(a, b, c, d)
-        model = SystemModel(d, d, None, None, friction, friction_dx, friction_dmu,
-                            diagonal_friction=True)
+        model = SystemModel(d, d, None, None, friction, friction_dx, friction_dmu)
         got = (model.friction_field,
-               lambda X, S: model.dense_derivative(model.friction_dx_field(X, S)),
-               lambda X, S, Y: model.dense_derivative(model.friction_dmu_field(X, S, Y)))
+               lambda X, S: model.dense_derivative(model.friction_dx_field(X, S), 2),
+               lambda X, S, Y: model.dense_derivative(model.friction_dmu_field(X, S, Y), 3))
         rng = np.random.default_rng(29 + d)
         for B, m, n in ((16, 64, 64), (2, 3, 7), (1, 1, 1), (1, 2, 9000)):
             X = rng.normal(size=(B, m, d))
@@ -761,14 +763,14 @@ class TestDifferences:
 
 
 def _dense_twin(model):
-    """The model under the dense contract, its derivative closures the
-    expansion of the diagonal ones (None where they are None)."""
+    """The model with both derivatives in the dense form, each the expansion
+    of the model's own (None where it is None)."""
     return SystemModel(
         model.dim, model.noise_dim, model._force, model._noise, model._friction,
         None if model.dx_is_zero else
-        lambda X, S: model.dense_derivative(model.friction_dx_field(X, S)),
+        lambda X, S: model.dense_derivative(model.friction_dx_field(X, S), 2),
         None if model.dmu_is_zero else
-        lambda X, S, Y: model.dense_derivative(model.friction_dmu_field(X, S, Y)),
+        lambda X, S, Y: model.dense_derivative(model.friction_dmu_field(X, S, Y), 3),
         mode=model.mode,
     )
 
@@ -779,10 +781,12 @@ _CONTRACT_CASES = [("scalar-state", 1)] + [
 
 
 class TestDiagonalContract:
-    # the families with an x- or mu-dependent friction declare it diagonal;
-    # their derivatives, laid out by the expansion, are the plain dense
+    # the families with an x- or mu-dependent friction give its derivatives in
+    # the diagonal form; laid out by the expansion, they are the plain dense
     # formulas bit for bit, and the limit drifts are those of the same model
-    # under the dense contract
+    # with dense derivatives.  The form is the derivative's own: a dense gamma
+    # may have diagonal-form derivatives, and one derivative may come in each
+    # form, with the drifts of the all-dense twin all the same.
     @staticmethod
     def build(family, d):
         a, b, c = 2.0, -0.6, 0.8
@@ -795,7 +799,6 @@ class TestDiagonalContract:
     @pytest.mark.parametrize("family, d", _CONTRACT_CASES)
     def test_expanded_derivatives_are_the_dense_formulas(self, family, d):
         model, (a, b, c) = self.build(family, d)
-        assert model.diagonal_friction
         if family == "scalar-state":   # the tanh profile alone, no measure term
             def want_dx(X, S):
                 return b * (1.0 / np.cosh(X) ** 2)[..., None, None]
@@ -809,16 +812,14 @@ class TestDiagonalContract:
             X, S = rng.normal(size=(B, m, d)), rng.normal(size=(B, n, d))
             dx, dmu = model.friction_dx_field(X, S), model.friction_dmu_field(X, S, S)
             assert dx.shape == (B, m, d, d) and dmu.shape == (B, m, n, d, d)
-            for got, want in ((model.dense_derivative(dx), want_dx(X, S)),
-                              (model.dense_derivative(dmu), want_dmu(X, S, S))):
+            for got, want in ((model.dense_derivative(dx, 2), want_dx(X, S)),
+                              (model.dense_derivative(dmu, 3), want_dmu(X, S, S))):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("family, d", _CONTRACT_CASES)
-    def test_drifts_are_those_of_the_dense_contract(self, family, d):
-        model, _ = self.build(family, d)
-        dense = _dense_twin(model)
-        assert not dense.diagonal_friction
-        rng = np.random.default_rng(73 + d)
+    @staticmethod
+    def assert_same_drifts(model, dense, seed):
+        d = model.dim
+        rng = np.random.default_rng(seed)
         X = rng.normal(size=(3, 7, d))
         for samples in (None, rng.normal(size=(3, 5, d))):
             got, want = limit_drift_fields(model, X, samples), limit_drift_fields(dense, X, samples)
@@ -826,31 +827,51 @@ class TestDiagonalContract:
                 assert g.tobytes() == w.tobytes()
         mu = EmpiricalMeasure(rng.normal(size=(6, d)))
         for x in (X[0, 0], mu.samples[2]):
-            assert drift_S(model, x, mu).tobytes() == drift_S(dense, x, mu).tobytes()
-            assert drift_S_tilde(model, x, mu).tobytes() == drift_S_tilde(dense, x, mu).tobytes()
-            assert gamma_inv_dx(model, x, mu).tobytes() == gamma_inv_dx(dense, x, mu).tobytes()
+            for point in (drift_S, drift_S_tilde, gamma_inv_dx,
+                          lambda m, x, mu: gamma_inv_dmu(m, x, mu, mu.samples[1])):
+                assert point(model, x, mu).tobytes() == point(dense, x, mu).tobytes()
 
-    def test_zero_derivatives_take_the_declared_shape(self):
+    @pytest.mark.parametrize("family, d", _CONTRACT_CASES)
+    def test_drifts_are_those_of_the_dense_contract(self, family, d):
+        model, _ = self.build(family, d)
+        dense = _dense_twin(model)
+        X = np.zeros((1, 2, d))
+        assert dense.friction_dx_field(X, X).shape == (1, 2, d, d, d)
+        assert dense.dmu_is_zero or dense.friction_dmu_field(X, X, X).shape == (1, 2, 2, d, d, d)
+        self.assert_same_drifts(model, dense, 73 + d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("forms", ["dense-gamma", "dx-dense", "dmu-dense"])
+    def test_either_form_under_any_gamma(self, forms, d):
+        base, _ = self.build("interaction", d)
+        skew = 0.4 * (np.triu(np.ones((d, d)), 1) - np.tril(np.ones((d, d)), -1))
+        friction, dx, dmu = base._friction, base._friction_dx, base._friction_dmu
+        if forms == "dense-gamma":   # gamma off the diagonal, both derivatives diagonal
+            def friction(X, S):
+                return base.friction_field(X, S) + skew
+        elif forms == "dx-dense":
+            def dx(X, S):
+                return base.dense_derivative(base.friction_dx_field(X, S), 2)
+        else:
+            def dmu(X, S, Y):
+                return base.dense_derivative(base.friction_dmu_field(X, S, Y), 3)
+        model = SystemModel(d, d, base._force, base._noise, friction, dx, dmu)
+        X = np.zeros((1, 2, d))
+        ranks = model.friction_dx_field(X, X).ndim, model.friction_dmu_field(X, X, X).ndim
+        assert ranks == {"dense-gamma": (4, 5), "dx-dense": (5, 5), "dmu-dense": (4, 6)}[forms]
+        self.assert_same_drifts(model, _dense_twin(model), 79 + d)
+
+    def test_zero_derivatives_take_the_diagonal_form(self):
         def eye(X, S):
             return np.broadcast_to(np.eye(2), X.shape + (2,))
 
-        model = SystemModel(2, 2, lambda X, S: -X, eye, eye, diagonal_friction=True)
+        model = SystemModel(2, 2, lambda X, S: -X, eye, eye)
         X = np.zeros((3, 4, 2))
         assert model.friction_dx_field(X, X).shape == (3, 4, 2, 2)
         assert model.friction_dmu_field(X, X, X[:, :2]).shape == (3, 4, 2, 2, 2)
         mu = EmpiricalMeasure(np.zeros((2, 2)))
         assert np.array_equal(model.friction_dx(np.zeros(2), mu), np.zeros((2, 2, 2)))
-
-    def test_a_dense_friction_under_the_diagonal_declaration_is_refused(self):
-        base = interaction(d=2)
-        skew = np.array([[0.0, 0.4], [-0.4, 0.0]])
-        broken = SystemModel(2, 2, base._force, base._noise,
-                             lambda X, S: base.friction_field(X, S) + skew,
-                             base._friction_dx, base._friction_dmu, diagonal_friction=True)
-        with pytest.raises(ValidationError):
-            limit_drift_fields(broken, np.zeros((1, 3, 2)))
-        with pytest.raises(ValidationError):
-            SystemModel(1, 1, None, None, None, diagonal_friction="yes")
+        assert np.array_equal(model.friction_dmu(np.zeros(2), mu, np.ones(2)), np.zeros((2, 2, 2)))
 
 
 class TestNoiseProducts:

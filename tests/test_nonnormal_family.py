@@ -66,14 +66,14 @@ def nonnormal(d, omega=1.5, tau=0.3):
     def friction_dx(X, S):
         diff, phi = kernel(X, S)
         grad = -(diff * phi[..., None]).mean(axis=2)                  # grad_x mean phi
-        dense = base.dense_derivative(base.friction_dx_field(X, S))
+        dense = base.dense_derivative(base.friction_dx_field(X, S), 2)
         return dense + omega * Omega[:, :, None] * grad[:, :, None, None, :]
 
     def friction_dmu(X, S, Y):
         diff, phi = kernel(X, Y)
         grad_y = diff * phi[..., None]                                # grad_y phi(x - y)
         skew_part = omega * Omega[:, :, None] * grad_y[:, :, :, None, None, :]
-        return base.dense_derivative(base.friction_dmu_field(X, S, Y)) + skew_part
+        return base.dense_derivative(base.friction_dmu_field(X, S, Y), 3) + skew_part
 
     return SystemModel(
         d, d, force, noise, friction, friction_dx, friction_dmu, mode=MODE_EXTENSION

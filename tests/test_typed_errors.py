@@ -1,7 +1,9 @@
-"""Every public entry point refuses a caller's impossible number, list or
-measure with a typed error, and one module holds the rule for numbers."""
+"""Every public entry point refuses a caller's impossible number, list,
+measure, package object or model derivative with a typed error, and one
+module holds the rule for numbers."""
 
 import ast
+import io
 import pathlib
 
 import numpy as np
@@ -9,7 +11,13 @@ import pytest
 
 import smallmass
 from smallmass import errors, linalg
-from smallmass.convergence import DeltaRule, run_convergence
+from smallmass.convergence import (
+    DeltaRule,
+    fit_rate,
+    report_to_csv,
+    report_to_json,
+    run_convergence,
+)
 from smallmass.driver import NoiseDriver
 from smallmass.dynamics import (
     ParticleEnsembleFull,
@@ -22,10 +30,20 @@ from smallmass.dynamics import (
     step_full_exponential,
     step_limit_em,
     validate_assumptions,
+    write_path_csv,
 )
 from smallmass.errors import ValidationError
-from smallmass.measures import EmpiricalMeasure, wasserstein2_assignment
-from smallmass.models import ModelSpec, drift_S, gamma_inv_dx, limit_drift_fields, model_library
+from smallmass.measures import EmpiricalMeasure, second_moment, wasserstein2_assignment
+from smallmass.models import (
+    ModelSpec,
+    SystemModel,
+    drift_S,
+    drift_S_tilde,
+    gamma_inv_dmu,
+    gamma_inv_dx,
+    limit_drift_fields,
+    model_library,
+)
 
 SIMULATE = dict(eps=0.05, T=0.05, delta=0.0025, Delta=0.01, n_particles=1, replica_id=0, seed=0)
 DIAGNOSTICS = dict(eps=0.05, T=0.1, delta=0.0025, replicas=2, seed=0)
@@ -44,6 +62,27 @@ def full(x=((0.0,),), v=((0.0,),), eps=0.1):
 
 def limit():
     return ParticleEnsembleLimit(0.0, [[0.0]])
+
+
+def misshapen(trailing):
+    """A d = 2 interaction model whose two derivatives end in ``trailing``
+    after their point axes, in place of (2, 2) or (2, 2, 2)."""
+    base = model_library(ModelSpec("interaction", {"a": 2.0, "b": 0.5, "c": 1.0, "d": 2}))
+    return SystemModel(2, 2, base._force, base._noise, base._friction,
+                       lambda X, S: np.zeros(X.shape[:2] + trailing),
+                       lambda X, S, Y: np.zeros(X.shape[:2] + (Y.shape[1],) + trailing))
+
+
+MU2 = EmpiricalMeasure([[0.1, 0.0], [0.3, -0.2]])
+DERIVATIVE_READERS = {
+    "drift-fields": lambda m: limit_drift_fields(m, np.zeros((1, 3, 2))),
+    "drift-S": lambda m: drift_S(m, [0.1, 0.2], MU2),
+    "drift-S-tilde": lambda m: drift_S_tilde(m, [0.1, 0.2], MU2),
+    "inverse-dx": lambda m: gamma_inv_dx(m, [0.1, 0.2], MU2),
+    "inverse-dmu": lambda m: gamma_inv_dmu(m, [0.1, 0.2], MU2, [0.3, -0.2]),
+    "validate": validate_assumptions,
+}
+DERIVATIVE_SHAPES = {"rank": (2,), "trailing-axes": (2, 2, 3)}
 
 
 CASES = {
@@ -109,6 +148,17 @@ CASES = {
     "inverse-derivative-model-None": lambda: gamma_inv_dx(None, 0.1, EmpiricalMeasure([[0.1]])),
     "step-model-None": lambda: step_full_em(full(), None, 0.001, [[0.0]]),
     "step-limit-model-None": lambda: step_limit_em(limit(), None, 0.01, [[0.0]]),
+    # a package object that is not one
+    "fit-rate-None": lambda: fit_rate(None),
+    "report-json-string": lambda: report_to_json("report"),
+    "report-csv-None": lambda: report_to_csv(None),
+    "path-csv-None": lambda: write_path_csv(io.StringIO(), None, 0),
+    "second-moment-list": lambda: second_moment([[0.0]]),
+    "model-library-string": lambda: model_library("constant"),
+    # a model derivative of the wrong rank or trailing axes
+    **{f"{reader}-derivative-{wrong}": lambda call=call, trailing=trailing: call(misshapen(trailing))
+       for reader, call in DERIVATIVE_READERS.items()
+       for wrong, trailing in DERIVATIVE_SHAPES.items()},
 }
 
 
@@ -116,7 +166,7 @@ CASES = {
 def test_no_public_entry_point_leaks_an_untyped_error(call):
     # each of these once raised TypeError, ValueError, AttributeError,
     # OverflowError or numpy's DTypePromotionError, or ran: a bool mass,
-    # step or horizon as 1.0
+    # step or horizon as 1.0, a derivative of the wrong shape as if it fit
     with pytest.raises(ValidationError):
         call()
 
