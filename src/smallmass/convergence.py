@@ -40,6 +40,7 @@ from .errors import (
     DegenerateFit,
     InsufficientReplicas,
     ValidationError,
+    floats,
     instance,
     integer,
     real,
@@ -178,8 +179,8 @@ def fit_rate(report: ConvergenceReport) -> RateFit:
     The slope is the empirical rate exponent of the squared sup error;
     exp(intercept) estimates the rate constant.
     """
-    eps = np.asarray(instance(report, ConvergenceReport, "report").epsilons, dtype=float)
-    err = np.asarray(report.errors, dtype=float)
+    eps = floats(instance(report, ConvergenceReport, "report").epsilons, "report.epsilons")
+    err = floats(report.errors, "report.errors")
     if len(np.unique(eps)) < 3:
         raise DegenerateFit("need at least 3 distinct epsilon values")
     if not all(((v > 0.0) & (v < np.inf)).all() for v in (eps, err)):   # NaN fails too

@@ -48,6 +48,7 @@ from .errors import (
     StepTooLarge,
     ValidationError,
     array,
+    floats,
     instance,
     integer,
     real,
@@ -128,11 +129,7 @@ class ParticleEnsembleFull:
     def __post_init__(self):
         real(self.t, "t")
         real(self.eps, "eps", positive=True)
-        try:
-            self.x = np.asarray(self.x, dtype=float)
-            self.v = np.asarray(self.v, dtype=float)
-        except (TypeError, ValueError):   # a string, a ragged list
-            raise ValidationError("x and v must be arrays of numbers") from None
+        self.x, self.v = floats(self.x, "x"), floats(self.v, "v")
         if self.x.shape != self.v.shape or self.x.ndim != 2:
             raise ValidationError("x and v must be matching (N, d) arrays")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.v))):
@@ -148,10 +145,7 @@ class ParticleEnsembleLimit:
 
     def __post_init__(self):
         real(self.t, "t")
-        try:
-            self.x = np.asarray(self.x, dtype=float)
-        except (TypeError, ValueError):   # a string, a ragged list
-            raise ValidationError("x must be an array of numbers") from None
+        self.x = floats(self.x, "x")
         if self.x.ndim != 2:
             raise ValidationError("x must be an (N, d) array")
         if not np.all(np.isfinite(self.x)):
@@ -301,10 +295,7 @@ def _march(model, blocks, systems, *, on_step=None, on_window=None):
 
 def _check_increment(dw, n_particles, model) -> np.ndarray:
     noise_dim = instance(model, SystemModel, "model").noise_dim
-    try:
-        dw = np.asarray(dw, dtype=float)
-    except (TypeError, ValueError):   # a string, a ragged list
-        raise ValidationError("increment must be an array of numbers") from None
+    dw = floats(dw, "increment")
     if dw.shape != (n_particles, noise_dim):
         raise ValidationError(
             f"increment must have shape ({n_particles}, {noise_dim}), got {dw.shape}"
@@ -692,9 +683,9 @@ def validate_assumptions(
     and its state derivative over random pairs (x1, mu1), (x2, mu2), against
     |x1 - x2| + W2(mu1, mu2) (against |x1 - x2| for force and noise in
     state-only mode), and the largest measure-derivative norm.  Each
-    coefficient is evaluated once, on the stack of all pairs, through the
-    ``*_field`` calls of the integrators, the derivatives laid out in the
-    dense form (``SystemModel.dense_derivative``) before their norms.
+    coefficient is evaluated once, on the stack of all pairs, shape-checked by
+    ``SystemModel.checked_field``, the derivatives laid out in the dense form
+    (``SystemModel.dense_derivative``) before their norms.
     """
     d = instance(model, SystemModel, "model").dim
     rng = np.random.default_rng(instance(probe, ProbeConfig, "probe").seed)
@@ -710,7 +701,7 @@ def validate_assumptions(
     # every probe state against every measure, as one (measure, state) stack
     X = np.repeat(states[None], len(measures), axis=0)
     samples = np.stack([mu.samples for mu in measures])
-    gammas = model.friction_field(X, samples)
+    gammas = model.checked_field("friction", X, samples)
     lam = min_sym_eig_batch(gammas)
     m, j = np.unravel_index(np.argmin(lam), lam.shape)
     min_eig, argmin = float(lam[m, j]), states[j].copy()
@@ -740,13 +731,10 @@ def validate_assumptions(
     X12, S12 = np.concatenate([x1, x2]), np.concatenate([samples[m1], samples[m2]])
     state_denom = denom if model.mode == MODE_EXTENSION else dx
     ratios = {}
-    for name, field_at, den in (
-        ("force", model.force_field, state_denom),
-        ("noise", model.noise_field, state_denom),
-        ("friction", model.friction_field, denom),
-        ("friction_dx", lambda X, S: model.dense_derivative(model.friction_dx_field(X, S), 2), denom),
-    ):
-        f = field_at(X12, S12)
+    for name, den in (("force", state_denom), ("noise", state_denom), ("friction", denom),
+                      ("friction_dx", denom)):
+        f = (model.dense_derivative(model.friction_dx_field(X12, S12), 2) if name == "friction_dx"
+             else model.checked_field(name, X12, S12))
         ratios[name] = max([0.0] + [
             np.linalg.norm((f[p] - f[P + p]).reshape(-1)) / den[p] for p in np.flatnonzero(den)
         ])

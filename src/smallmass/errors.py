@@ -5,15 +5,15 @@ Two branches matter for the CLI exit-code mapping: ``ValidationFailure``
 ``NumericalFailure`` (a numerical routine could not deliver a trustworthy
 result).
 
-Three readers check the numbers a caller passes: ``integer`` for seeds,
-replica ids and counts, ``real`` for masses, steps, constants and bounds, and
-``array`` for the nested lists of numbers of family parameters, start states
-and problem files.  Each refuses a bool, a non-number and a non-finite value
-with ValidationError.  ``array`` reads every entry with ``real``, one by one,
-and refuses a ragged list; so it is for configuration values, not for the
-arrays a step makes, which are converted where they are used.  ``instance``
-checks the objects a caller hands over: a model, a probe configuration, a
-measure, a family spec, a report, a path record.
+Four readers check the numbers a caller passes: ``integer`` for seeds,
+replica ids and counts, ``real`` for masses, steps, constants and bounds,
+``array`` for family parameters, start states and problem files, and
+``floats`` for the arrays of the API.  Each refuses a bool, a non-number and
+a ragged list with ValidationError, the first three a non-finite value too.
+``array`` reads every entry with ``real``, so it is for configuration values;
+``floats`` reads the dtype numpy stores, once, so it fits arrays of any size.
+``instance`` checks the objects a caller hands over: a model, a probe
+configuration, a measure, a family spec, a report, a path record.
 """
 
 import math
@@ -106,6 +106,19 @@ def real(value, what: str, positive=False) -> float:
     return number
 
 
+def floats(value, what: str) -> np.ndarray:
+    """``value`` as a float ndarray, a float64 one as the same object.
+    ValidationError unless numpy stores it as integers or floats: a bool, a
+    string, None, a ragged list and an integer beyond 64 bits are refused."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:   # an inhomogeneous shape
+        raise ValidationError(f"{what} is a ragged list") from None
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must be an array of numbers, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 def array(value, what: str) -> np.ndarray:
     """``value``, a number or a nested list, tuple or ndarray of numbers, as a
     float ndarray of its shape, every entry read by ``real``.  ValidationError
@@ -115,10 +128,7 @@ def array(value, what: str) -> np.ndarray:
         v = v.tolist() if isinstance(v, np.ndarray) else v
         return [walk(u) for u in v] if isinstance(v, (list, tuple)) else real(v, what)
 
-    try:
-        return np.asarray(walk(value), dtype=float)
-    except ValueError:   # ragged nesting; ``real`` raises no ValueError
-        raise ValidationError(f"{what} is a ragged list") from None
+    return floats(walk(value), what)
 
 
 def instance(value, cls: type, what: str):

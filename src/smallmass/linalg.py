@@ -62,6 +62,7 @@ from .errors import (
     ToleranceNotMet,
     UnstableFriction,
     ValidationError,
+    floats,
 )
 
 # Smallest admissible eigenvalue of the symmetric part of a friction matrix.
@@ -86,7 +87,7 @@ _CHAINS = {2: "...ij,...j->...i", 3: "...ij,...jk,...k->...i"}
 
 
 def _as_stack(M, name: str) -> np.ndarray:
-    A = np.asarray(M, dtype=float)
+    A = floats(M, name)
     if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
         raise ValidationError(f"{name} must be a stack of square matrices, got shape {A.shape}")
     if not np.isfinite(A).all():
@@ -95,10 +96,7 @@ def _as_stack(M, name: str) -> np.ndarray:
 
 
 def _as_square(M, name: str = "matrix") -> np.ndarray:
-    try:
-        A = np.asarray(M, dtype=float)
-    except (TypeError, ValueError):   # a string, a ragged list
-        raise ValidationError(f"{name} must be a matrix of numbers") from None
+    A = floats(M, name)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {A.shape}")
     return _as_stack(A, name)

@@ -19,6 +19,7 @@ from .errors import (
     NonFinite,
     SizeLimitExceeded,
     ValidationError,
+    floats,
     instance,
 )
 
@@ -32,10 +33,7 @@ class EmpiricalMeasure:
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        try:
-            pts = np.asarray(self.samples, dtype=float)
-        except (TypeError, ValueError):   # a string, a ragged list
-            raise ValidationError("samples must be an array of numbers") from None
+        pts = floats(self.samples, "samples")
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:

@@ -67,6 +67,7 @@ from .errors import (
     UnstableFriction,
     ValidationError,
     array,
+    floats,
     instance,
     integer,
 )
@@ -182,13 +183,22 @@ class SystemModel:
     ) -> np.ndarray:
         return self._derivative(self._friction_dmu, X.shape[:2] + (Y.shape[1],), X, samples, Y)
 
+    def checked_field(self, name: str, X: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        """The ``name`` field, "force", "noise" or "friction", at X and the
+        samples.  ValidationError unless it is (B, m) + (d,), (d, k) or (d, d):
+        checked by the limit drift, the probe and the point functions, not in
+        ``*_field``, which every step calls."""
+        value = getattr(self, name + "_field")(X, samples)
+        want = X.shape[:2] + {"force": (self.dim,), "noise": (self.dim, self.noise_dim),
+                              "friction": (self.dim, self.dim)}[name]
+        if value.shape != want:
+            raise ValidationError(f"{name} must have shape {want}, got {value.shape}")
+        return value
+
     # -- point evaluation ---------------------------------------------------
 
     def _point(self, x) -> np.ndarray:
-        try:
-            x = np.asarray(x, dtype=float).reshape(-1)
-        except (TypeError, ValueError):   # a string, None, a ragged list
-            raise ValidationError("a state must be an array of numbers") from None
+        x = floats(x, "a state").reshape(-1)
         if x.shape != (self.dim,):
             raise ValidationError(f"state must have dimension {self.dim}")
         return x[None, None, :]
@@ -208,13 +218,13 @@ class SystemModel:
         return self._samples(mu)
 
     def force(self, x, mu: Optional[EmpiricalMeasure] = None) -> np.ndarray:
-        return self.force_field(self._point(x), self._samples_or_dummy(mu, "force"))[0, 0]
+        return self.checked_field("force", self._point(x), self._samples_or_dummy(mu, "force"))[0, 0]
 
     def noise(self, x, mu: Optional[EmpiricalMeasure] = None) -> np.ndarray:
-        return self.noise_field(self._point(x), self._samples_or_dummy(mu, "noise"))[0, 0]
+        return self.checked_field("noise", self._point(x), self._samples_or_dummy(mu, "noise"))[0, 0]
 
     def friction(self, x, mu: EmpiricalMeasure) -> np.ndarray:
-        return self.friction_field(self._point(x), self._samples(mu))[0, 0]
+        return self.checked_field("friction", self._point(x), self._samples(mu))[0, 0]
 
     def friction_dx(self, x, mu: EmpiricalMeasure) -> np.ndarray:
         """d gamma_ij / d x_l at x, entry [i, j, l], whatever the model's form."""
@@ -339,33 +349,25 @@ def _differences(X, Y):
 
 def _pairwise_closures(a, b, c, d):
     """The interaction friction closures at every d, on the (B, m, n, d)
-    differences, updated in place, and the diagonal entries written through
-    strided views of the zero output.  The derivatives take the diagonal form
+    differences, updated in place, the diagonal entries laid out by
+    ``linalg.diagonal_matrix``.  The derivatives take the diagonal form
     of ``SystemModel``: d gamma_ii / d x_l, and the gradient in y of psi,
     which every diagonal entry shares, as a view broadcast over i."""
     profile, slope = _tanh_friction(a, b)
 
     def friction(X, S):
-        B, m, _ = X.shape
         diff = _differences(X, S)                           # (B, m, n, d)
         q = _one_plus_squared(diff, out=diff[..., 0])
         psi = np.divide(c, q, out=q).mean(axis=2)           # (B, m)
-        out = np.zeros((B, m, d, d))
-        out.reshape(B, m, d * d)[..., :: d + 1] = profile(X) + psi[..., None]
-        return out
+        return linalg.diagonal_matrix(profile(X) + psi[..., None])
 
     def friction_dx(X, S):
-        B, m, _ = X.shape
         diff = _differences(X, S)
         q = _one_plus_squared(diff)
         q2 = np.multiply(q, q, out=q)
         grad_psi = (-2.0 * c) * np.divide(diff, q2[..., None], out=diff).mean(axis=2)
-        out = np.zeros((B, m, d, d))
-        # diagonal tanh profile: d gamma_ii / d x_i
-        out.reshape(B, m, d * d)[..., :: d + 1] = slope(X)
-        # shared psi term: d gamma_ii / d x_l for every i, l
-        out += grad_psi[:, :, None, :]
-        return out
+        # d gamma_ii / d x_i of the tanh profile, plus d psi / d x_l at every i
+        return linalg.diagonal_matrix(slope(X)) + grad_psi[:, :, None, :]
 
     def friction_dmu(X, S, Y):
         diff = _differences(X, Y)                           # (B, m, n, d)
@@ -437,18 +439,19 @@ _REGISTRY = {
 
 
 def model_library(spec: ModelSpec) -> SystemModel:
-    """Instantiate a built-in model family from its spec."""
-    if instance(spec, ModelSpec, "spec").family not in _REGISTRY:
-        raise UnknownFamily(
-            f"unknown family {spec.family!r}; available: {sorted(_REGISTRY)}"
-        )
-    build, allowed = _REGISTRY[spec.family]
-    unknown = set(spec.params) - allowed
+    """Instantiate a built-in model family from its spec: ValidationError
+    unless its family is a string and its params a dict."""
+    family = instance(instance(spec, ModelSpec, "spec").family, str, "spec.family")
+    params = instance(spec.params, dict, "spec.params")
+    if family not in _REGISTRY:
+        raise UnknownFamily(f"unknown family {family!r}; available: {sorted(_REGISTRY)}")
+    build, allowed = _REGISTRY[family]
+    unknown = set(params) - allowed
     if unknown:
         raise ParameterViolation(
-            f"unknown parameter(s) {sorted(unknown)} for family {spec.family!r}"
+            f"unknown parameter(s) {sorted(unknown, key=str)} for family {family!r}"
         )
-    model = build(dict(spec.params))
+    model = build(dict(params))
     model.spec = spec
     return model
 
@@ -531,20 +534,17 @@ def _at_points(model: SystemModel, X: np.ndarray, samples):
     corrections share; ``basis`` factors gamma(x) once for J and J~.  Raises
     ValidationError before any coefficient call unless the model is one and X
     (B, m, d) and the samples (B, n, d), X by default, are non-empty and match
-    it, a float ndarray used as it is, anything else converted."""
+    it, a float ndarray used as it is, anything else read by ``errors.floats``."""
     instance(model, SystemModel, "model")
-    try:
-        X = np.asarray(X, dtype=float)
-        samples = X if samples is None else np.asarray(samples, dtype=float)
-    except (TypeError, ValueError):   # a ragged list, a string, None
-        raise ValidationError("points and samples must be arrays of numbers") from None
+    X = floats(X, "points")
+    samples = X if samples is None else floats(samples, "samples")
     if not (X.ndim == samples.ndim == 3 and X.size and samples.size
             and X.shape[::2] == samples.shape[::2] == (X.shape[0], model.dim)):   # (B, d)
         raise ValidationError(f"need non-empty (B, m, d) points, (B, n, d) samples, d = {model.dim}")
-    g = model.friction_field(X, samples)                       # (B, N, d, d)
+    g = model.checked_field("friction", X, samples)            # (B, N, d, d)
     _require_stable(g)
     basis = None if model.dx_is_zero and model.dmu_is_zero else linalg.Eigenbasis(g)
-    return X, samples, g, linalg.inv_batch(g), model.noise_field(X, samples), basis
+    return X, samples, g, linalg.inv_batch(g), model.checked_field("noise", X, samples), basis
 
 
 def _repeats(stack: np.ndarray, first: np.ndarray) -> bool:
@@ -582,9 +582,9 @@ def _measure_correction(model, X, samples, g, ginv, sig, basis):
     if samples is X:
         g_y, sig_y, basis_y = g, sig, basis
     else:
-        g_y = model.friction_field(samples, samples)
+        g_y = model.checked_field("friction", samples, samples)
         _require_stable(g_y, "friction at measure samples")
-        sig_y = model.noise_field(samples, samples)
+        sig_y = model.checked_field("noise", samples, samples)
         basis_y = linalg.Eigenbasis(g_y)
     Q = _noise_products(sig, sig_y)
     J_t = linalg.sylvester_batch(g[:, :, None], g_y[:, None], Q, basis, basis_y)   # (B, N, n, d, d)
@@ -599,10 +599,12 @@ def limit_drift_fields(model: SystemModel, X: np.ndarray, samples=None):
     friction and noise are evaluated once and shared between x and y.
     Returns ``(ginv_f, S, S_tilde, ginv_sigma)`` with shapes
     (B, m, d), (B, m, d), (B, m, d), (B, m, d, k), through stacked solves.
-    Raises ValidationError for empty, mismatched or non-numeric X and samples, UnstableFriction
-    when the friction at X, or at the samples S~ needs, is not positive definite.
+    Raises ValidationError for empty, mismatched or non-numeric X and samples
+    or a misshapen force, noise or friction, UnstableFriction when the
+    friction at X, or at the samples S~ needs, is not positive definite.
     """
     shared = _at_points(model, X, samples)
     X, samples, _, ginv, sig, _ = shared
-    return (linalg.matvec(ginv, model.force_field(X, samples)), _state_correction(model, *shared),
+    return (linalg.matvec(ginv, model.checked_field("force", X, samples)),
+            _state_correction(model, *shared),
             _measure_correction(model, *shared), linalg.matmat(ginv, sig))

@@ -281,6 +281,18 @@ class TestSimulateCommand:
         assert len(lines) == 1 + 51
         assert lines[1].split(",")[0] == "0"
 
+    def test_one_entry_epsilon_list_runs_as_epsilon(self, tmp_path, capsys):
+        outputs = []
+        for sim in ({"epsilon": 0.1}, {"epsilon_list": [0.1]}):
+            doc = base_config()
+            del doc["simulation"]["epsilon"]
+            doc["simulation"].update(sim)
+            doc["output_dir"] = str(tmp_path / str(len(outputs)))
+            assert dispatch(["simulate", write(tmp_path / "c.json", doc)]) == 0
+            capsys.readouterr()
+            outputs.append((tmp_path / str(len(outputs)) / "paths.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_blowup_exits_2(self, tmp_path):
         doc = base_config(epsilon=0.2, Delta=1.0, T=8.0, x0=1.0)
         doc["model"]["params"] = {"gamma0": 1.0, "K": 50.0, "sigma": 0.001}
@@ -454,6 +466,16 @@ def converge_config(**sim_overrides):
     return doc
 
 
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def simulation(doc, **changes):
+    """``doc`` with its simulation keys changed; a None value removes the key."""
+    sim = {**doc["simulation"], **changes}
+    return {**doc, "simulation": {k: v for k, v in sim.items() if v is not None}}
+
+
 class TestRejectedBeforeCompute:
     """Bad numbers exit 1 with a validation error before any probe or sweep."""
 
@@ -471,6 +493,39 @@ class TestRejectedBeforeCompute:
         assert err.startswith("validation error: ")
         assert "Traceback" not in err
         return err
+
+    MALFORMED = {
+        "document-not-object": ("validate", lambda doc: [doc], "must be a JSON object"),
+        "output_dir-not-string": ("validate", lambda doc: {**doc, "output_dir": 3}, "output_dir"),
+        "model-missing": ("validate", lambda doc: without(doc, "model"), "'model' object"),
+        "model-not-object": ("validate", lambda doc: {**doc, "model": "constant"}, "'model' object"),
+        "family-not-string": ("validate", lambda doc: {**doc, "model": {"family": 3}}, "model.family"),
+        "params-not-object": ("validate", lambda doc: {
+            **doc, "model": {"family": "constant", "params": [1.0]}}, "model.params"),
+        "simulation-missing": ("validate", lambda doc: without(doc, "simulation"), "'simulation'"),
+        "N-below-1": ("validate", lambda doc: simulation(doc, N=0), "N must be >= 1"),
+        "epsilon_list-empty": ("validate", lambda doc: simulation(doc, epsilon=None, epsilon_list=[]),
+                               "nonempty"),
+        "no-epsilon": ("validate", lambda doc: simulation(doc, epsilon=None), "needs 'epsilon'"),
+        "mode-unknown": ("validate", lambda doc: simulation(doc, mode="sideways"), "mode must be"),
+        "delta_rule-not-object": ("validate", lambda doc: simulation(doc, delta_rule="explicit"),
+                                  "delta_rule must be an object"),
+        "explicit-with-delta": ("validate", lambda doc: simulation(
+            doc, delta_rule={"type": "explicit", "delta": 0.01}), "takes no 'delta'"),
+        "exponential-with-kappa": ("validate", lambda doc: simulation(
+            doc, delta_rule={"type": "exponential", "delta": 0.01, "kappa": 20.0}), "takes no 'kappa'"),
+        "exponential-without-delta": ("validate", lambda doc: simulation(
+            doc, delta_rule={"type": "exponential"}), "'delta'"),
+        "rule-type-unknown": ("validate", lambda doc: simulation(doc, delta_rule={"type": "implicit"}),
+                              "delta_rule.type"),
+        "problem-not-object": ("solve", lambda doc: [[[2.0]], [[1.0]]], "must be a JSON object"),
+        "matrix-not-list": ("solve", lambda doc: {"gamma": 2.0, "Q": [[1.0]]}, "list of rows"),
+    }
+
+    @pytest.mark.parametrize("command, edit, needle", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_document(self, tmp_path, capsys, command, edit, needle):
+        path = write(tmp_path / "c.json", edit(base_config()))
+        assert needle in self.expect_validation_error(capsys, [command, path])
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     @pytest.mark.parametrize("key", ["T", "Delta", "epsilon_list", "kappa", "delta", "N", "replicas"])

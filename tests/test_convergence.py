@@ -410,6 +410,10 @@ class TestSerialization:
         assert parsed["model"]["family"] == "constant"
         assert parsed["slope"] == rep.slope
 
+    def test_unfitted_report_without_a_model_writes_nulls(self):
+        doc = report_to_json(synthetic_report([0.1, 0.05], [0.05, 0.02]))
+        assert '"model": null' in doc and '"slope": null' in doc
+
     def test_csv_round_trip(self):
         rep = synthetic_report([0.1, 0.05, 0.02], [0.05, 0.02, 0.009])
         text = report_to_csv(rep)

@@ -689,6 +689,18 @@ class TestSpectralStackSolve:
         J[touched] = clean[touched]
         assert J.tobytes() == clean.tobytes()
 
+    def test_a_failed_eig_sends_the_whole_call_to_the_kronecker_solve(self, monkeypatch):
+        rng = np.random.default_rng(59)
+        G1, G2, Q = self.stacks(rng, 3)
+        ref = linalg._solve(G1, G2, Q)
+
+        def failing(a):
+            raise np.linalg.LinAlgError("eig did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", failing)
+        assert linalg.Eigenbasis(G1).factors is None
+        assert linalg.sylvester_batch(G1, G2, Q).tobytes() == ref.tobytes()
+
     def test_eigen_decompositions_run_on_the_unbroadcast_stacks(self, monkeypatch):
         factored = []
         eig = np.linalg.eig

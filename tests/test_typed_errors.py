@@ -1,6 +1,6 @@
 """Every public entry point refuses a caller's impossible number, list,
-measure, package object or model derivative with a typed error, and one
-module holds the rule for numbers."""
+array, measure, package object, family spec or model output with a typed
+error, and one module holds the rule for numbers and arrays."""
 
 import ast
 import io
@@ -12,6 +12,7 @@ import pytest
 import smallmass
 from smallmass import errors, linalg
 from smallmass.convergence import (
+    ConvergenceReport,
     DeltaRule,
     fit_rate,
     report_to_csv,
@@ -85,6 +86,44 @@ DERIVATIVE_READERS = {
 DERIVATIVE_SHAPES = {"rank": (2,), "trailing-axes": (2, 2, 3)}
 
 
+def miscoefficient(wrong):
+    """A d = 2 interaction model whose force, noise or friction has the wrong
+    shape, or whose (2, 2) noise is declared with k = 3."""
+    base = model_library(ModelSpec("interaction", {"a": 2.0, "b": 0.5, "c": 1.0, "d": 2}))
+    coefficients = {"force": base._force, "noise": base._noise, "friction": base._friction}
+    if wrong != "noise-k":
+        coefficients[wrong] = {"force": lambda X, S: -X[..., 0],                  # (B, m)
+                               "noise": lambda X, S: np.ones(X.shape),             # (B, m, d)
+                               "friction": lambda X, S: 2.0 + np.tanh(X)}[wrong]   # (B, m, d)
+    return SystemModel(2, 3 if wrong == "noise-k" else 2, *coefficients.values(),
+                       base._friction_dx, base._friction_dmu)
+
+
+COEFFICIENT_READERS = {
+    "drift-fields": lambda m: limit_drift_fields(m, np.zeros((1, 3, 2))),
+    "validate": validate_assumptions,
+}
+
+# the eight readers of a caller's array, each given ``value``
+ARRAY_READERS = {
+    "ensemble-x": lambda value: full(x=value),
+    "limit-ensemble-x": lambda value: ParticleEnsembleLimit(0.0, value),
+    "step-increment": lambda value: step_full_em(full(), model(), 0.001, value),
+    "sylvester-matrix": lambda value: linalg.solve_sylvester(value, [[1.0]], [[1.0]]),
+    "expm-stack": linalg.expm,
+    "measure": EmpiricalMeasure,
+    "point-state": lambda value: model().friction(value, EmpiricalMeasure([[0.1]])),
+    "drift-fields-points": lambda value: limit_drift_fields(model(), [value]),   # (1, m, d)
+}
+NOT_FLOATS = {
+    "bool": [[True]],
+    "numeric-string": [["1"]],
+    "huge-integer": [[10**400]],
+    "ragged": [[0.0], [1.0, 2.0]],
+    "None": None,
+}
+
+
 CASES = {
     # a string, None or a bool where a mass, a step or a constant belongs
     "simulate-eps-string": lambda: simulate_coupled(model(), **{**SIMULATE, "eps": "0.1"}),
@@ -103,6 +142,7 @@ CASES = {
     "converge-Delta-None": lambda: run_convergence(model(), **{**CONVERGE, "Delta": None}),
     "converge-eps-string": lambda: run_convergence(model(), **{**CONVERGE, "eps_list": ["a"]}),
     "converge-eps-number": lambda: run_convergence(model(), **{**CONVERGE, "eps_list": 0.1}),
+    "converge-eps-empty": lambda: run_convergence(model(), **{**CONVERGE, "eps_list": []}),
     "limit-T-string": lambda: run_limit_path(model(), **{**LIMIT, "T": "1"}),
     "limit-T-bool": lambda: run_limit_path(model(), **{**LIMIT, "T": True, "Delta": 0.5}),
     "limit-Delta-numpy-bool": lambda: run_limit_path(model(), **{**LIMIT, "T": 1.0, "Delta": np.True_}),
@@ -150,11 +190,24 @@ CASES = {
     "step-limit-model-None": lambda: step_limit_em(limit(), None, 0.01, [[0.0]]),
     # a package object that is not one
     "fit-rate-None": lambda: fit_rate(None),
+    "fit-rate-epsilon-string": lambda: fit_rate(ConvergenceReport(
+        None, ["0.1", "0.05", "0.01"], [0.1, 0.05, 0.01], [0.0] * 3, 2, 1)),
     "report-json-string": lambda: report_to_json("report"),
     "report-csv-None": lambda: report_to_csv(None),
     "path-csv-None": lambda: write_path_csv(io.StringIO(), None, 0),
     "second-moment-list": lambda: second_moment([[0.0]]),
     "model-library-string": lambda: model_library("constant"),
+    # a family spec that is not one
+    "spec-family-list": lambda: model_library(ModelSpec(["x"])),
+    "spec-params-None": lambda: model_library(ModelSpec("constant", None)),
+    "spec-params-list": lambda: model_library(ModelSpec("constant", ["a", "b"])),
+    # an array numpy does not store as numbers
+    **{f"{reader}-{kind}": lambda call=call, value=value: call(value)
+       for reader, call in ARRAY_READERS.items() for kind, value in NOT_FLOATS.items()},
+    # a force, noise or friction of the wrong shape
+    **{f"{reader}-{wrong}": lambda call=call, wrong=wrong: call(miscoefficient(wrong))
+       for reader, call in COEFFICIENT_READERS.items()
+       for wrong in ("force", "noise", "friction", "noise-k")},
     # a model derivative of the wrong rank or trailing axes
     **{f"{reader}-derivative-{wrong}": lambda call=call, trailing=trailing: call(misshapen(trailing))
        for reader, call in DERIVATIVE_READERS.items()
@@ -229,3 +282,29 @@ def test_only_the_errors_module_reads_what_a_number_is():
             if "numbers" in names:
                 importers.append(path.name)
     assert importers == ["errors.py"]
+
+
+def test_floats_hands_back_a_float_array_as_it_is():
+    X = np.zeros((2, 3, 1))
+    assert errors.floats(X, "x") is X
+    got = errors.floats([[1, 2]], "x")
+    assert got.dtype == float and got.tolist() == [[1.0, 2.0]]
+    assert errors.floats(np.float32(0.5), "x").dtype == float
+    assert np.isnan(errors.floats([np.nan], "x")).all()   # finiteness is the caller's
+    for value, needle in ((NOT_FLOATS["ragged"], "is a ragged list"),
+                          (NOT_FLOATS["bool"], "must be an array of numbers, got dtype bool")):
+        with pytest.raises(ValidationError, match=f"^x {needle}$"):
+            errors.floats(value, "x")
+
+
+def test_only_the_errors_module_converts_an_array_in_a_try():
+    # a hand-written copy of ``errors.floats`` wraps np.asarray in a try
+    sites = []
+    for path in sorted(pathlib.Path(smallmass.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Try) and any(
+                isinstance(n, ast.Attribute) and n.attr == "asarray"
+                for statement in node.body for n in ast.walk(statement)
+            ):
+                sites.append(path.name)
+    assert set(sites) == {"errors.py"}
