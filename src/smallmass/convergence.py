@@ -181,6 +181,8 @@ def fit_rate(report: ConvergenceReport) -> RateFit:
     """
     eps = floats(instance(report, ConvergenceReport, "report").epsilons, "report.epsilons")
     err = floats(report.errors, "report.errors")
+    if eps.shape != err.shape:
+        raise ValidationError(f"report has {eps.shape} epsilons against {err.shape} errors")
     if len(np.unique(eps)) < 3:
         raise DegenerateFit("need at least 3 distinct epsilon values")
     if not all(((v > 0.0) & (v < np.inf)).all() for v in (eps, err)):   # NaN fails too
@@ -280,10 +282,7 @@ def _json_value(v) -> str:
     if isinstance(v, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_json_value(u) for u in v) + "]"
     if isinstance(v, dict):
-        inner = ", ".join(
-            f'"{key}": {_json_value(v[key])}' for key in sorted(v)
-        )
-        return "{" + inner + "}"
+        return "{" + ", ".join(f'"{key}": {_json_value(v[key])}' for key in sorted(v)) + "}"
     if v is None:
         return "null"
     raise ValidationError(f"cannot serialize {type(v)!r}")

@@ -347,9 +347,7 @@ class NoiseDriver:
             return fast
         n_steps = fast.shape[-3]
         if n_steps % self.m_substeps:
-            raise GridMismatch(
-                f"{n_steps} fast steps do not tile into windows of {self.m_substeps}"
-            )
+            raise GridMismatch(f"{n_steps} fast steps do not tile into windows of {self.m_substeps}")
         windows = fast.reshape((-1, self.m_substeps) + fast.shape[-2:])
         coarse = grid_increments(windows, np.zeros(1, dtype=int))
         return coarse.reshape(fast.shape[:-3] + (n_steps // self.m_substeps,) + fast.shape[-2:])

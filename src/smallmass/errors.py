@@ -158,7 +158,8 @@ class SpectrumOverlap(NumericalFailure):
 
 
 class ToleranceNotMet(NumericalFailure):
-    """Quadrature refinement stalled before reaching the tolerance."""
+    """An iteration stalled before reaching its tolerance: quadrature
+    refinement, or the sign iteration of a Lyapunov/Sylvester solve."""
 
 
 class NumericalBlowup(NumericalFailure):
@@ -184,6 +185,6 @@ class AssumptionViolated(NumericalFailure):
 
 class IllConditionedWarning(UserWarning):
     """A point Lyapunov/Sylvester solve is flagged as ill-conditioned: the bound
-    (||G1||_2 + ||G2||_2) / 2c on the condition number of its Kronecker
-    operator, c the smallest symmetric-part eigenvalue of G1 and G2, is above
-    1e12."""
+    (||G1||_2 + ||G2||_2) / 2c on the condition number of its operator
+    J -> G1 J + J G2^T, c the smallest symmetric-part eigenvalue of G1 and G2,
+    is above 1e12."""

@@ -19,28 +19,25 @@ caller that holds the diagonals (..., d) only: ``exp_diagonal`` and
 ``entrywise`` the diagonal products, and ``diagonal_matrix`` lays diagonals
 out with exact zeros.  One solve, ``_stacked_solve``, serves
 ``lyapunov_batch``/``sylvester_batch`` on broadcastable stacks and
-``solve_lyapunov``/``solve_sylvester`` on a stack of one.  It diagonalizes
-(Bartels & Stewart, CACM 15(9), 1972) G1 = V1 L1 V1^-1 and G2 = V2 L2 V2^-1,
-each once on the stack as passed (gamma(x) as (B, N, 1, d, d) and gamma(y)
-as (B, 1, n, d, d): N + n eigen-decompositions for N n solves) or from an
-``Eigenbasis`` factored once for several solves, and J = V1 [(V1^-1 Q V2^-T) / (l1_a + l2_b)] V2^T, its real part when the
-eigenpairs are complex: O(d^3) per solve.  A diagonal stack has the exact
-factors (diag, I, I) and takes no eigen-decomposition, so two diagonal sides
-give J = Q / (g1_a + g2_b): the bits LAPACK's eigenvectors give, which are
-exactly I on a diagonal matrix, up to the sign of an exact zero in J where Q
-holds a -0.0.  A matrix whose eigenvector matrix has ||V||_F ||V^-1||_F
-above _SPECTRAL_COND_MAX (a defective or nearly defective G, such as
-[[2, 1], [0, 2]]) is flagged, and only the pairs that touch it fall back to
-the vectorized d^2 x d^2 Kronecker system G1 (x) I + I (x) G2 solved by
-LAPACK (O(d^6) per solve), so each pair's bits depend on its own two
-matrices; the whole call falls back only when eig or the inverse of V fails.
+``solve_lyapunov``/``solve_sylvester`` on a stack of one, O(d^3) per solve.
+It diagonalizes (Bartels & Stewart, CACM 15(9), 1972) G1 and G2 once each on
+the stack as passed (gamma(x) as (B, N, 1, d, d) and gamma(y) as (B, 1, n,
+d, d): N + n eigen-decompositions for N n solves) or takes an ``Eigenbasis``
+factored once for several solves, and J = V1 [(V1^-1 Q V2^-T) / (l1_a +
+l2_b)] V2^T.  A diagonal stack has the exact factors (diag, I, I), so two
+diagonal sides give J = Q / (g1_a + g2_b), LAPACK's bits up to the sign of
+an exact zero in J where Q holds a -0.0.  The pairs that touch a matrix with
+no usable eigenbasis (eig or inv fails, or ||V||_F ||V^-1||_F is above
+_SPECTRAL_COND_MAX, as for a defective G such as [[2, 1], [0, 2]]) are
+solved again by the scaled sign iteration ``_sign_solve``, each pair until
+its own test holds, so its bits depend on its own two matrices; a pair that
+has not settled after _SIGN_STEPS steps raises ToleranceNotMet.
 Stack kernels do no checks; ``expm`` alone checks the shape and
 finiteness of every matrix.  The point functions accept square matrices and
 check them: ``min_sym_eig``; the point solvers, which also refuse or flag an
 ill-conditioned equation; and the quadrature oracles, which evaluate the one
 semigroup integral int_0^inf e^{-G1 y} Q e^{-G2^T y} dy with each panel's
-Gauss nodes as one stack of exponentials.  Solvers and oracles take
-d <= MAX_DIM.
+Gauss nodes as one stack of exponentials.  Solvers and oracles take d <= MAX_DIM.
 
 All functions are pure; none keeps state.
 """
@@ -67,7 +64,8 @@ from .errors import (
 
 # Smallest admissible eigenvalue of the symmetric part of a friction matrix.
 STABILITY_EPS = 1e-12
-# Largest state (and noise) dimension of a model.
+# Largest state (and noise) dimension of a model and of a point solve: the
+# kernels are dense, O(d^3) per matrix, and the drift holds d^2 per pair.
 MAX_DIM = 64
 
 _TAYLOR_TERMS = 16
@@ -79,9 +77,14 @@ _PIVOT_RTOL = 1e-14
 _PIVOT_RATIO_WARN = 1e12
 # Stack solver: largest eigenvector condition number ||V||_F ||V^-1||_F of a
 # matrix of G1 or G2 that the spectral solve accepts; above it the pairs that
-# touch the matrix take the Kronecker solve.  The spectral solve's error grows about like 1e-16 times this number,
-# so the two agree to about 1e-13 relative.
+# touch the matrix take ``_sign_solve``.  The spectral solve's error grows
+# about like 1e-16 times this number, so the two agree to about 1e-13 relative.
 _SPECTRAL_COND_MAX = 1e3
+# ``_sign_solve`` stops a pair once no step moves A, B or C by over _SIGN_RTOL
+# relative (about 1e-16 from the limit); spectra of several moduli near the
+# imaginary axis take about log2(||G|| / c) steps, 45 at 1e13 and 86 at 7e26.
+_SIGN_STEPS = 64
+_SIGN_RTOL = 1e-8
 _ZERO = np.zeros(())   # faster to add than the float 0.0
 _CHAINS = {2: "...ij,...j->...i", 3: "...ij,...jk,...k->...i"}
 
@@ -96,10 +99,10 @@ def _as_stack(M, name: str) -> np.ndarray:
 
 
 def _as_square(M, name: str = "matrix") -> np.ndarray:
-    A = floats(M, name)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    A = _as_stack(M, name)
+    if A.ndim != 2:
         raise ValidationError(f"{name} must be a square matrix, got shape {A.shape}")
-    return _as_stack(A, name)
+    return A
 
 
 def _diagonal(A: np.ndarray):
@@ -264,39 +267,44 @@ def min_sym_eig(M) -> float:
 
 
 # --- the one equation: G1 J + J G2^T = Q ---------------------------------------
-#
-# ``_stacked_solve`` is the spectral solve behind every solver.  ``_solve``,
-# its fallback for the pairs that touch a defective friction, assembles the Kronecker operator for
-# broadcastable stacks and hands it to LAPACK's batched solver.  Neither checks
-# anything; callers have checked stability already.
+# ``_stacked_solve``, the spectral solve behind every solver, and its fallback
+# ``_sign_solve`` check nothing; callers have checked stability already.
 
-def _operator(G1: np.ndarray, G2: np.ndarray) -> np.ndarray:
-    """G1 (x) I + I (x) G2: the d^2 x d^2 matrix that maps the rows of J, laid
-    end to end, to those of G1 J + J G2^T."""
-    # entry [..., i, k, j, l] is G1_ij delta_kl + delta_ij G2_kl
-    d = G1.shape[-1]
-    ident = np.eye(d)
-    M = (G1[..., :, None, :, None] * ident[:, None, :]
-         + ident[:, None, :, None] * G2[..., None, :, None, :])
-    return M.reshape(*M.shape[:-4], d * d, d * d)
-
-
-def _solve(G1: np.ndarray, G2: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    d = Q.shape[-1]
-    J = np.linalg.solve(_operator(G1, G2), Q.reshape(*Q.shape[:-2], d * d, 1))
-    return J.reshape(*J.shape[:-2], d, d)
+def _sign_solve(G1: np.ndarray, G2: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """J of G1 J + J G2^T = Q on broadcastable stacks of positive stable G1, G2,
+    from sign([[G1, -Q], [0, -G2^T]]) = [[I, -2J], [0, -I]] by the coupled
+    Newton iteration (Roberts, Int. J. Control 32(4), 1980) on (A, B, C) =
+    (G1, G2^T, Q): X <- (mu X + X^-1 / mu) / 2 for A and B, C <- (mu C + A^-1 C
+    B^-1 / mu) / 2, J = C / 2, mu = |det A det B|^(-1/2d) (Byers, Linear Algebra
+    Appl. 85, 1987).  A pair stops at its own test: its bits are its own."""
+    shape, d = np.broadcast_shapes(G1.shape, G2.shape, Q.shape), Q.shape[-1]
+    ops = (np.broadcast_to(M, shape) for M in (G1, np.swapaxes(G2, -1, -2), Q))
+    X = np.stack(tuple(ops), axis=-3).reshape(-1, 3, d, d)   # (A, B, C) of each pair
+    live = np.arange(len(X))
+    for _ in range(_SIGN_STEPS):
+        x = X[live]
+        inv = np.linalg.inv(x[:, :2])
+        mu = np.exp(-np.linalg.slogdet(x[:, :2])[1].sum(axis=1) / (2 * d))[:, None, None, None]
+        inv = np.concatenate((inv, inv[:, :1] @ x[:, 2:] @ inv[:, 1:]), axis=1)   # and A^-1 C B^-1
+        X[live] = new = (mu * x + inv / mu) / 2
+        tol = _SIGN_RTOL * np.linalg.norm(new, axis=(-2, -1))
+        live = live[~(np.linalg.norm(new - x, axis=(-2, -1)) <= tol).all(axis=1)]
+        if not live.size:
+            return (X[:, 2] / 2).reshape(shape)
+    raise ToleranceNotMet(f"sign iteration: {live.size} solves unsettled after {_SIGN_STEPS} steps")
 
 
 def _eigenbasis(G: np.ndarray):
-    """(lambda, V, V^-1, bad) of every matrix of the stack G, or None when eig
-    or inv raises LinAlgError.  ``bad`` flags each matrix whose ||V|| ||V^-1||
-    is above _SPECTRAL_COND_MAX, its V and V^-1 replaced by I so that the
-    spectral arithmetic stays finite; None when no matrix is flagged."""
+    """(lambda, V, V^-1, bad) of every matrix of the stack G.  ``bad`` flags
+    each matrix whose ||V|| ||V^-1|| is above _SPECTRAL_COND_MAX, its V and
+    V^-1 replaced by I so that the spectral arithmetic stays finite; None when
+    no matrix is flagged.  Where eig or inv raises LinAlgError, every matrix
+    is flagged, as (1, None, None, True): the exact factors of I."""
     try:
         lam, V = np.linalg.eig(G)
         W = np.linalg.inv(V)
     except np.linalg.LinAlgError:   # non-finite G, or a singular V
-        return None
+        return np.ones(G.shape[:-1]), None, None, np.ones(G.shape[:-2], dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow reads inf
         cond = np.linalg.norm(V, axis=(-2, -1)) * np.linalg.norm(W, axis=(-2, -1))
     bad = ~(cond <= _SPECTRAL_COND_MAX)   # inf and NaN are flagged too
@@ -311,10 +319,8 @@ class Eigenbasis:
     on the same matrices: ``factors`` is (lambda, V, V^-1) of G = V diag(lambda)
     V^-1 and the flags of ``_eigenbasis``; on diagonal stacks, which include
     every d = 1 stack, it is (diag, None, None, None), the exact factors
-    (diag, I, I) with no products to take; None where eig or inv fails, and
-    the solves take ``_solve`` whole.  One object, not a tuple of arrays,
-    because ``perfbench``'s tracer counts the solves from every argument's
-    shape."""
+    (diag, I, I) with no products to take.  One object, not a tuple of arrays,
+    as ``perfbench``'s tracer counts the solves from every argument's shape."""
 
     def __init__(self, G: np.ndarray):
         diag = _diagonal(G)
@@ -327,19 +333,17 @@ def _stacked_solve(G1, G2, Q, one=None, two=None) -> np.ndarray:
     broadcast against each other, or taken from their ``Eigenbasis`` ``one``
     and ``two`` when given; a diagonal side's eigenvectors are I, and its
     products are skipped, so two diagonal sides give Q / (g1_a + g2_b).
-    The pairs that touch a flagged, ill-conditioned matrix of either side are
-    solved again by ``_solve``, so each pair's bits depend on its own two
-    matrices only; the whole call takes ``_solve`` where an eigenbasis failed."""
+    The pairs that touch a matrix either side flags are gathered and solved
+    again by ``_sign_solve``, so each pair's bits are its own."""
     one = Eigenbasis(G1) if one is None else one
     two = (one if G2 is G1 else Eigenbasis(G2)) if two is None else two
-    if one.factors is None or two.factors is None:
-        return _solve(G1, G2, Q)
     (lam1, V1, W1, bad1), (lam2, V2, W2, bad2) = one.factors, two.factors
     # each factor laid out as its G, which may hold it with unit axes inserted
     Qh = Q if W1 is None else W1.reshape(G1.shape) @ Q
     if W2 is not None:
         Qh = Qh @ np.swapaxes(W2.reshape(G2.shape), -1, -2)
-    J = Qh / (lam1.reshape(G1.shape[:-1])[..., :, None] + lam2.reshape(G2.shape[:-1])[..., None, :])
+    den = lam1.reshape(G1.shape[:-1])[..., :, None] + lam2.reshape(G2.shape[:-1])[..., None, :]
+    J = np.divide(Qh, den, out=den if np.broadcast_shapes(Qh.shape, den.shape) == den.shape else None)
     if V1 is not None:
         J = V1.reshape(G1.shape) @ J
     if V2 is not None:
@@ -351,7 +355,7 @@ def _stacked_solve(G1, G2, Q, one=None, two=None) -> np.ndarray:
     for G, bad in ((G1, bad1), (G2, bad2)):
         if bad is not None:
             pairs |= bad.reshape(G.shape[:-2])
-    J[pairs] = _solve(*(np.broadcast_to(M, J.shape)[pairs] for M in (G1, G2, Q)))
+    J[pairs] = _sign_solve(*(np.broadcast_to(M, J.shape)[pairs] for M in (G1, G2, Q)))
     return J
 
 
@@ -446,8 +450,7 @@ def _panel_quadrature(integrand, upper: float, panels: int, order: int, shape) -
     edges = np.linspace(0.0, upper, panels + 1)
     total = np.zeros(shape)
     for a, b in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
         for w, value in zip(weights, integrand(mid + half * nodes)):
             total += (half * w) * value
     return total
@@ -462,9 +465,7 @@ def _refine_quadrature(integrand, upper, tol, shape, max_panels, order=12):
         if np.linalg.norm(cur - prev) <= tol:
             return cur
         prev = cur
-    raise ToleranceNotMet(
-        f"panel refinement stalled at {panels} panels without reaching {tol:.1e}"
-    )
+    raise ToleranceNotMet(f"panel refinement stalled at {panels} panels without reaching {tol:.1e}")
 
 
 def _semigroup_integral(G1, G2, Q, c, tol, max_panels) -> np.ndarray:

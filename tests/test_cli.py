@@ -207,11 +207,10 @@ class TestSolveCommand:
         assert "--tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("keys", [("gamma", "Q"), ("A", "B", "C")])
-    def test_dimension_above_the_bound_is_rejected_before_the_operator(
+    def test_dimension_above_the_bound_is_rejected_before_any_solve(
         self, tmp_path, capsys, monkeypatch, keys
     ):
-        # a 65 x 65 problem would ask for a 4225 x 4225 Kronecker operator
-        monkeypatch.setattr(linalg, "_operator", None)
+        monkeypatch.setattr(linalg, "_stacked_solve", None)
         eye = np.eye(linalg.MAX_DIM + 1).tolist()
         problem = write(tmp_path / "p.json", {key: eye for key in keys})
         assert dispatch(["solve", problem, "--oracle"]) == 1
@@ -221,8 +220,8 @@ class TestSolveCommand:
     def test_largest_non_normal_problem_takes_the_spectral_solve(
         self, tmp_path, capsys, monkeypatch
     ):
-        # no d^2 x d^2 operator at d = 64: the stack solve on a stack of one
-        monkeypatch.setattr(linalg, "_operator", None)
+        # the spectral solve on a stack of one, with no pair left to the fallback
+        monkeypatch.setattr(linalg, "_sign_solve", None)
         d = linalg.MAX_DIM
         A = np.random.default_rng(0).normal(size=(d, d))
         gamma = A + (0.5 - min(linalg.min_sym_eig(A), 0.0)) * np.eye(d)

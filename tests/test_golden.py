@@ -5,9 +5,10 @@ Python 3.11).  They pin the sample-config reports and path dump, the
 reports of d = 2 and d = 4 interaction runs under the exponential rule (a
 stack of d > 1 matrix exponentials at every fast step), the ``validate``
 output (two d = 1 sample configs, a d = 4 interaction model and a d = 3
-carrillo-force model), the ``solve --oracle`` output at d = 1, 2 and 3,
-the bytes of ``limit_drift_fields`` against explicit measure samples, and
-the velocity diagnostics, which no byte-determinism test covers otherwise.  A
+carrillo-force model), the ``solve --oracle`` output at d = 1, 2 (one
+defective friction among them) and 3, the bytes of ``limit_drift_fields``
+against explicit measure samples, and the velocity diagnostics, which no
+byte-determinism test covers otherwise.  A
 change of numpy or BLAS may move the last digits without any change in the
 package; re-record them then from a commit whose behaviour is unchanged.
 """
@@ -250,6 +251,12 @@ GOLDEN_SOLVE = {
         '{"Y": [[-0.20493485493951932, 0.15597499922261263], '
         "[-0.40820610093597448, -0.11303212164557362]], "
         '"oracle_gap": 4.8560608312264719e-10}\n',
+    ),
+    # a defective friction: the spectral solve flags it, and the sign
+    # iteration gives the exact J, within 1e-9 of the oracle
+    "lyapunov-d2-defective": (
+        {"gamma": [[2.0, 1.0], [0.0, 2.0]], "Q": [[1.0, 0.0], [0.0, 1.0]]},
+        '{"J": [[0.28125, -0.0625], [-0.0625, 0.25]], "oracle_gap": 2.4263785425304718e-10}\n',
     ),
     "sylvester-d3": (
         {

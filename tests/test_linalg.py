@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -383,8 +384,8 @@ class TestProducts:
 
 
 class TestPointSolverConditioning:
-    # gamma = diag(1e-11, s) passes the stability floor, but its Kronecker
-    # operator has condition number 2 s / 2e-11, which the check's bound
+    # gamma = diag(1e-11, s) passes the stability floor, but its operator
+    # J -> g J + J g^T has condition number 2 s / 2e-11, which the check's bound
     # (||G1|| + ||G2||) / 2c gives exactly for a normal gamma
     def test_lyapunov_singular_raises(self):
         with pytest.raises(SingularSystem):
@@ -427,17 +428,81 @@ class TestPointSolverConditioning:
         assert np.allclose(J, self.rotated(0.5e11, 0.005), rtol=1e-2)
 
     def test_defective_friction_solves_silently_on_the_fallback(self, monkeypatch):
-        built = []
-        operator = linalg._operator
-        monkeypatch.setattr(linalg, "_operator", lambda G1, G2: built.append(G1) or operator(G1, G2))
+        solved = []
+        sign_solve = linalg._sign_solve
+        monkeypatch.setattr(linalg, "_sign_solve", lambda *ops: solved.append(ops) or sign_solve(*ops))
         g = np.array([[1.0, 1.0], [0.0, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             J = linalg.solve_lyapunov(g, np.eye(2))
             Y = linalg.solve_sylvester(-g, g.T, -np.eye(2))
-        assert len(built) == 2
+        assert len(solved) == 2
         assert np.allclose(J, [[0.75, -0.25], [-0.25, 0.5]], atol=1e-12)
         assert np.allclose(Y, J, atol=1e-12)
+
+    def test_largest_defective_friction_solves_in_little_memory(self):
+        # a 64 x 64 Jordan block: eig gives no usable eigenbasis, and the sign
+        # iteration takes a few 64 x 64 inverses and products
+        d = linalg.MAX_DIM
+        g = 2.0 * np.eye(d) + np.eye(d, k=1)
+        tracemalloc.start()
+        try:
+            J = linalg.solve_lyapunov(g, np.eye(d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+        assert lyap_residual(g, J, np.eye(d)) <= 1e-14
+
+    @pytest.mark.parametrize("w", [1e4, 1e6])
+    def test_defective_friction_near_the_imaginary_axis_solves_to_rounding(self, w):
+        # two coupled rotations at rate w and one at rate 1: eigenvalues
+        # 1 +- i w in a Jordan pair, which the sign iteration needs about
+        # log2(w) steps to bring to the real axis; 14 steps left a backward
+        # error of 1e-6 here
+        g = np.eye(6)
+        for i, rate in ((0, w), (2, w), (4, 1.0)):
+            g[i, i + 1], g[i + 1, i] = rate, -rate
+        g[0:2, 2:4] += np.eye(2)
+        assert linalg._eigenbasis(g)[3]
+        J = linalg.solve_lyapunov(g, np.eye(6))
+        residual = np.linalg.norm(g @ J + J @ g.T - np.eye(6))
+        assert residual <= 1e-15 * (2.0 * np.linalg.norm(g) * np.linalg.norm(J) + np.sqrt(6))
+
+    @staticmethod
+    def rotations(c, rates):
+        # rotations at the given rates with real part c, beside a defective
+        # block of rate 1 whose symmetric part has eigenvalue 0.05: flagged,
+        # with smallest symmetric-part eigenvalue min(c, 0.05)
+        g = np.zeros((2 * len(rates) + 2,) * 2)
+        for i, rate in enumerate(rates):
+            g[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[c, rate], [-rate, c]]
+        g[-2:, -2:] = [[1.0, 1.9], [0.0, 1.0]]
+        assert linalg._eigenbasis(g)[3]
+        assert linalg.min_sym_eig(g) == pytest.approx(min(c, 0.05))
+        return g
+
+    def test_stack_route_solves_to_rounding_at_a_ratio_of_1e15(self):
+        # ||G|| / c = 1.2e15 with eigenvalues of two moduli at the imaginary
+        # axis: the sign iteration needs 40 steps, more than a fixed count of
+        # 32 gave, and stops each pair on its own test
+        g = self.rotations(2e-12, [1e3, 1.618e3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            J = linalg.lyapunov_batch(g[None], np.eye(6)[None])[0]
+        residual = np.linalg.norm(g @ J + J @ g.T - np.eye(6))
+        assert residual <= 1e-15 * (2.0 * np.linalg.norm(g) * np.linalg.norm(J) + np.sqrt(6))
+
+    def test_stack_route_refuses_a_sign_iteration_that_does_not_settle(self):
+        # ||G|| / c = 7e26 with eigenvalues of four moduli at the imaginary
+        # axis: more steps than _SIGN_STEPS, so ToleranceNotMet and no
+        # unconverged J; the point solvers refuse it before any solve
+        g = self.rotations(0.05, [1e25, 1.618e25, 2.414e25, 3.303e25])
+        Q = np.eye(10)
+        with pytest.raises(ToleranceNotMet, match="sign iteration"):
+            linalg.lyapunov_batch(np.stack([np.eye(10), g]), Q)
+        with pytest.raises(SingularSystem):
+            linalg.solve_lyapunov(g, Q)
 
     def test_well_conditioned_is_silent(self):
         with warnings.catch_warnings():
@@ -593,7 +658,7 @@ class TestQuadrature:
 
 class TestBatchedSolvers:
     # the point references are the semigroup integrals, evaluated by
-    # quadrature, so they share no code with the Kronecker kernel
+    # quadrature, so they share no code with the stack solve
     def test_lyapunov_batch_matches_point_solver(self):
         rng = np.random.default_rng(37)
         for d in (1, 2, 3):
@@ -634,8 +699,9 @@ class TestBatchedSolvers:
 
 
 class TestSpectralStackSolve:
-    # the stack solve diagonalizes G1 and G2; its Kronecker fallback for
-    # defective frictions is the reference
+    # the stack solve diagonalizes G1 and G2; its fallback, the sign
+    # iteration, shares no factor with it and is the reference here, and the
+    # quadrature oracles are the fallback's
     @staticmethod
     def stacks(rng, d, B=2, N=5, n=4):
         G1 = np.stack([random_stable(rng, d) for _ in range(B * N)]).reshape(B, N, 1, d, d)
@@ -648,27 +714,28 @@ class TestSpectralStackSolve:
                       / np.linalg.norm(ref, axis=(-2, -1))).max())
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_matches_the_kronecker_solve_on_non_normal_stacks(self, d):
+    def test_matches_the_sign_solve_on_non_normal_stacks(self, d):
         rng = np.random.default_rng(47 + d)
         for _ in range(10):
             G1, G2, Q = self.stacks(rng, d)
             assert np.abs(np.linalg.eigvals(G1).imag).max() > 0.0   # complex eigenpairs
             J = linalg.sylvester_batch(G1, G2, Q)
             assert J.dtype == float and J.shape == Q.shape
-            assert self.relative_gap(J, linalg._solve(G1, G2, Q)) <= 1e-12
+            assert self.relative_gap(J, linalg._sign_solve(G1, G2, Q)) <= 1e-12
             g = G1[:, :, 0]
             Qs = Q[:, :, 0] @ np.swapaxes(Q[:, :, 0], -1, -2)
-            assert self.relative_gap(linalg.lyapunov_batch(g, Qs), linalg._solve(g, g, Qs)) <= 1e-12
+            assert self.relative_gap(linalg.lyapunov_batch(g, Qs), linalg._sign_solve(g, g, Qs)) <= 1e-12
         # a mixed pair: a diagonal side takes its exact factors (diag, I, I)
         # against the other side's eigenbasis, either way round
         G1 = diagonal(np.diagonal(G1, axis1=-2, axis2=-1))
         assert linalg._diagonal(G1) is not None and linalg._diagonal(G2) is None
         for A, B in ((G1, G2), (G2, G1)):
-            assert self.relative_gap(linalg.sylvester_batch(A, B, Q), linalg._solve(A, B, Q)) <= 1e-13
+            assert self.relative_gap(linalg.sylvester_batch(A, B, Q), linalg._sign_solve(A, B, Q)) <= 1e-13
 
-    def test_defective_friction_takes_the_kronecker_bits(self):
-        # per pair: the pairs that touch the defective matrix take _solve's
-        # bits, and every other pair keeps the spectral bits it has without it
+    def test_defective_friction_takes_the_sign_bits(self):
+        # per pair: the pairs that touch the defective matrix take the sign
+        # iteration's bits, the same gathered as on the whole stack, and every
+        # other pair keeps the spectral bits it has without it
         rng = np.random.default_rng(53)
         G1, G2, Q = self.stacks(rng, 2)
         defective = np.array([[2.0, 1.0], [0.0, 2.0]])
@@ -680,26 +747,39 @@ class TestSpectralStackSolve:
         # the defective matrix on the x side, then on the y side
         for A, B, A_bad, B_bad in ((G1, G2, bad, G2), (G2, G1, G2, bad)):
             J, clean = linalg.sylvester_batch(A_bad, B_bad, Q), linalg.sylvester_batch(A, B, Q)
-            assert J[touched].tobytes() == linalg._solve(A_bad, B_bad, Q)[touched].tobytes()
+            assert J[touched].tobytes() == linalg._sign_solve(A_bad, B_bad, Q)[touched].tobytes()
             J[touched] = clean[touched]
             assert J.tobytes() == clean.tobytes()
         g, g_bad, Q_x = G1[:, :, 0], bad[:, :, 0], Q[:, :, 0]
         J, clean = linalg.lyapunov_batch(g_bad, Q_x), linalg.lyapunov_batch(g, Q_x)
-        assert J[touched].tobytes() == linalg._solve(g_bad, g_bad, Q_x)[touched].tobytes()
+        assert J[touched].tobytes() == linalg._sign_solve(g_bad, g_bad, Q_x)[touched].tobytes()
+        ref = linalg.lyapunov_by_quadrature(defective, Q_x[touched], 1e-11)
+        assert self.relative_gap(J[touched], ref) <= 1e-9
         J[touched] = clean[touched]
         assert J.tobytes() == clean.tobytes()
+        Y = linalg.sylvester_batch(bad, G2, Q)
+        for j in range(Q.shape[2]):
+            ref = linalg.sylvester_by_quadrature(-defective, G2[1, 0, j].T, -Q[1, 3, j], 1e-11)
+            assert self.relative_gap(Y[1, 3, j], ref) <= 1e-9
 
-    def test_a_failed_eig_sends_the_whole_call_to_the_kronecker_solve(self, monkeypatch):
+    def test_a_failed_eig_sends_each_pair_to_the_sign_solve(self, monkeypatch):
         rng = np.random.default_rng(59)
         G1, G2, Q = self.stacks(rng, 3)
-        ref = linalg._solve(G1, G2, Q)
+        ref = linalg.sylvester_batch(G1, G2, Q)
 
         def failing(a):
             raise np.linalg.LinAlgError("eig did not converge")
 
         monkeypatch.setattr(np.linalg, "eig", failing)
-        assert linalg.Eigenbasis(G1).factors is None
-        assert linalg.sylvester_batch(G1, G2, Q).tobytes() == ref.tobytes()
+        lam, V, W, bad = linalg.Eigenbasis(G1).factors
+        assert V is None and W is None and bad.shape == G1.shape[:-2] and bad.all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            J = linalg.sylvester_batch(G1, G2, Q)
+        assert self.relative_gap(J, ref) <= 1e-12
+        for b, i, j in np.ndindex(Q.shape[:-2]):
+            alone = linalg.sylvester_batch(G1[b, i], G2[b, 0, j], Q[b, i, j])
+            assert J[b, i, j].tobytes() == alone.tobytes()
 
     def test_eigen_decompositions_run_on_the_unbroadcast_stacks(self, monkeypatch):
         factored = []
@@ -747,6 +827,9 @@ class TestSpectralStackSolve:
             g1, g2 = (np.diagonal(G, axis1=-2, axis2=-1) for G in (G1, G2))
             want = Q / (g1[..., :, None] + g2[..., None, :])
             assert linalg.sylvester_batch(G1, G2, Q).tobytes() == want.tobytes()
+            q = Q[0, 0, 0]   # one Q for every pair, as a constant noise gives
+            want = q / (g1[..., :, None] + g2[..., None, :])
+            assert linalg.sylvester_batch(G1, G2, q).tobytes() == want.tobytes()
             want = Q[:, :, 0] / (g1[:, :, 0, :, None] + g1[:, :, 0, None, :])
             assert linalg.lyapunov_batch(G1[:, :, 0], Q[:, :, 0]).tobytes() == want.tobytes()
         G1, G2, Q = cases[0]

@@ -192,6 +192,8 @@ CASES = {
     "fit-rate-None": lambda: fit_rate(None),
     "fit-rate-epsilon-string": lambda: fit_rate(ConvergenceReport(
         None, ["0.1", "0.05", "0.01"], [0.1, 0.05, 0.01], [0.0] * 3, 2, 1)),
+    "fit-rate-lengths-differ": lambda: fit_rate(ConvergenceReport(
+        None, [0.1, 0.05, 0.01], [0.1, 0.05, 0.01, 0.005], [0.0] * 3, 2, 1)),
     "report-json-string": lambda: report_to_json("report"),
     "report-csv-None": lambda: report_to_csv(None),
     "path-csv-None": lambda: write_path_csv(io.StringIO(), None, 0),
